@@ -1,4 +1,4 @@
-"""Exact counting of link-constrained circuits and per-word limit estimation.
+"""Exact counting of link-constrained circuits and exact per-word limits.
 
 A circuit of length h at dimension n is a closed index path pi(0..h),
 pi(0) = pi(h), with vertices in 1..n. For a word w the matched circuit class
@@ -13,13 +13,20 @@ current row holding the required label, which a per-(row, label) index
 bounds by the link's row repeat bound. The walk is vectorized over frontier
 states and split into chunks whenever the next expansion would exceed the
 row cap, so memory stays bounded while counts remain exact integers.
+
+A class count is a quasi-polynomial in n of degree k + 1 (h = 2k): it counts
+lattice points of polytopes whose facets move linearly with n (Ehrhart
+theory), so on each residue class of n mod some period it is a polynomial,
+and its leading coefficient is the word's limit. ``exact_limit`` recovers
+that coefficient as an exact rational from counts at small n; ``estimate_p``
+fits the 1/n ladders that the joint relation checks still use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,9 +34,13 @@ from .linkfn import LinkFunction, link_name, parse_link, profile, value_table
 from .linkfn import Transform, compose, is_injective_on_range, transform_name
 from .words import Word, canonicalize, enumerate_pair_matched, is_catalan, is_pair_matched
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "Circuit",
     "CircuitClassCount",
+    "ExactLimit",
     "InvarianceEntry",
     "InvarianceReport",
     "PEstimate",
@@ -45,6 +56,8 @@ __all__ = [
     "count_pi_star_joint",
     "default_ladder",
     "estimate_p",
+    "exact_limit",
+    "fit_quasi_polynomial",
     "p_table",
     "p_table_joint",
 ]
@@ -53,6 +66,12 @@ NODE_BUDGET = 1_000_000_000
 MAX_FRONTIER_ROWS = 2_000_000
 MAX_SWEEP_ORDER = 6
 MAX_IMPLIES_DIM = 64
+#: Largest period of n tried when fitting class counts to a quasi-polynomial.
+#: Every built-in link has period 1 or 2 up to order 6.
+MAX_PERIOD = 4
+#: Points per residue class, beyond the fit, that the fitted polynomial must
+#: reproduce exactly before its leading coefficient is accepted.
+HELD_OUT = 3
 
 SLOPE_LINK_KINDS = ("toeplitz", "symcirc")
 
@@ -117,6 +136,21 @@ class PEstimate:
     p: float
     slope: float
     residual: float
+
+
+@dataclass(frozen=True)
+class ExactLimit:
+    """Exact per-word limit: the leading coefficient of the class counts.
+
+    On each residue class of n mod ``period`` the counts at n in ``ns`` (an
+    inclusive range) agree with one polynomial of degree k + 1, fitted on the
+    first k + 2 points of the class and reproducing the last ``HELD_OUT``
+    exactly; ``p`` is the leading coefficient all classes share.
+    """
+
+    p: "Fraction"
+    period: int
+    ns: tuple[int, int]
 
 
 # --- constraint backends ----------------------------------------------------
@@ -407,13 +441,65 @@ def estimate_p(counts: Sequence[CircuitClassCount]) -> PEstimate:
     )
 
 
-def p_table(link, two_k: int, ladder: Optional[Sequence[int]] = None) -> dict:
-    """Per-word limit estimates for all pair-matched words of length 2k."""
-    ns = tuple(ladder) if ladder else default_ladder(two_k)
-    out = {}
-    for w in enumerate_pair_matched(two_k):
-        out[w] = estimate_p([count_pi_star(link, w, n) for n in ns])
-    return out
+def fit_quasi_polynomial(
+    count: Callable[[int], int], degree: int, max_period: int = MAX_PERIOD
+) -> ExactLimit:
+    """Leading coefficient of an exact count sequence that is a quasi-polynomial.
+
+    Counts ``count(n)`` at n = 1, 2, ... and after each new n tries the
+    periods 1..``max_period`` on the latest window of ``degree`` + 1 +
+    ``HELD_OUT`` points per residue class. Sampled at n0, n0 + P, ..., a
+    polynomial of degree d has constant d-th differences, equal to
+    d! * P^d times its leading coefficient, so a class fits exactly when its
+    d-th differences over the window are all equal (the first d + 1 points
+    fix the polynomial, the held-out points must be reproduced). Earlier
+    points may precede the quasi-polynomial regime and are not used. Raises
+    ``SearchBudgetError`` when nothing fits by n = 2 * max_period * (window
+    size); there is no approximate fallback.
+    """
+    from fractions import Fraction  # kept off the import path of the CLI
+
+    per_class = degree + 1 + HELD_OUT
+    n_cap = 2 * max_period * per_class
+    seen: list[int] = []
+    for n in range(1, n_cap + 1):
+        seen.append(int(count(n)))
+        for period in range(1, max_period + 1):
+            span = period * per_class
+            if span > n:
+                break
+            leads = set()
+            for r in range(period):
+                diffs = seen[n - span + r :: period]
+                for _ in range(degree):
+                    diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                if any(x != diffs[0] for x in diffs):
+                    break
+                leads.add(diffs[0])
+            else:
+                if len(leads) == 1:
+                    lead = Fraction(leads.pop(), math.factorial(degree) * period**degree)
+                    return ExactLimit(p=lead, period=period, ns=(n - span + 1, n))
+    raise SearchBudgetError(
+        f"counts at n = 1..{n_cap} fit no quasi-polynomial of degree {degree} "
+        f"with period <= {max_period} on {HELD_OUT} held-out points per class"
+    )
+
+
+def exact_limit(link, word, max_period: int = MAX_PERIOD) -> ExactLimit:
+    """Exact limit of count_pi_star(link, word, n) / n^(k+1) as n -> infinity."""
+    link_fn, w = _as_link(link), _as_word(word)
+    try:
+        return fit_quasi_polynomial(
+            lambda n: count_pi_star(link_fn, w, n).count, w.h // 2 + 1, max_period
+        )
+    except SearchBudgetError as exc:
+        raise SearchBudgetError(f"{link_name(link_fn)} word {w}: {exc}") from exc
+
+
+def p_table(link, two_k: int) -> dict:
+    """Exact per-word limits (``ExactLimit``) for all pair-matched words of length 2k."""
+    return {w: exact_limit(link, w) for w in enumerate_pair_matched(two_k)}
 
 
 def p_table_joint(

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -99,16 +100,10 @@ DEFAULT_TOLS = {
     "beta2_abs": 0.05,
     "beta4_abs": 0.15,
     "beta6_abs": 0.6,
-    "row3_beta4_abs": 0.15,
     "ks_max": 0.05,
     "z_max": 3.0,
     "p_tol": 0.03,
 }
-
-#: Ladders used to assemble even-moment targets inside verify-table2. They
-#: start higher than the quick-check default so the 1/n fit bias stays well
-#: inside the Monte Carlo error bands the targets are compared against.
-DEFAULT_TARGET_LADDERS = {2: (8, 16, 32), 4: (16, 32, 64, 128), 6: (16, 32, 64)}
 
 #: Absolute slack added to every standard-error band; keeps exact-by-
 #: construction cases (Rademacher beta_2 has zero variance) from failing
@@ -317,6 +312,9 @@ class RunContext:
     hash: str
     checks: list = field(default_factory=list)
     files: list = field(default_factory=list)
+    #: Limit -> wall time and per-order fit of its target assembly; goes to
+    #: the manifest only, since wall times differ between runs.
+    target_assembly: dict = field(default_factory=dict)
 
     def header(self) -> dict:
         payload = {k: v for k, v in self.cfg.items() if k not in ("out", "threads")}
@@ -447,11 +445,12 @@ def _limit_for_product(link_x: str, link_y: str) -> Optional[str]:
     return None
 
 
-def _limit_targets(limit: str, h_max: int, ladders: Mapping[int, tuple]) -> dict[int, dict]:
+def _limit_targets(limit: str, h_max: int) -> dict[int, dict]:
     """Even-moment targets of a Table 2 limit law, with provenance.
 
-    The semicircle has exact Catalan moments; single-pattern limits are
-    assembled from that link's per-word limit table over the given ladders.
+    The semicircle has exact Catalan moments; single-pattern limits sum that
+    link's exact per-word limits. ``period`` is the common period of the
+    word fits and ``n_range`` the span of n their windows cover.
     """
     targets: dict[int, dict] = {}
     if limit == "semicircle":
@@ -460,13 +459,31 @@ def _limit_targets(limit: str, h_max: int, ladders: Mapping[int, tuple]) -> dict
             targets[two_k] = {"value": ms.moment(two_k), "source": "semicircle"}
         return targets
     for two_k in range(2, min(h_max, 6) + 1, 2):
-        ladder = ladders[two_k]
-        table = {w: est.p for w, est in p_table(limit, two_k, ladder).items()}
+        table = p_table(limit, two_k)
+        exact = assemble_moments({w: f.p for w, f in table.items()}, two_k)
+        fits = table.values()
         targets[two_k] = {
-            "value": assemble_moments(table, two_k),
-            "source": f"assembled:{limit}",
-            "ladder": list(ladder),
+            "value": float(exact),
+            "exact": str(exact),
+            "source": f"exact:{limit}",
+            "period": math.lcm(*(f.period for f in fits)),
+            "n_range": [min(f.ns[0] for f in fits), max(f.ns[1] for f in fits)],
         }
+    return targets
+
+
+def _timed_targets(ctx: RunContext, limit: str, h_max: int) -> dict[int, dict]:
+    """``_limit_targets`` with its wall time and fits recorded for the manifest."""
+    start = time.perf_counter()
+    targets = _limit_targets(limit, h_max)
+    ctx.target_assembly[limit] = {
+        "wall_s": time.perf_counter() - start,
+        "orders": {
+            str(k): {"period": t["period"], "n_range": t["n_range"]}
+            for k, t in targets.items()
+            if "period" in t
+        },
+    }
     return targets
 
 
@@ -575,7 +592,7 @@ def cmd_moments(ctx: RunContext) -> None:
         cfg,
         "moments",
         {"link_x", "link_y", "dist_x", "dist_y", "n", "trials", "h_max", "z_max",
-         "targets", "target_ladders"},
+         "targets"},
     )
     spec = _product_from_cfg(cfg, ctx.seed, default_trials=10)
     if spec.trials < 2:
@@ -587,7 +604,7 @@ def cmd_moments(ctx: RunContext) -> None:
 
     moments = moments_from_spectra(trial_spectra(spec, threads=ctx.threads), h_max)
     limit = _limit_for_product(spec.link_x, spec.link_y) if want_targets == "auto" else None
-    targets = _limit_targets(limit, h_max, _target_ladders_from_cfg(cfg)) if limit else {}
+    targets = _timed_targets(ctx, limit, h_max) if limit else {}
 
     entries = []
     for m in moments:
@@ -802,17 +819,6 @@ def _tols_from_cfg(cfg: Mapping) -> dict:
     return tols
 
 
-def _target_ladders_from_cfg(cfg: Mapping) -> dict[int, tuple[int, ...]]:
-    ladders = {k: tuple(v) for k, v in DEFAULT_TARGET_LADDERS.items()}
-    if "target_ladders" in cfg:
-        overrides = cfg_value(cfg, "target_ladders", "dict")
-        for k, v in overrides.items():
-            if str(k) not in ("2", "4", "6"):
-                raise ConfigError(f"config key 'target_ladders': unknown order {k!r}")
-            ladders[int(k)] = cfg_ladder({"target_ladders": v}, "target_ladders", None)
-    return ladders
-
-
 def _row1_transform(partner: str, n: int) -> Transform:
     """The partner link's labels as a function of the full-index pair."""
     _, pairs = value_table(parse_link("wigner"), n)
@@ -844,7 +850,7 @@ def cmd_verify_table2(ctx: RunContext) -> None:
         cfg,
         "verify-table2",
         {"rows", "n", "trials", "dist", "dist_x", "dist_y", "h_max", "tol",
-         "target_ladders", "relation_ladder", "relation_two_k", "invariance_ns", "mc"},
+         "relation_ladder", "relation_two_k", "invariance_ns", "mc"},
     )
     rows = _parse_rows(cfg)
     n = cfg_posint(cfg, "n", 1000, minimum=2)
@@ -857,7 +863,6 @@ def cmd_verify_table2(ctx: RunContext) -> None:
         raise ConfigError(f"config key 'h_max': {h_max!r} must be <= 8")
     run_mc = cfg_value(cfg, "mc", "bool", True)
     tols = _tols_from_cfg(cfg)
-    target_ladders = _target_ladders_from_cfg(cfg)
     relation_two_k = cfg_value(cfg, "relation_two_k", "int", 4)
     if relation_two_k % 2 != 0 or not 2 <= relation_two_k <= 6:
         raise ConfigError(
@@ -880,7 +885,7 @@ def cmd_verify_table2(ctx: RunContext) -> None:
 
     def targets_for(limit: str) -> dict:
         if limit not in target_cache:
-            target_cache[limit] = _limit_targets(limit, h_max, target_ladders)
+            target_cache[limit] = _timed_targets(ctx, limit, h_max)
         return target_cache[limit]
 
     row_reports = []
@@ -992,20 +997,6 @@ def cmd_verify_table2(ctx: RunContext) -> None:
                     for two_k in (2, 4, 6):
                         m = by_h[two_k]
                         t = targets[two_k]["value"]
-                        if row == 3 and two_k == 4:
-                            ctx.check(
-                                f"{tag}:beta4",
-                                abs(m.mean - 8.0 / 3.0) <= tols["row3_beta4_abs"],
-                                f"estimate {_fmt(m.mean)}, target 8/3, tol {tols['row3_beta4_abs']}",
-                            )
-                            continue
-                        if row == 3 and two_k == 6:
-                            # The ladder-extrapolated 6th-moment target for this
-                            # row converges with a slow 1/n tail that exceeds the
-                            # Monte-Carlo band at feasible ladder sizes, so the
-                            # comparison is reported but not gated.
-                            entry["beta6_gap"] = m.mean - t
-                            continue
                         band = tols["z_max"] * m.stderr + BAND_EPS
                         ctx.check(
                             f"{tag}:beta{two_k}",
@@ -1145,6 +1136,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks],
         "files": inventory,
     }
+    if ctx.target_assembly:
+        manifest["target_assembly"] = ctx.target_assembly
     _atomic_write(ctx.out_dir / "manifest.json", encode_json(manifest))
 
     for c in ctx.checks:

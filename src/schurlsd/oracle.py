@@ -74,11 +74,14 @@ def semicircle_moments(h_max: int) -> MomentSequence:
     return MomentSequence(vals, "semicircle")
 
 
-PTable = Mapping  # Word -> float, or (Word, Word) -> float
+PTable = Mapping  # Word -> number, or (Word, Word) -> number
 
 
-def assemble_moments(p_table: PTable, two_k: int) -> float:
+def assemble_moments(p_table: PTable, two_k: int):
     """Sum per-word limits over all pair-matched words of length ``two_k``.
+
+    The sum keeps the type of the limits: exact ``Fraction`` limits give an
+    exact moment, floats a float.
 
     ``p_table`` maps either single words or (word, word2) pairs to limit
     values. For the pair form every diagonal entry must be present
@@ -90,7 +93,7 @@ def assemble_moments(p_table: PTable, two_k: int) -> float:
     if not p_table:
         raise ValueError(f"empty p-table, expected entries for {len(words)} words")
     paired_keys = any(isinstance(k, tuple) for k in p_table.keys())
-    total = 0.0
+    total = 0
     if paired_keys:
         for w in words:
             if (w, w) not in p_table:
@@ -100,12 +103,12 @@ def assemble_moments(p_table: PTable, two_k: int) -> float:
         ):
             if w.h != two_k or w2.h != two_k:
                 raise ValueError(f"p-table entry ({w}, {w2}) has length != {two_k}")
-            total += float(p)
+            total += p
     else:
         for w in words:
             if w not in p_table:
                 raise ValueError(f"p-table is missing word {w}")
-            total += float(p_table[w])
+            total += p_table[w]
     return total
 
 

@@ -9,6 +9,7 @@ with criterion 9 they dominate the runtime at a few minutes total.
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,7 @@ from schurlsd.circuits import (
     check_leadsto_wigner,
     count_pi_star,
     count_pi_star_joint,
-    estimate_p,
+    exact_limit,
     p_table,
 )
 from schurlsd.cli import main as cli_main
@@ -67,26 +68,18 @@ def test_criterion_02_pruned_counts_equal_raw_enumeration():
 
 
 def test_criterion_03_wigner_word_limits():
-    ladder = (8, 16, 32, 64)
     for two_k in (2, 4, 6):
-        for word in enumerate_pair_matched(two_k):
-            counts = [count_pi_star("wigner", word, n) for n in ladder]
-            p = estimate_p(counts).p
-            if is_catalan(word):
-                assert abs(p - 1.0) <= 0.02, (str(word), p)
-            else:
-                assert p <= 0.02, (str(word), p)
+        for word, fit in p_table("wigner", two_k).items():
+            assert fit.p == (1 if is_catalan(word) else 0), (str(word), fit)
 
 
 def test_criterion_04_toeplitz_fourth_moment_channel():
-    ladder = (8, 16, 32, 64)
-    counts = [count_pi_star("toeplitz", "abab", n) for n in ladder]
-    assert counts[0].count == raw_count_star("toeplitz", "abab", 8) == 400
-    p = estimate_p(counts).p
-    assert abs(p - 2.0 / 3.0) <= 0.02, p
-    limits = {w: est.p for w, est in p_table("toeplitz", 4, ladder).items()}
+    count = count_pi_star("toeplitz", "abab", 8).count
+    assert count == raw_count_star("toeplitz", "abab", 8) == 400
+    assert exact_limit("toeplitz", "abab").p == Fraction(2, 3)
+    limits = {w: fit.p for w, fit in p_table("toeplitz", 4).items()}
     beta4 = assemble_moments(limits, 4)
-    assert abs(beta4 - 8.0 / 3.0) <= 0.04, beta4
+    assert beta4 == Fraction(8, 3), beta4
 
 
 def test_criterion_05_compatibility_and_semicircle_collapse():
@@ -153,9 +146,9 @@ def test_criterion_08_table2_monte_carlo_rows(table2_runs):
         if ":beta" in name or ":ks" in name or ":odd" in name
     }
     # 11 semicircle products x (beta2, beta4, beta6, ks) = 44; the 4 single-
-    # pattern-limit products add 11 beta gates (one 6th-order comparison is
-    # report-only); odd-moment gates are 15 products x 3 orders.
-    assert len(moment_gates) == 100
+    # pattern-limit products add 12 beta gates against exact targets;
+    # odd-moment gates are 15 products x 3 orders.
+    assert len(moment_gates) == 101
     failed = sorted(name for name, ok in moment_gates.items() if not ok)
     assert not failed, failed
 

@@ -1,4 +1,4 @@
-"""Tests for exact circuit-class counting, extrapolation, and relation checks.
+"""Tests for exact circuit-class counting, exact limits, extrapolation, and relation checks.
 
 Every counting path is pinned against the raw n^h enumeration in
 ``bruteforce`` at small n, then frozen values and structural invariants
@@ -6,6 +6,7 @@ cover the larger dimensions the raw oracle cannot reach.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,8 @@ from schurlsd.circuits import (
     count_pi_star_joint,
     default_ladder,
     estimate_p,
+    exact_limit,
+    fit_quasi_polynomial,
     p_table,
     p_table_joint,
 )
@@ -35,6 +38,7 @@ from schurlsd.linkfn import (
     table_transform,
     value_table,
 )
+from schurlsd.oracle import assemble_moments
 from schurlsd.words import canonicalize, enumerate_pair_matched, is_catalan
 
 from bruteforce import (
@@ -267,14 +271,84 @@ def test_known_limits_from_default_ladders():
 
 
 def test_p_table_shapes():
-    table = p_table("toeplitz", 4, ladder=(8, 16, 32))
+    table = p_table("toeplitz", 4)
     assert set(table) == set(enumerate_pair_matched(4))
-    assert table[canonicalize("abab")].p == pytest.approx(2 / 3, abs=0.02)
+    assert table[canonicalize("abab")].p == Fraction(2, 3)
 
     joint = p_table_joint("toeplitz", "hankel", 4, ladder=(8, 16, 32))
     assert set(joint) == set(itertools.product(enumerate_pair_matched(4), repeat=2))
     diag = p_table_joint("toeplitz", "hankel", 4, ladder=(8, 16, 32), diagonal_only=True)
     assert set(diag) == {(w, w) for w in enumerate_pair_matched(4)}
+
+
+# --- exact limits by quasi-polynomial interpolation -----------------------------------------
+
+
+@pytest.mark.parametrize("kind", ALL_LINKS)
+@pytest.mark.parametrize("word", ["aa"] + WORDS_4[1:] + ["abcabc", "aabccb"])
+def test_interpolator_consumes_counts_equal_to_raw_enumeration(kind, word):
+    consumed = []
+
+    def count(n):
+        got = count_pi_star(kind, word, n).count
+        if n <= 6:
+            assert got == raw_count_star(kind, word, n), (kind, word, n)
+        consumed.append(n)
+        return got
+
+    fit = fit_quasi_polynomial(count, len(word) // 2 + 1)
+    assert consumed == list(range(1, fit.ns[1] + 1))
+    assert fit == exact_limit(kind, word)
+
+
+@pytest.mark.parametrize(
+    "kind,moments",
+    [
+        ("toeplitz", (1, Fraction(8, 3), 11)),
+        ("hankel", (1, 2, Fraction(11, 2))),
+        ("symcirc", (1, 3, 15)),
+        ("revcirc", (1, 2, 6)),
+        ("wigner", (1, 2, 5)),
+    ],
+)
+def test_exact_limits_match_literature_moments(kind, moments):
+    for two_k, expected in zip((2, 4, 6), moments):
+        table = p_table(kind, two_k)
+        beta = assemble_moments({w: f.p for w, f in table.items()}, two_k)
+        assert beta == expected and isinstance(beta, Fraction), (kind, two_k, beta)
+        if kind == "wigner":
+            assert all(f.p == is_catalan(w) for w, f in table.items())
+
+
+def test_exact_limit_periods():
+    # Hankel counts are polynomials; Toeplitz aabb alternates with the parity of n
+    assert exact_limit("hankel", "abcabc").period == 1
+    fit = exact_limit("toeplitz", "aabb")
+    assert fit.period == 2 and fit.p == 1
+    assert fit.ns == (1, 14)  # 2 classes x (4 fit + 3 held-out points)
+
+
+def test_interpolator_rejects_a_broken_held_out_point():
+    # n^3 on the four fit points of the first window, then off the polynomial
+    # (and off every quasi-polynomial) from the first held-out point on
+    def planted(n):
+        return n**3 if n <= 4 else n**3 + 2**n
+
+    with pytest.raises(SearchBudgetError, match="fit no quasi-polynomial"):
+        fit_quasi_polynomial(planted, 3)
+    assert fit_quasi_polynomial(lambda n: n**3 + 5 * n, 3).p == 1
+
+
+def test_interpolator_rejects_disagreeing_leading_coefficients():
+    # two exact polynomials whose leading coefficients alternate: no limit
+    with pytest.raises(SearchBudgetError):
+        fit_quasi_polynomial(lambda n: (2 + n % 2) * n**2, 2)
+
+
+def test_period_cap_below_the_true_period_raises():
+    with pytest.raises(SearchBudgetError, match="toeplitz word aabb"):
+        exact_limit("toeplitz", "aabb", max_period=1)
+    assert exact_limit("toeplitz", "aabb", max_period=2).p == 1
 
 
 # --- relation checks --------------------------------------------------------------------------

@@ -149,16 +149,32 @@ def test_spectrum_range_validation(tmp_path):
 def test_moments_with_auto_targets(tmp_path):
     cfg = {"link_x": "revcirc", "link_y": "dsymhankel", "dist_x": "rademacher",
            "dist_y": "rademacher", "n": 300, "trials": 8, "h_max": 6,
-           "targets": "auto", "z_max": 4.0,
-           "target_ladders": {"4": [8, 16, 32], "6": [8, 16, 32]}}
+           "targets": "auto", "z_max": 4.0}
     code, out = run_cli(tmp_path, "moments", cfg, seed=9)
     assert code == 0
     report = read_json(out, "moments_report.json")
     by_h = {m["h"]: m for m in report["moments"]}
-    assert by_h[2]["target"] == pytest.approx(1.0)
-    assert by_h[4]["target"] == pytest.approx(2.0, abs=1e-6)
-    assert by_h[6]["target"] == pytest.approx(6.0, abs=1e-6)
+    assert by_h[2]["target"] == 1.0
+    assert by_h[4]["target"] == 2.0
+    assert by_h[6]["target"] == 6.0
     assert by_h[3]["target"] == 0.0
+    assert report["targets"]["6"] == {
+        "value": 6.0, "exact": "6", "source": "exact:revcirc", "period": 2, "n_range": [1, 16],
+    }
+    # the wall time of target assembly goes to the manifest, never to the report
+    assembly = read_json(out, "manifest.json")["target_assembly"]["revcirc"]
+    assert assembly["wall_s"] > 0
+    assert assembly["orders"]["6"] == {"period": 2, "n_range": [1, 16]}
+    assert "wall_s" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("command", ["moments", "verify-table2"])
+def test_target_ladders_key_is_rejected(tmp_path, command):
+    cfg = {"target_ladders": {"4": [8, 16, 32]}}
+    if command == "moments":
+        cfg.update(link_x="hankel", link_y="revcirc", n=20, trials=2)
+    code, _ = run_cli(tmp_path, command, cfg)
+    assert code == 2
 
 
 def test_moments_requires_two_trials(tmp_path):
@@ -274,8 +290,7 @@ def test_check_transform_domain_error_is_config_error(tmp_path):
 
 
 ROW5_CFG = {"rows": [5], "mc": True, "n": 120, "trials": 4,
-            "relation_ladder": [8, 16, 32], "invariance_ns": [8],
-            "target_ladders": {"4": [8, 16, 32], "6": [8, 16, 32]}}
+            "relation_ladder": [8, 16, 32], "invariance_ns": [8]}
 
 
 def test_verify_row5_small_scale(tmp_path):
@@ -299,17 +314,20 @@ def test_verify_reports_identical_across_threads_and_reruns(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_verify_row3_beta6_is_report_only(tmp_path):
+def test_verify_row3_gates_every_even_moment_against_exact_targets(tmp_path):
     cfg = {"rows": [3], "mc": True, "n": 150, "trials": 4,
-           "relation_ladder": [8, 16, 32], "invariance_ns": [8],
-           "target_ladders": {"4": [8, 16, 32], "6": [8, 16, 32]}}
+           "relation_ladder": [8, 16, 32], "invariance_ns": [8]}
     code, out = run_cli(tmp_path, "verify-table2", cfg, seed=20260814)
     report = read_json(out, "verify_table2_report.json")
     names = [c["name"] for c in report["checks"]]
-    assert not any("beta6" in name for name in names)
-    assert any("beta4" in name for name in names)
+    for two_k in (2, 4, 6):
+        assert f"row3:toeplitz*symcirc:beta{two_k}" in names
+    (row,) = report["rows"]
+    assert [row["targets"][k]["exact"] for k in ("2", "4", "6")] == ["1", "8/3", "11"]
     (product,) = report["products"]
-    assert "beta6_gap" in product
+    assert "beta6_gap" not in product
+    beta6 = product["moments"][5]
+    assert beta6["h"] == 6 and beta6["target"] == 11.0
 
 
 def test_verify_rows_flag_and_validation(tmp_path):
