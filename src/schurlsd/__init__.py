@@ -6,8 +6,9 @@ Two independent verification channels:
   matrices, scales their entrywise products, and estimates spectral moments
   and distances to reference laws;
 * an exact combinatorial channel (``words``, ``circuits``, ``oracle``) that
-  counts link-constrained circuits, extrapolates per-word limits, and
-  assembles the moments the spectra must match.
+  counts link-constrained circuits, recovers each word's limit as an exact
+  rational from counts at small n, and assembles the moments the spectra
+  must match. Only the joint relation checks still extrapolate 1/n ladders.
 
 ``linkfn`` defines the pattern vocabulary shared by both channels and
 ``cli`` drives the shipped verification runs.

@@ -38,7 +38,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "Circuit",
     "CircuitClassCount",
     "ExactLimit",
     "InvarianceEntry",
@@ -59,7 +58,6 @@ __all__ = [
     "exact_limit",
     "fit_quasi_polynomial",
     "p_table",
-    "p_table_joint",
 ]
 
 NODE_BUDGET = 1_000_000_000
@@ -78,26 +76,6 @@ SLOPE_LINK_KINDS = ("toeplitz", "symcirc")
 
 class SearchBudgetError(RuntimeError):
     """The requested count would exceed the enumeration budget."""
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """A closed index path with 1-based vertices."""
-
-    values: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise ValueError("a circuit has at least two vertices")
-        if self.values[0] != self.values[-1]:
-            raise ValueError(f"circuit is not closed: {self.values}")
-        if not all(1 <= v <= self.n for v in self.values):
-            raise ValueError(f"circuit vertices outside 1..{self.n}: {self.values}")
-
-    @property
-    def h(self) -> int:
-        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -500,27 +478,6 @@ def exact_limit(link, word, max_period: int = MAX_PERIOD) -> ExactLimit:
 def p_table(link, two_k: int) -> dict:
     """Exact per-word limits (``ExactLimit``) for all pair-matched words of length 2k."""
     return {w: exact_limit(link, w) for w in enumerate_pair_matched(two_k)}
-
-
-def p_table_joint(
-    link_x,
-    link_y,
-    two_k: int,
-    ladder: Optional[Sequence[int]] = None,
-    diagonal_only: bool = False,
-) -> dict:
-    """Joint per-word-pair limit estimates under a pair of links."""
-    ns = tuple(ladder) if ladder else default_ladder(two_k)
-    ws = enumerate_pair_matched(two_k)
-    out = {}
-    for wx in ws:
-        for wy in ws:
-            if diagonal_only and wx != wy:
-                continue
-            out[(wx, wy)] = estimate_p(
-                [count_pi_star_joint(link_x, link_y, wx, wy, n) for n in ns]
-            )
-    return out
 
 
 def check_implies_wigner(link_x, link_y, n: int) -> bool:

@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .linkfn import (
     Transform,
     TransformError,
     coprime_power,
-    eval_link,
     parse_link,
     profile_product,
     square,
@@ -79,21 +78,61 @@ class ConfigError(Exception):
 
 # --- Table 2 registry ---------------------------------------------------------
 
-#: Row number -> (product list, limit id). The limit is either the
-#: semicircle law or the limit of the named single pattern, whose moments
-#: are assembled from that link's per-word limit table.
-TABLE2_ROWS: dict[int, tuple[tuple[tuple[str, str], ...], str]] = {
-    1: (
+
+def _label_map(x: str, y: str, n: int) -> Transform:
+    """The labels of link ``y`` as a function of the labels of link ``x`` at n.
+
+    Composing ``x`` with this map gives ``y`` (for row 1 the partner's labels
+    of each index pair, for rows 3-5 the fold and wrap maps), which is what the
+    invariance theorem carries a limit along.
+    """
+    codes_x, values_x = value_table(parse_link(x), n)
+    codes_y, values_y = value_table(parse_link(y), n)
+    cx, cy = np.divmod(np.unique(codes_x * len(values_y) + codes_y), len(values_y))
+    if len(cx) != len(values_x):
+        raise ValueError(f"{y} labels are not a function of {x} labels at n={n}")
+    return table_transform({values_x[a]: values_y[b] for a, b in zip(cx.tolist(), cy.tolist())})
+
+
+@dataclass(frozen=True)
+class Table2Row:
+    """One row of Table 2: its products, their common limit, and its gates.
+
+    ``limit`` is ``"semicircle"`` or the link whose single-pattern limit the
+    products share (its moments are assembled from that link's per-word
+    limits). ``relations`` lists the joint relation checks in gate order,
+    ``invariance`` builds the label transform of product (x, y) at dimension
+    n for the invariance check (None: no such check), and ``implies_wigner``
+    adds the report-only "labels force index pairs" verdict at n = 20.
+    """
+
+    products: tuple[tuple[str, str], ...]
+    limit: str
+    relations: tuple[str, ...] = ()
+    invariance: Optional[Callable[[str, str, int], Transform]] = None
+    implies_wigner: bool = False
+
+
+#: Row number -> row record; product order within and across rows fixes
+#: each product's seed stream index.
+TABLE2_ROWS: dict[int, Table2Row] = {
+    1: Table2Row(
         tuple(("wigner", y) for y in ("toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")),
         "semicircle",
+        relations=("leadsto",),
+        invariance=_label_map,
     ),
-    2: (
+    2: Table2Row(
         tuple((x, y) for x in ("toeplitz", "symcirc") for y in ("hankel", "revcirc", "dsymhankel")),
         "semicircle",
+        relations=("compatible", "leadsto"),
+        implies_wigner=True,
     ),
-    3: ((("toeplitz", "symcirc"),), "toeplitz"),
-    4: ((("hankel", "revcirc"), ("hankel", "dsymhankel")), "hankel"),
-    5: ((("revcirc", "dsymhankel"),), "revcirc"),
+    3: Table2Row((("toeplitz", "symcirc"),), "toeplitz", invariance=_label_map),
+    4: Table2Row(
+        (("hankel", "revcirc"), ("hankel", "dsymhankel")), "hankel", invariance=_label_map
+    ),
+    5: Table2Row((("revcirc", "dsymhankel"),), "revcirc", invariance=_label_map),
 }
 
 DEFAULT_TOLS = {
@@ -107,7 +146,8 @@ DEFAULT_TOLS = {
 
 #: Absolute slack added to every standard-error band; keeps exact-by-
 #: construction cases (Rademacher beta_2 has zero variance) from failing
-#: on float roundoff.
+#: on float roundoff. A stderr at or below it is roundoff, so reports give
+#: no z value for it.
 BAND_EPS = 1e-9
 
 
@@ -412,7 +452,7 @@ def _moment_json(m, target: Optional[float]) -> dict:
     }
     if target is not None:
         entry["target"] = target
-        entry["z"] = (m.mean - target) / m.stderr if m.stderr > 0 else None
+        entry["z"] = (m.mean - target) / m.stderr if m.stderr > BAND_EPS else None
     return entry
 
 
@@ -438,10 +478,9 @@ def _product_from_cfg(cfg: Mapping, seed: int, default_trials: int) -> ProductSp
 
 
 def _limit_for_product(link_x: str, link_y: str) -> Optional[str]:
-    for _, (products, limit) in sorted(TABLE2_ROWS.items()):
-        for x, y in products:
-            if {x, y} == {link_x, link_y}:
-                return limit
+    for row in TABLE2_ROWS.values():
+        if any({x, y} == {link_x, link_y} for x, y in row.products):
+            return row.limit
     return None
 
 
@@ -789,7 +828,7 @@ def _parse_rows(cfg: Mapping) -> list[int]:
     raw = cfg.get("rows", "all")
     if isinstance(raw, str):
         if raw == "all":
-            return [1, 2, 3, 4, 5]
+            return list(TABLE2_ROWS)
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         try:
             raw = [int(p) for p in parts]
@@ -800,7 +839,7 @@ def _parse_rows(cfg: Mapping) -> list[int]:
     rows = []
     for r in raw:
         if not isinstance(r, int) or isinstance(r, bool) or r not in TABLE2_ROWS:
-            raise ConfigError(f"config key 'rows': {r!r} is not a row in 1..5")
+            raise ConfigError(f"config key 'rows': {r!r} is not a row in {list(TABLE2_ROWS)}")
         if r not in rows:
             rows.append(r)
     return sorted(rows)
@@ -817,31 +856,6 @@ def _tols_from_cfg(cfg: Mapping) -> dict:
                 raise ConfigError(f"config key 'tol': {k!r} must be a positive number, got {v!r}")
             tols[k] = float(v)
     return tols
-
-
-def _row1_transform(partner: str, n: int) -> Transform:
-    """The partner link's labels as a function of the full-index pair."""
-    _, pairs = value_table(parse_link("wigner"), n)
-    partner_link = parse_link(partner)
-    return table_transform({(a, b): eval_link(partner_link, a, b, n) for a, b in pairs})
-
-
-#: Per-n label transforms sending the row's first link onto its second
-#: (the fold/wrap maps; rebuilt fresh at each n because they depend on n).
-_ROW_TRANSFORMS = {
-    ("toeplitz", "symcirc"): lambda n: table_transform(
-        {d: min(d, n - d) for d in range(n)}
-    ),
-    ("hankel", "revcirc"): lambda n: table_transform(
-        {t: t % n for t in range(2, 2 * n + 1)}
-    ),
-    ("hankel", "dsymhankel"): lambda n: table_transform(
-        {t: min(t % n, n - t % n) for t in range(2, 2 * n + 1)}
-    ),
-    ("revcirc", "dsymhankel"): lambda n: table_transform(
-        {m: min(m, n - m) for m in range(n)}
-    ),
-}
 
 
 def cmd_verify_table2(ctx: RunContext) -> None:
@@ -874,13 +888,9 @@ def cmd_verify_table2(ctx: RunContext) -> None:
         if not isinstance(v, int) or isinstance(v, bool) or v < 4:
             raise ConfigError(f"config key 'invariance_ns': {v!r} must be an integer >= 4")
 
-    product_index = {}
-    idx = 0
-    for r in sorted(TABLE2_ROWS):
-        for pair in TABLE2_ROWS[r][0]:
-            product_index[pair] = idx
-            idx += 1
-
+    # Seed stream index of each product: its position in the full registry,
+    # so a subset run sees the same seeds as a full run.
+    all_products = [pair for record in TABLE2_ROWS.values() for pair in record.products]
     target_cache: dict[str, dict] = {}
 
     def targets_for(limit: str) -> dict:
@@ -891,69 +901,46 @@ def cmd_verify_table2(ctx: RunContext) -> None:
     row_reports = []
     product_reports = []
     for row in rows:
-        products, limit = TABLE2_ROWS[row]
+        record = TABLE2_ROWS[row]
+        limit = record.limit
         targets = targets_for(limit)
         row_report = {"row": row, "limit": limit,
                       "targets": {str(k): v for k, v in targets.items()},
                       "relations": [], "invariance": []}
 
         # combinatorial side of the row
-        for x, y in products:
+        for x, y in record.products:
             tag = f"row{row}:{x}*{y}"
-            if row == 1:
-                for inv_n in invariance_ns:
-                    rep = check_invariance_containment(
-                        x, _row1_transform(y, inv_n), relation_two_k, inv_n
-                    )
-                    row_report["invariance"].append(_invariance_json(rep))
-                    ctx.check(
-                        f"{tag}:invariance@n={inv_n}",
-                        rep.all_subset,
-                        f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained",
-                    )
-                rep = check_leadsto_wigner(x, y, relation_two_k, relation_ladder, tols["p_tol"])
-                row_report["relations"].append(_relation_json(rep))
-                ctx.check(
-                    f"{tag}:leadsto",
-                    rep.all_pass,
-                    f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} words pass",
+            for inv_n in invariance_ns if record.invariance else ():
+                rep = check_invariance_containment(
+                    x, record.invariance(x, y, inv_n), relation_two_k, inv_n
                 )
-            elif row == 2:
-                rep = check_compatible(x, y, relation_two_k, relation_ladder, tols["p_tol"])
-                row_report["relations"].append(_relation_json(rep))
+                row_report["invariance"].append(_invariance_json(rep))
                 ctx.check(
-                    f"{tag}:compatible",
-                    rep.all_pass,
-                    f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} word pairs pass",
+                    f"{tag}:invariance@n={inv_n}",
+                    rep.all_subset,
+                    f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained",
                 )
-                rep = check_leadsto_wigner(x, y, relation_two_k, relation_ladder, tols["p_tol"])
+            for kind in record.relations:
+                relation = check_compatible if kind == "compatible" else check_leadsto_wigner
+                rep = relation(x, y, relation_two_k, relation_ladder, tols["p_tol"])
                 row_report["relations"].append(_relation_json(rep))
+                unit = "word pairs" if kind == "compatible" else "words"
                 ctx.check(
-                    f"{tag}:leadsto",
+                    f"{tag}:{kind}",
                     rep.all_pass,
-                    f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} words pass",
+                    f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} {unit} pass",
                 )
+            if record.implies_wigner:
                 row_report.setdefault("implies_wigner", {})[f"{x}*{y}"] = check_implies_wigner(
                     x, y, 20
                 )
-            else:
-                transform_fn = _ROW_TRANSFORMS[(x, y)]
-                for inv_n in invariance_ns:
-                    rep = check_invariance_containment(
-                        x, transform_fn(inv_n), relation_two_k, inv_n
-                    )
-                    row_report["invariance"].append(_invariance_json(rep))
-                    ctx.check(
-                        f"{tag}:invariance@n={inv_n}",
-                        rep.all_subset,
-                        f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained",
-                    )
 
         # Monte Carlo side of the row
         if run_mc:
-            for x, y in products:
+            for x, y in record.products:
                 tag = f"row{row}:{x}*{y}"
-                seed = stream_seed(ctx.seed, product_index[(x, y)])
+                seed = stream_seed(ctx.seed, all_products.index((x, y)))
                 spec = ProductSpec(
                     link_x=x, link_y=y, dist_x=dist_x, dist_y=dist_y,
                     n=n, master_seed=seed, trials=trials,

@@ -9,7 +9,6 @@ constants are part of the external interface.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ __all__ = [
     "MatrixRealization",
     "ProductSpec",
     "child_seed",
-    "matrix_to_csv",
     "product_realization",
     "realize",
     "realize_pair",
@@ -152,13 +150,6 @@ def scale(m: MatrixRealization) -> MatrixRealization:
         scaled=True,
         provenance=m.provenance,
     )
-
-
-def matrix_to_csv(m: MatrixRealization) -> str:
-    """Row-major CSV with 17 significant digits per entry."""
-    buf = io.StringIO()
-    np.savetxt(buf, m.entries, fmt="%.17g", delimiter=",")
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

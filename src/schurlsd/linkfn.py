@@ -46,7 +46,6 @@ __all__ = [
     "builtin_link",
     "compose",
     "coprime_power",
-    "delta_ladder",
     "eval_link",
     "is_injective_on_range",
     "link_name",
@@ -335,10 +334,16 @@ class LinkProfile:
 
 
 def _row_delta(codes: np.ndarray) -> int:
-    delta = 0
-    for row in codes:
-        _, counts = np.unique(row, return_counts=True)
-        delta = max(delta, int(counts.max()))
+    """Most repeats of one label in any row.
+
+    Rows are sorted once; a label repeated r times then fills r adjacent
+    cells, so column j equals column j + r - 1. Testing r = 2, 3, ... on all
+    rows at once takes at most delta whole-array comparisons.
+    """
+    ordered = np.sort(codes, axis=1)
+    delta = 1
+    while delta < ordered.shape[1] and (ordered[:, delta:] == ordered[:, :-delta]).any():
+        delta += 1
     return delta
 
 
@@ -371,11 +376,3 @@ def is_injective_on_range(transform: Transform, base: LinkFunction, n: int) -> b
     mapped = {value_sort_key(apply_transform(transform, v)) for v in values}
     return len(mapped) == len(values)
 
-
-def delta_ladder(link: LinkFunction, ns) -> dict[int, int]:
-    """Per-n row repeat bounds, for checking the bound has stabilized.
-
-    Built-in links stabilize by n = 4 (at 1 or 2); a growing sequence means
-    the link does not admit a dimension-free repeat bound.
-    """
-    return {int(n): profile(link, int(n)).delta for n in ns}

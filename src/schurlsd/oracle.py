@@ -17,10 +17,8 @@ import numpy as np
 from .words import Word, enumerate_pair_matched
 
 __all__ = [
-    "CarlemanReport",
     "MomentSequence",
     "assemble_moments",
-    "carleman_diagnostic",
     "catalan_number",
     "moment_bound",
     "moment_matrix_is_psd",
@@ -117,58 +115,6 @@ def moment_bound(two_k: int, delta: int) -> int:
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     return pair_matched_count(two_k) * delta ** (two_k // 2)
-
-
-@dataclass(frozen=True)
-class CarlemanReport:
-    """Diagnostic for divergence of sum_k beta_{2k}^(-1/2k). Never a pass/fail gate.
-
-    ``lower_bound`` is k_max times the last term, a valid bound on the partial
-    sum when terms are non-increasing. ``trend`` is "suspect" when the terms
-    decay about as fast as 1/k or faster (so divergence, even if real, would
-    not be numerically visible), otherwise "divergent-like".
-    """
-
-    k_max: int
-    terms: tuple[float, ...]
-    partial_sum: float
-    lower_bound: float
-    trend: str
-
-
-def carleman_diagnostic(
-    moments: Union[MomentSequence, Sequence[float]], k_max: int
-) -> CarlemanReport:
-    """Partial Carleman sum over even moments beta_2..beta_{2 k_max}."""
-    values = moments.values if isinstance(moments, MomentSequence) else tuple(moments)
-    if k_max < 2:
-        raise ValueError(f"k_max must be >= 2, got {k_max}")
-    if len(values) < 2 * k_max:
-        raise ValueError(f"need moments up to order {2 * k_max}, got {len(values)}")
-    terms = []
-    for k in range(1, k_max + 1):
-        b = float(values[2 * k - 1])
-        if b <= 0:
-            raise ValueError(f"even moment beta_{2 * k} must be positive, got {b}")
-        terms.append(b ** (-1.0 / (2 * k)))
-    partial = 0.0
-    for t in terms:
-        partial += t
-    # Local decay exponent d log t / d log k over the tail half; a median at
-    # or below -0.8 means the terms shrink at least about harmonically.
-    tail = range(max(2, k_max // 2 + 1), k_max + 1)
-    slopes = sorted(
-        math.log(terms[k - 1] / terms[k - 2]) / math.log(k / (k - 1)) for k in tail
-    )
-    median = slopes[len(slopes) // 2]
-    trend = "suspect" if median <= -0.8 else "divergent-like"
-    return CarlemanReport(
-        k_max=k_max,
-        terms=tuple(terms),
-        partial_sum=partial,
-        lower_bound=k_max * terms[-1],
-        trend=trend,
-    )
 
 
 def semicircle_cdf(x):

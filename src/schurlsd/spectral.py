@@ -14,7 +14,6 @@ __all__ = [
     "ESD",
     "MomentEstimate",
     "Spectrum",
-    "eigen_decomposition",
     "eigenvalues",
     "histogram",
     "ks_distance",
@@ -87,15 +86,6 @@ def eigenvalues(m: MatrixRealization) -> Spectrum:
     if not np.all(np.isfinite(m.entries)):
         raise ValueError("matrix has non-finite entries")
     return Spectrum(eigenvalues=np.linalg.eigvalsh(m.entries), n=m.n)
-
-
-def eigen_decomposition(m: MatrixRealization) -> tuple[Spectrum, np.ndarray]:
-    """Eigenvalues plus orthonormal eigenvectors (columns), for residual checks."""
-    _require_scaled(m, "eigen_decomposition")
-    if not np.all(np.isfinite(m.entries)):
-        raise ValueError("matrix has non-finite entries")
-    vals, vecs = np.linalg.eigh(m.entries)
-    return Spectrum(eigenvalues=vals, n=m.n), vecs
 
 
 def moment_from_spectrum(spectrum: Spectrum, h: int) -> float:

@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from schurlsd.circuits import (
-    Circuit,
     SearchBudgetError,
     check_compatible,
     check_implies_wigner,
@@ -25,7 +24,6 @@ from schurlsd.circuits import (
     exact_limit,
     fit_quasi_polynomial,
     p_table,
-    p_table_joint,
 )
 from schurlsd.linkfn import (
     builtin_link,
@@ -50,20 +48,6 @@ from bruteforce import (
 
 ALL_LINKS = sorted(RAW_LINKS)
 WORDS_4 = ["aa", "aabb", "abab", "abba"]
-
-
-# --- Circuit type -------------------------------------------------------------------
-
-
-def test_circuit_validation():
-    c = Circuit(values=(2, 3, 1, 2), n=3)
-    assert c.h == 3
-    with pytest.raises(ValueError):
-        Circuit(values=(1, 2, 3), n=3)  # open path
-    with pytest.raises(ValueError):
-        Circuit(values=(1, 4, 1), n=3)  # vertex out of range
-    with pytest.raises(ValueError):
-        Circuit(values=(1,), n=3)  # no edge
 
 
 # --- oracle equivalence: the pruned search equals raw enumeration --------------------
@@ -274,11 +258,6 @@ def test_p_table_shapes():
     table = p_table("toeplitz", 4)
     assert set(table) == set(enumerate_pair_matched(4))
     assert table[canonicalize("abab")].p == Fraction(2, 3)
-
-    joint = p_table_joint("toeplitz", "hankel", 4, ladder=(8, 16, 32))
-    assert set(joint) == set(itertools.product(enumerate_pair_matched(4), repeat=2))
-    diag = p_table_joint("toeplitz", "hankel", 4, ladder=(8, 16, 32), diagonal_only=True)
-    assert set(diag) == {(w, w) for w in enumerate_pair_matched(4)}
 
 
 # --- exact limits by quasi-polynomial interpolation -----------------------------------------

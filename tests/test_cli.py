@@ -3,12 +3,14 @@ manifests, determinism, and config validation."""
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from schurlsd.cli import main
+from schurlsd.cli import _label_map, main
+from schurlsd.linkfn import eval_link, parse_link, table_transform
 
 
 def run_cli(tmp_path, command, cfg, seed=1, out="out", extra=None):
@@ -166,6 +168,21 @@ def test_moments_with_auto_targets(tmp_path):
     assert assembly["wall_s"] > 0
     assert assembly["orders"]["6"] == {"period": 2, "n_range": [1, 16]}
     assert "wall_s" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+def test_moments_beta2_z_is_null_when_stderr_is_roundoff(tmp_path, dist):
+    # Sign inputs make every trial's beta_2 exactly 1, so its stderr is float
+    # roundoff (about 3e-16 here) and a z value from it would be noise.
+    cfg = {"link_x": "toeplitz", "link_y": "symcirc", "dist_x": dist, "dist_y": dist,
+           "n": 60, "trials": 4, "h_max": 6}
+    _, out = run_cli(tmp_path, "moments", cfg, seed=20260814)
+    beta2 = read_json(out, "moments_report.json")["moments"][1]
+    assert beta2["h"] == 2 and beta2["target"] == 1.0
+    if dist == "rademacher":
+        assert beta2["stderr"] < 1e-12 and beta2["z"] is None
+    else:
+        assert beta2["stderr"] > 1e-3 and math.isfinite(beta2["z"])
 
 
 @pytest.mark.parametrize("command", ["moments", "verify-table2"])
@@ -328,6 +345,64 @@ def test_verify_row3_gates_every_even_moment_against_exact_targets(tmp_path):
     assert "beta6_gap" not in product
     beta6 = product["moments"][5]
     assert beta6["h"] == 6 and beta6["target"] == 11.0
+
+
+TABLE2_PRODUCTS = {
+    1: [("wigner", y) for y in ("toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")],
+    2: [(x, y) for x in ("toeplitz", "symcirc") for y in ("hankel", "revcirc", "dsymhankel")],
+    3: [("toeplitz", "symcirc")],
+    4: [("hankel", "revcirc"), ("hankel", "dsymhankel")],
+    5: [("revcirc", "dsymhankel")],
+}
+
+
+#: The paper's fold and wrap maps that carry the first link of a row 3-5
+#: product onto the second.
+FOLD_MAPS = {
+    ("toeplitz", "symcirc"): lambda n: {d: min(d, n - d) for d in range(n)},
+    ("hankel", "revcirc"): lambda n: {t: t % n for t in range(2, 2 * n + 1)},
+    ("hankel", "dsymhankel"): lambda n: {t: min(t % n, n - t % n) for t in range(2, 2 * n + 1)},
+    ("revcirc", "dsymhankel"): lambda n: {m: min(m, n - m) for m in range(n)},
+}
+
+
+@pytest.mark.parametrize("n", [7, 8, 16])
+def test_invariance_label_maps_are_the_fold_maps(n):
+    for (x, y), fold in FOLD_MAPS.items():
+        assert _label_map(x, y, n) == table_transform(fold(n))
+    for _, y in TABLE2_PRODUCTS[1]:
+        partner = parse_link(y)
+        cells = {
+            (a, b): eval_link(partner, a, b, n) for a in range(1, n + 1) for b in range(a, n + 1)
+        }
+        assert _label_map("wigner", y, n) == table_transform(cells)
+    with pytest.raises(ValueError):
+        _label_map("toeplitz", "hankel", n)
+
+
+def test_verify_gate_order_and_row_keys_for_every_row(tmp_path):
+    cfg = {"mc": True, "n": 30, "trials": 2, "invariance_ns": [8], "relation_two_k": 2}
+    _, out = run_cli(tmp_path, "verify-table2", cfg, seed=7)
+    report = read_json(out, "verify_table2_report.json")
+    combinatorial = {1: ["invariance@n=8", "leadsto"], 2: ["compatible", "leadsto"],
+                     3: ["invariance@n=8"], 4: ["invariance@n=8"], 5: ["invariance@n=8"]}
+    odd_and_bounds = ["odd1", "odd3", "odd5", "bound2", "bound4", "bound6", "bound8"]
+    semicircle = ["beta2", "beta4", "beta6", "ks"] + odd_and_bounds
+    single_pattern = ["beta2", "beta4", "beta6"] + odd_and_bounds
+    expected = []
+    for row, products in TABLE2_PRODUCTS.items():
+        mc = semicircle if row <= 2 else single_pattern
+        for gates in (combinatorial[row], mc):
+            expected += [f"row{row}:{x}*{y}:{g}" for x, y in products for g in gates]
+    assert [c["name"] for c in report["checks"]] == expected
+    keys = ["row", "limit", "targets", "relations", "invariance"]
+    assert [list(r) for r in report["rows"]] == [
+        keys + ["implies_wigner"] if row == 2 else keys for row in TABLE2_PRODUCTS
+    ]
+    assert list(report["rows"][1]["implies_wigner"]) == [f"{x}*{y}" for x, y in TABLE2_PRODUCTS[2]]
+    assert [(p["link_x"], p["link_y"]) for p in report["products"]] == [
+        pair for products in TABLE2_PRODUCTS.values() for pair in products
+    ]
 
 
 def test_verify_rows_flag_and_validation(tmp_path):

@@ -1,7 +1,5 @@
 """Tests for seeded matrix realizations and the determinism contract."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from schurlsd.ensemble import (
     INPUT_DISTRIBUTIONS,
     ProductSpec,
     child_seed,
-    matrix_to_csv,
     product_realization,
     realize,
     realize_pair,
@@ -197,12 +194,3 @@ def test_product_spec_validation():
     with pytest.raises(ValueError):
         _spec(master_seed=2**64)
 
-
-# --- CSV ----------------------------------------------------------------------------
-
-
-def test_matrix_to_csv_round_trip():
-    m = realize("toeplitz", "gaussian", 6, 8)
-    text = matrix_to_csv(m)
-    back = np.loadtxt(io.StringIO(text), delimiter=",")
-    assert np.array_equal(back, m.entries)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from schurlsd.linkfn import (
@@ -12,7 +13,6 @@ from schurlsd.linkfn import (
     builtin_link,
     compose,
     coprime_power,
-    delta_ladder,
     eval_link,
     is_injective_on_range,
     link_name,
@@ -136,10 +136,22 @@ def test_profile_growth(kind):
         last_kn = p.kn
 
 
+@pytest.mark.parametrize("kind", ALL_LINKS + ["toeplitz//3"])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+def test_delta_equals_per_row_unique_scan(kind, n):
+    if kind == "toeplitz//3":  # merged labels give row runs of up to 6
+        link = compose(table_transform({d: d // 3 for d in range(n)}), builtin_link("toeplitz"))
+    else:
+        link = parse_link(kind)
+    codes, _ = value_table(link, n)
+    per_row = max(int(np.unique(row, return_counts=True)[1].max()) for row in codes)
+    assert profile(link, n).delta == per_row
+
+
 def test_delta_ladder_stable():
     for kind in ALL_LINKS:
-        ladder = delta_ladder(parse_link(kind), [4, 8, 16, 32])
-        assert set(ladder.values()) == {EXPECTED_DELTA[kind]}
+        deltas = {profile(parse_link(kind), n).delta for n in (4, 8, 16, 32)}
+        assert deltas == {EXPECTED_DELTA[kind]}
 
 
 # --- product profiles --------------------------------------------------------------

@@ -1,13 +1,10 @@
-"""Tests for reference moments, assembled targets, bounds, and diagnostics."""
-
-import math
+"""Tests for reference moments, assembled targets, bounds, and the moment-matrix check."""
 
 import numpy as np
 import pytest
 
 from schurlsd.oracle import (
     assemble_moments,
-    carleman_diagnostic,
     catalan_number,
     moment_bound,
     moment_matrix_is_psd,
@@ -121,32 +118,6 @@ def test_semicircle_respects_its_own_bound():
     ms = semicircle_moments(12)
     for two_k in (2, 4, 6, 8, 10, 12):
         assert ms.moment(two_k) <= moment_bound(two_k, 1)
-
-
-# --- Carleman diagnostic -----------------------------------------------------------------
-
-
-def test_carleman_semicircle_is_divergent_like():
-    report = carleman_diagnostic(semicircle_moments(24), k_max=12)
-    assert report.trend == "divergent-like"
-    assert report.partial_sum >= report.terms[0]
-    assert report.lower_bound == pytest.approx(12 * report.terms[-1])
-
-
-def test_carleman_factorial_growth_is_suspect():
-    # beta_h = h!: even moments (2k)! grow too fast for the sum to visibly diverge
-    values = [float(math.factorial(h)) for h in range(1, 25)]
-    report = carleman_diagnostic(values, k_max=12)
-    assert report.trend == "suspect"
-
-
-def test_carleman_validation():
-    with pytest.raises(ValueError):
-        carleman_diagnostic(semicircle_moments(8), k_max=1)
-    with pytest.raises(ValueError):
-        carleman_diagnostic(semicircle_moments(6), k_max=4)
-    with pytest.raises(ValueError):
-        carleman_diagnostic([0.0, -1.0, 0.0, 1.0], k_max=2)
 
 
 # --- moment-matrix sanity ------------------------------------------------------------------

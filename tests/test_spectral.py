@@ -7,7 +7,6 @@ from schurlsd.ensemble import MatrixRealization, ProductSpec, product_realizatio
 from schurlsd.oracle import semicircle_cdf
 from schurlsd.spectral import (
     ESD,
-    eigen_decomposition,
     eigenvalues,
     histogram,
     ks_distance,
@@ -57,17 +56,6 @@ def test_eigenvalues_rejects_non_finite():
     bad = _diag([1.0, np.nan])
     with pytest.raises(ValueError):
         eigenvalues(bad)
-
-
-@pytest.mark.parametrize("trial", [0, 1])
-def test_eigen_decomposition_residual(trial):
-    m = product_realization(_spec(n=50), trial)
-    spectrum, vecs = eigen_decomposition(m)
-    n = m.n
-    fro = np.linalg.norm(m.entries)
-    residual = np.linalg.norm(m.entries @ vecs - vecs * spectrum.eigenvalues)
-    assert residual <= 1e-10 * n * fro
-    assert np.linalg.norm(vecs.T @ vecs - np.eye(n)) <= 1e-10 * n
 
 
 # --- moments: two independent routes ---------------------------------------------------
