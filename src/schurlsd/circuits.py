@@ -142,8 +142,7 @@ class _LinkSystem:
     """
 
     def __init__(self, link: LinkFunction, n: int):
-        codes, values = value_table(link, n)
-        k = len(values)
+        codes, k = value_table(link, n)
         if n * (k + 1) > 200_000_000:
             raise SearchBudgetError(
                 f"per-row label index needs {n * (k + 1):.2g} cells at n={n}"
@@ -286,23 +285,29 @@ def _count_constrained(words, systems, n: int, max_rows: int) -> int:
         new["prev"] = v
         return new, None
 
-    def run(frontier, pos):
-        rows = frontier["prev"].size
+    # Depth-first over (frontier, position, row range) items. An oversized
+    # frontier is split by pushing its chunk bounds, and a chunk is a view of
+    # its parent's rows, so no frontier is copied before it is expanded.
+    start = np.arange(n, dtype=np.int64)
+    stack = [({"pi0": start, "prev": start.copy()}, 1, 0, n)]
+    total = 0
+    while stack:
+        frontier, pos, lo, hi = stack.pop()
+        rows = hi - lo
         if rows == 0:
-            return 0
+            continue
         if pos < h and rows > 1 and rows * bounds[pos - 1] > max_rows:
             parts = min(rows, math.ceil(rows * bounds[pos - 1] / max_rows))
-            total = 0
-            for sl in np.array_split(np.arange(rows), parts):
-                total += run({k: a[sl] for k, a in frontier.items()}, pos)
-            return total
-        new, count = step(frontier, pos)
-        if count is not None:
-            return count
-        return run(new, pos + 1)
-
-    start = np.arange(n, dtype=np.int64)
-    return run({"pi0": start, "prev": start.copy()}, 1)
+            size, extra = divmod(rows, parts)
+            edges = [lo + p * size + min(p, extra) for p in range(parts + 1)]
+            stack.extend((frontier, pos, edges[p], edges[p + 1]) for p in reversed(range(parts)))
+            continue
+        new, count = step({k: a[lo:hi] for k, a in frontier.items()}, pos)
+        if count is None:
+            stack.append((new, pos + 1, 0, new["prev"].size))
+        else:
+            total += count
+    return total
 
 
 # --- public counting ops ----------------------------------------------------
@@ -489,19 +494,13 @@ def check_implies_wigner(link_x, link_y, n: int) -> bool:
     if not 1 <= n <= MAX_IMPLIES_DIM:
         raise ValueError(f"dimension must be in 1..{MAX_IMPLIES_DIM}, got {n}")
     codes_x, _ = value_table(_as_link(link_x), n)
-    codes_y, _ = value_table(_as_link(link_y), n)
-    pair = codes_x * np.int64(int(codes_y.max()) + 1) + codes_y
-    seen: dict[int, tuple[int, int]] = {}
-    for i in range(n):
-        row = pair[i]
-        for j in range(n):
-            key = int(row[j])
-            cell = seen.get(key)
-            if cell is None:
-                seen[key] = (i, j)
-            elif cell != (i, j) and cell != (j, i):
-                return False
-    return True
+    codes_y, k_y = value_table(_as_link(link_y), n)
+    _, first, cls = np.unique(
+        (codes_x * k_y + codes_y).ravel(), return_index=True, return_inverse=True
+    )
+    i, j = np.divmod(np.arange(n * n), n)
+    unordered = np.minimum(i, j) * n + np.maximum(i, j)
+    return bool((unordered == unordered[first][cls]).all())
 
 
 @dataclass(frozen=True)

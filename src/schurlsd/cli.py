@@ -52,6 +52,7 @@ from .linkfn import (
     Transform,
     TransformError,
     coprime_power,
+    link_labels,
     parse_link,
     profile_product,
     square,
@@ -86,12 +87,14 @@ def _label_map(x: str, y: str, n: int) -> Transform:
     of each index pair, for rows 3-5 the fold and wrap maps), which is what the
     invariance theorem carries a limit along.
     """
-    codes_x, values_x = value_table(parse_link(x), n)
-    codes_y, values_y = value_table(parse_link(y), n)
-    cx, cy = np.divmod(np.unique(codes_x * len(values_y) + codes_y), len(values_y))
-    if len(cx) != len(values_x):
+    link_x, link_y = parse_link(x), parse_link(y)
+    codes_x, k_x = value_table(link_x, n)
+    codes_y, k_y = value_table(link_y, n)
+    cx, cy = np.divmod(np.unique(codes_x * k_y + codes_y), k_y)
+    if len(cx) != k_x:
         raise ValueError(f"{y} labels are not a function of {x} labels at n={n}")
-    return table_transform({values_x[a]: values_y[b] for a, b in zip(cx.tolist(), cy.tolist())})
+    labels_x, labels_y = link_labels(link_x, n), link_labels(link_y, n)
+    return table_transform({labels_x[a]: labels_y[b] for a, b in zip(cx.tolist(), cy.tolist())})
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Seeded realizations of patterned matrices and their entrywise products.
 
+Realizations are plain float64 arrays: ``realize`` returns the unscaled
+patterned matrix and ``product_realization`` the Schur product of one trial's
+two factors, scaled by n^(-1/2), which is what the eigensolver takes.
+
 Determinism contract: a realization is a pure function of (link, input
 distribution, n, seed). One value is drawn per distinct link label, in
 ascending canonical label order, from a PCG64 generator; per-trial seeds are
@@ -14,19 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkfn import LinkFunction, link_name, parse_link, value_table
+from .linkfn import LinkFunction, parse_link, value_table
 
 __all__ = [
     "INPUT_DISTRIBUTIONS",
-    "MatrixRealization",
     "ProductSpec",
     "child_seed",
     "product_realization",
     "realize",
-    "realize_pair",
     "sample_inputs",
-    "scale",
-    "schur_product",
     "splitmix64",
     "stream_seed",
 ]
@@ -93,63 +93,23 @@ def sample_inputs(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown input distribution {dist!r}")
 
 
-@dataclass
-class MatrixRealization:
-    """One drawn matrix. ``entries`` is exactly symmetric by construction
-    (equal labels share a draw and the label map is symmetric)."""
-
-    n: int
-    entries: np.ndarray
-    scaled: bool
-    provenance: str
-
-
 def _as_link(link) -> LinkFunction:
     return parse_link(link) if isinstance(link, str) else link
 
 
-def realize(link, dist: str, n: int, seed: int) -> MatrixRealization:
-    """Draw one unscaled patterned matrix.
+def realize(link, dist: str, n: int, seed: int) -> np.ndarray:
+    """Draw one unscaled patterned matrix as an n x n float64 array.
 
     Draws exactly one value per distinct label (k_n draws, e.g. 3 for a
     3 x 3 toeplitz pattern), assigned in ascending label order, then
-    scatters them through the label code matrix.
+    scatters them through the label code matrix. The result is exactly
+    symmetric: equal labels share a draw and the label map is symmetric.
     """
     if dist not in INPUT_DISTRIBUTIONS:
         raise ValueError(f"unknown input distribution {dist!r}")
-    link_fn = _as_link(link)
-    codes, values = value_table(link_fn, n)
+    codes, k = value_table(_as_link(link), n)
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = sample_inputs(dist, len(values), rng)
-    entries = draws[codes]
-    prov = f"{link_name(link_fn)}|{dist}|n={n}|seed={seed}"
-    return MatrixRealization(n=n, entries=entries, scaled=False, provenance=prov)
-
-
-def schur_product(x: MatrixRealization, y: MatrixRealization) -> MatrixRealization:
-    """Entrywise product of two unscaled realizations of the same dimension."""
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    if x.scaled or y.scaled:
-        raise ValueError("schur_product expects unscaled factors")
-    return MatrixRealization(
-        n=x.n,
-        entries=x.entries * y.entries,
-        scaled=False,
-        provenance=f"schur({x.provenance}; {y.provenance})",
-    )
-
-
-def scale(m: MatrixRealization) -> MatrixRealization:
-    """Multiply by n^(-1/2). Scaling twice is a state error."""
-    if m.scaled:
-        raise ValueError("realization is already scaled")
-    return MatrixRealization(
-        n=m.n,
-        entries=m.entries * (m.n ** -0.5),
-        scaled=True,
-        provenance=m.provenance,
-    )
+    return sample_inputs(dist, k, rng)[codes]
 
 
 @dataclass(frozen=True)
@@ -182,13 +142,9 @@ class ProductSpec:
             raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
 
 
-def realize_pair(spec: ProductSpec, trial: int) -> tuple[MatrixRealization, MatrixRealization]:
+def product_realization(spec: ProductSpec, trial: int) -> np.ndarray:
+    """Scaled Schur product n^(-1/2) (X o Y) for one trial, formed in place."""
     x = realize(spec.link_x, spec.dist_x, spec.n, child_seed(spec.master_seed, "X", trial))
-    y = realize(spec.link_y, spec.dist_y, spec.n, child_seed(spec.master_seed, "Y", trial))
-    return x, y
-
-
-def product_realization(spec: ProductSpec, trial: int) -> MatrixRealization:
-    """Scaled Schur product for one trial."""
-    x, y = realize_pair(spec, trial)
-    return scale(schur_product(x, y))
+    x *= realize(spec.link_y, spec.dist_y, spec.n, child_seed(spec.master_seed, "Y", trial))
+    x *= spec.n ** -0.5
+    return x

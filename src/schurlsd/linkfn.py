@@ -4,7 +4,7 @@ A link function maps a 1-based index pair (i, j) of an n x n symmetric
 matrix to the label of the input variable occupying that cell; cells with
 equal labels share one random draw. Everything downstream (matrix
 realization, repeat bounds, exact circuit counting) consumes links through
-``eval_link`` / ``value_table`` / ``profile``.
+``eval_link`` / ``value_table`` / ``link_labels`` / ``profile``.
 
 Built-in links and their label formulas, with d = |i - j| and m = (i + j) mod n:
 
@@ -48,6 +48,7 @@ __all__ = [
     "coprime_power",
     "eval_link",
     "is_injective_on_range",
+    "link_labels",
     "link_name",
     "parse_link",
     "profile",
@@ -258,14 +259,14 @@ def eval_link(link: LinkFunction, i: int, j: int, n: int) -> LinkValue:
 
 
 @lru_cache(maxsize=64)
-def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, list]:
-    """All cell labels at dimension n, as (codes, values).
+def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
+    """All cell labels at dimension n, as (codes, k).
 
-    ``values`` lists the distinct labels in ascending canonical order and
-    ``codes`` is the n x n int array with ``values[codes[i, j]]`` equal to
-    the label of cell (i+1, j+1). The code matrix is what realization and
-    circuit counting actually consume; labels themselves are only
-    materialized once per distinct value.
+    ``codes`` is the n x n int array of label ranks: cells share a code
+    exactly when they share a label, and code t is the t-th smallest of the
+    k distinct labels in canonical order. The code matrix is all that
+    realization and circuit counting consume; ``link_labels`` gives the
+    label objects themselves.
 
     Results are cached (Monte Carlo runs request the same table once per
     trial) and the code matrix is returned read-only for that reason.
@@ -279,40 +280,40 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, list]:
         a = np.minimum(I, J)
         b = np.maximum(I, J)
         codes = (a - 1) * (n + 1) - (a - 1) * a // 2 + (b - a)
-        values = [(int(x), int(y)) for x in range(1, n + 1) for y in range(x, n + 1)]
     elif kind == "toeplitz":
         codes = np.abs(I - J)
-        values = list(range(n))
     elif kind == "hankel":
         codes = I + J - 2
-        values = list(range(2, 2 * n + 1))
     elif kind == "symcirc":
         d = np.abs(I - J)
         codes = np.minimum(d, n - d)
-        values = list(range(n // 2 + 1))
     elif kind == "revcirc":
         codes = (I + J) % n
-        values = list(range(n))
     elif kind == "dsymhankel":
         m = (I + J) % n
         codes = np.minimum(m, n - m)
-        values = list(range(n // 2 + 1))
     else:
-        base_codes, base_values = value_table(link.base, n)
-        mapped = [apply_transform(link.transform, v) for v in base_values]
-        order = sorted(range(len(mapped)), key=lambda t: value_sort_key(mapped[t]))
-        remap = np.empty(len(mapped), dtype=np.int64)
-        values = []
-        prev_key = None
-        for t in order:
-            key = value_sort_key(mapped[t])
-            if key != prev_key:
-                values.append(mapped[t])
-                prev_key = key
-            remap[t] = len(values) - 1
-        codes = remap[base_codes]
+        base_codes, _ = value_table(link.base, n)
+        keys = [
+            value_sort_key(apply_transform(link.transform, v))
+            for v in link_labels(link.base, n)
+        ]
+        rank = {key: t for t, key in enumerate(sorted(set(keys)))}
+        codes = np.array([rank[key] for key in keys], dtype=np.int64)[base_codes]
     codes.setflags(write=False)
-    return codes, values
+    return codes, int(codes.max()) + 1
+
+
+def link_labels(link: LinkFunction, n: int) -> list:
+    """The distinct labels at dimension n in ascending canonical order.
+
+    ``link_labels(link, n)[t]`` is the label of every cell with code t in
+    ``value_table(link, n)``, read off one such cell with ``eval_link``.
+    """
+    codes, _ = value_table(link, n)
+    _, first = np.unique(codes, return_index=True)
+    rows, cols = np.divmod(first, n)
+    return [eval_link(link, i + 1, j + 1, n) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 # --- profiles ---------------------------------------------------------------
@@ -348,11 +349,9 @@ def _row_delta(codes: np.ndarray) -> int:
 
 
 def profile(link: LinkFunction, n: int) -> LinkProfile:
-    codes, values = value_table(link, n)
-    counts = np.bincount(codes.ravel(), minlength=len(values))
-    return LinkProfile(
-        n=n, delta=_row_delta(codes), kn=len(values), alphan=int(counts.max())
-    )
+    codes, k = value_table(link, n)
+    counts = np.bincount(codes.ravel(), minlength=k)
+    return LinkProfile(n=n, delta=_row_delta(codes), kn=k, alphan=int(counts.max()))
 
 
 def profile_product(linkX: LinkFunction, linkY: LinkFunction, n: int) -> LinkProfile:
@@ -362,9 +361,9 @@ def profile_product(linkX: LinkFunction, linkY: LinkFunction, n: int) -> LinkPro
     product bound min(delta_X, delta_Y): a pair label repeats in a row no
     more often than either coordinate does.
     """
-    codes_x, values_x = value_table(linkX, n)
-    codes_y, values_y = value_table(linkY, n)
-    pair = codes_x * len(values_y) + codes_y
+    codes_x, _ = value_table(linkX, n)
+    codes_y, k_y = value_table(linkY, n)
+    pair = codes_x * k_y + codes_y
     _, counts = np.unique(pair, return_counts=True)
     delta = min(_row_delta(codes_x), _row_delta(codes_y))
     return LinkProfile(n=n, delta=delta, kn=len(counts), alphan=int(counts.max()))
@@ -372,7 +371,7 @@ def profile_product(linkX: LinkFunction, linkY: LinkFunction, n: int) -> LinkPro
 
 def is_injective_on_range(transform: Transform, base: LinkFunction, n: int) -> bool:
     """Verify injectivity of ``transform`` on the labels ``base`` produces at n."""
-    _, values = value_table(base, n)
-    mapped = {value_sort_key(apply_transform(transform, v)) for v in values}
-    return len(mapped) == len(values)
+    labels = link_labels(base, n)
+    mapped = {value_sort_key(apply_transform(transform, v)) for v in labels}
+    return len(mapped) == len(labels)
 

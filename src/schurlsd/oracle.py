@@ -14,7 +14,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .words import Word, enumerate_pair_matched
+from .words import enumerate_pair_matched
 
 __all__ = [
     "MomentSequence",
@@ -72,41 +72,21 @@ def semicircle_moments(h_max: int) -> MomentSequence:
     return MomentSequence(vals, "semicircle")
 
 
-PTable = Mapping  # Word -> number, or (Word, Word) -> number
-
-
-def assemble_moments(p_table: PTable, two_k: int):
+def assemble_moments(p_table: Mapping, two_k: int):
     """Sum per-word limits over all pair-matched words of length ``two_k``.
 
-    The sum keeps the type of the limits: exact ``Fraction`` limits give an
-    exact moment, floats a float.
-
-    ``p_table`` maps either single words or (word, word2) pairs to limit
-    values. For the pair form every diagonal entry must be present
-    (off-diagonal entries are optional and added when supplied); a
-    diagonal-only table is the usual shape once off-diagonal limits are
-    known to vanish. A missing required word raises, naming the word.
+    ``p_table`` maps each word to its limit. The sum keeps the type of the
+    limits: exact ``Fraction`` limits give an exact moment, floats a float.
+    A missing word raises, naming the word.
     """
     words = enumerate_pair_matched(two_k)
     if not p_table:
         raise ValueError(f"empty p-table, expected entries for {len(words)} words")
-    paired_keys = any(isinstance(k, tuple) for k in p_table.keys())
     total = 0
-    if paired_keys:
-        for w in words:
-            if (w, w) not in p_table:
-                raise ValueError(f"p-table is missing diagonal word {w}")
-        for (w, w2), p in sorted(
-            p_table.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-        ):
-            if w.h != two_k or w2.h != two_k:
-                raise ValueError(f"p-table entry ({w}, {w2}) has length != {two_k}")
-            total += p
-    else:
-        for w in words:
-            if w not in p_table:
-                raise ValueError(f"p-table is missing word {w}")
-            total += p_table[w]
+    for w in words:
+        if w not in p_table:
+            raise ValueError(f"p-table is missing word {w}")
+        total += p_table[w]
     return total
 
 

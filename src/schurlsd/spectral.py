@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ensemble import MatrixRealization, ProductSpec, product_realization
+from .ensemble import ProductSpec, product_realization
 
 __all__ = [
     "ESD",
@@ -31,7 +31,7 @@ MAX_MC_ORDER = 8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of one scaled realization, ascending."""
+    """Eigenvalues of one n x n matrix, ascending."""
 
     eigenvalues: np.ndarray
     n: int
@@ -76,16 +76,11 @@ class ESD:
         return float(out) if np.isscalar(x) else out
 
 
-def _require_scaled(m: MatrixRealization, op: str) -> None:
-    if not m.scaled:
-        raise ValueError(f"{op} requires a scaled realization")
-
-
-def eigenvalues(m: MatrixRealization) -> Spectrum:
-    _require_scaled(m, "eigenvalues")
-    if not np.all(np.isfinite(m.entries)):
+def eigenvalues(a: np.ndarray) -> Spectrum:
+    """Spectrum of a symmetric matrix, such as a scaled product realization."""
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    return Spectrum(eigenvalues=np.linalg.eigvalsh(m.entries), n=m.n)
+    return Spectrum(eigenvalues=np.linalg.eigvalsh(a), n=a.shape[0])
 
 
 def moment_from_spectrum(spectrum: Spectrum, h: int) -> float:
@@ -95,16 +90,15 @@ def moment_from_spectrum(spectrum: Spectrum, h: int) -> float:
     return float(np.mean(spectrum.eigenvalues**h))
 
 
-def moment_from_trace(m: MatrixRealization, h: int) -> float:
+def moment_from_trace(a: np.ndarray, h: int) -> float:
     """(1/n) trace(A^h) by repeated multiplication; the route that never
     touches the eigensolver, kept as its independent cross-check. h <= 8."""
     if not 1 <= h <= MAX_MC_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_MC_ORDER}, got {h}")
-    _require_scaled(m, "moment_from_trace")
-    power = m.entries
+    power = a
     for _ in range(h - 1):
-        power = power @ m.entries
-    return float(np.trace(power)) / m.n
+        power = power @ a
+    return float(np.trace(power)) / a.shape[0]
 
 
 def trial_spectra(spec: ProductSpec, threads: int = 1) -> list[Spectrum]:

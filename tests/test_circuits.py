@@ -5,12 +5,14 @@ Every counting path is pinned against the raw n^h enumeration in
 cover the larger dimensions the raw oracle cannot reach.
 """
 
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from schurlsd.circuits import (
+    MAX_FRONTIER_ROWS,
     SearchBudgetError,
     check_compatible,
     check_implies_wigner,
@@ -173,6 +175,21 @@ def test_count_is_chunking_invariant():
     assert count_pi_star("toeplitz", "abab", 32, max_rows=7).count == full
     joint_full = count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 16).count
     assert count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 16, max_rows=5).count == joint_full
+
+
+@pytest.mark.parametrize("max_rows", [MAX_FRONTIER_ROWS, 7])
+def test_counts_leave_no_cyclic_garbage(max_rows):
+    # a count that left reference cycles would keep its per-row label
+    # indexes alive until a full collection, so peak memory would follow gc timing
+    gc.collect()
+    gc.disable()
+    try:
+        count_pi_star("toeplitz", "abcabc", 12, max_rows=max_rows)
+        assert gc.collect() == 0
+        count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 12, max_rows=max_rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- argument and budget errors -------------------------------------------------------------

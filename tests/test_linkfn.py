@@ -1,6 +1,7 @@
 """Tests for link functions, transforms, and structural profiles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from schurlsd.linkfn import (
     coprime_power,
     eval_link,
     is_injective_on_range,
+    link_labels,
     link_name,
     parse_link,
     profile,
     profile_product,
     square,
     table_transform,
+    value_sort_key,
     value_table,
 )
 
@@ -264,7 +267,7 @@ def test_injective_compose_preserves_profile(kind, n):
     if kind == "wigner":
         transform = coprime_power(2, 3)
     else:
-        transform = table_transform({v: (v, v) for v in value_table(base, n)[1]})
+        transform = table_transform({v: (v, v) for v in link_labels(base, n)})
     assert is_injective_on_range(transform, base, n)
     pb = profile(base, n)
     pc = profile(compose(transform, base), n)
@@ -299,14 +302,31 @@ def test_parse_link_rejects_unknown():
 # --- value_table (the realization-facing view) ---------------------------------------
 
 
-@pytest.mark.parametrize("kind", ALL_LINKS)
+@pytest.mark.parametrize("kind", [*ALL_LINKS, "square(toeplitz)"])
 def test_value_table_consistent_with_eval(kind):
     n = 7
     link = parse_link(kind)
-    codes, values = value_table(link, n)
+    codes, k = value_table(link, n)
+    labels = link_labels(link, n)
     assert codes.shape == (n, n)
-    assert len(values) == profile(link, n).kn
-    assert list(values) == sorted(values, key=lambda v: (isinstance(v, tuple), v))
+    assert k == len(labels) == profile(link, n).kn
+    keys = [value_sort_key(v) for v in labels]
+    assert keys == sorted(keys) and len(set(keys)) == k
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            assert values[codes[i - 1, j - 1]] == eval_link(link, i, j, n)
+            assert labels[codes[i - 1, j - 1]] == eval_link(link, i, j, n)
+
+
+def test_wigner_value_table_holds_no_label_objects():
+    # the code matrix (8 MB) is all a Monte Carlo run needs; building the
+    # 500,500 label tuples as well took about 52 MB at n = 1000
+    value_table.cache_clear()
+    tracemalloc.start()
+    try:
+        codes, k = value_table(parse_link("wigner"), 1000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        value_table.cache_clear()
+    assert k == 500_500
+    assert held < 16 * 2**20

@@ -76,15 +76,6 @@ def test_wigner_p_table_assembles_to_semicircle(two_k):
     assert assemble_moments(p_table, two_k) == float(catalan_number(two_k // 2))
 
 
-def test_assemble_moments_pair_form():
-    words = enumerate_pair_matched(4)
-    diag = {(w, w): 1.0 for w in words}
-    assert assemble_moments(diag, 4) == pytest.approx(3.0)
-    with_off = dict(diag)
-    with_off[(words[0], words[1])] = 0.25
-    assert assemble_moments(with_off, 4) == pytest.approx(3.25)
-
-
 def test_assemble_moments_errors():
     words = enumerate_pair_matched(4)
     with pytest.raises(ValueError):
@@ -92,9 +83,6 @@ def test_assemble_moments_errors():
     missing = {w: 1.0 for w in words[:-1]}
     with pytest.raises(ValueError, match=str(words[-1])):
         assemble_moments(missing, 4)
-    short_diag = {(w, w): 1.0 for w in words[:-1]}
-    with pytest.raises(ValueError, match=str(words[-1])):
-        assemble_moments(short_diag, 4)
     wrong_len = {w: 1.0 for w in enumerate_pair_matched(6)}
     with pytest.raises(ValueError):
         assemble_moments(wrong_len, 4)

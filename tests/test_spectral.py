@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from schurlsd.ensemble import MatrixRealization, ProductSpec, product_realization
+from schurlsd.ensemble import ProductSpec, product_realization
 from schurlsd.oracle import semicircle_cdf
 from schurlsd.spectral import (
     ESD,
@@ -19,8 +19,7 @@ from schurlsd.spectral import (
 
 
 def _diag(values):
-    arr = np.diag(np.asarray(values, dtype=float))
-    return MatrixRealization(n=len(values), entries=arr, scaled=True, provenance="test")
+    return np.diag(np.asarray(values, dtype=float))
 
 
 def _spec(**overrides):
@@ -44,12 +43,6 @@ def test_eigenvalues_of_diagonal_matrix():
     s = eigenvalues(_diag([3.0, 1.0, 2.0]))
     assert np.allclose(s.eigenvalues, [1.0, 2.0, 3.0])
     assert s.n == 3
-
-
-def test_eigenvalues_requires_scaled():
-    m = MatrixRealization(n=2, entries=np.eye(2), scaled=False, provenance="test")
-    with pytest.raises(ValueError):
-        eigenvalues(m)
 
 
 def test_eigenvalues_rejects_non_finite():
