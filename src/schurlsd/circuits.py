@@ -14,6 +14,17 @@ bounds by the link's row repeat bound. The walk is vectorized over frontier
 states and split into chunks whenever the next expansion would exceed the
 row cap, so memory stays bounded while counts remain exact integers.
 
+Every link is symmetric, L(i, j) = L(j, i), and value transforms keep that.
+Reading a circuit from another start, or backwards, is a bijection onto the
+circuits of the rotated or reversed word (slopes change sign, which keeps
+s(i) + s(j) in {0, +-n}); applied to all words of a joint tuple at once, it
+maps the intersection of classes onto that of the images. So a class count
+is the same for all 2h dihedral images of its word tuple
+(``words.dihedral_images``). A count walks the image with the least planned
+frontier work, and the sweeps (``p_table``, the relation and invariance
+checks) count one tuple per orbit (``per_orbit``): the 210 off-diagonal
+order-6 word pairs fall into 34 orbits, the 15 words into 5.
+
 A class count is a quasi-polynomial in n of degree k + 1 (h = 2k): it counts
 lattice points of polytopes whose facets move linearly with n (Ehrhart
 theory), so on each residue class of n mod some period it is a polynomial,
@@ -32,7 +43,8 @@ import numpy as np
 
 from .linkfn import LinkFunction, link_name, parse_link, profile, value_table
 from .linkfn import Transform, compose, is_injective_on_range, transform_name
-from .words import Word, canonicalize, enumerate_pair_matched, is_catalan, is_pair_matched
+from .words import Word, canonicalize, dihedral_images, enumerate_pair_matched, is_catalan
+from .words import is_pair_matched, orbit_key
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,6 +70,7 @@ __all__ = [
     "exact_limit",
     "fit_quasi_polynomial",
     "p_table",
+    "per_orbit",
 ]
 
 NODE_BUDGET = 1_000_000_000
@@ -205,12 +218,15 @@ class _SlopeSystem:
         return mask
 
 
-def _count_constrained(words, systems, n: int, max_rows: int) -> int:
-    """Count circuits satisfying every system's constraints for its word.
+def _plan(words, systems, n: int):
+    """Walk plan of one word tuple: per-position actions, branch bounds and cost.
 
-    All words share length h. Vertices are 0-based internally; slopes are
-    shift-invariant and label codes are indexed 0-based, so counts match
-    the 1-based definition exactly.
+    ``acts_by_pos[pos - 1]`` lists (system index, letter, first occurrence)
+    per word; ``bounds`` is the frontier growth factor per position (n at a
+    free position, the tightest requiring system's row repeat bound
+    elsewhere, 1 at the closing position), and ``work`` the frontier rows the
+    walk plans: the sum over positions of n times the running product of
+    ``bounds``.
     """
     h = words[0].h
     first = [{} for _ in systems]
@@ -220,24 +236,53 @@ def _count_constrained(words, systems, n: int, max_rows: int) -> int:
             first[si].setdefault(x, pos)
             last[si][x] = pos
 
-    plans = []
-    free_positions = 0
+    acts_by_pos = []
     bounds = []
+    free_positions = 0
+    rows, work = n, 0
     for pos in range(1, h + 1):
         acts = [
             (si, w.letters[pos - 1], first[si][w.letters[pos - 1]] == pos)
             for si, w in enumerate(words)
         ]
-        reqs = [(si, x) for si, x, rec in acts if not rec]
-        plans.append(acts)
+        reqs = [si for si, _, rec in acts if not rec]
+        acts_by_pos.append(acts)
         if pos == h:
             bounds.append(1)
         elif reqs:
-            bounds.append(min(systems[si].branch_bound for si, _ in reqs))
+            bounds.append(min(systems[si].branch_bound for si in reqs))
         else:
             bounds.append(n)
             free_positions += 1
+        rows *= bounds[-1]
+        work += rows
+    return work, acts_by_pos, bounds, last, free_positions
 
+
+def _count_constrained(words, systems, n: int, max_rows: int) -> int:
+    """Count circuits satisfying every system's constraints for its word.
+
+    All words share length h. The count is the same for every dihedral image
+    of the word tuple (``dihedral_images``), so the walk runs on the image
+    with the least planned frontier work, ties going to the
+    lexicographically least image.
+    """
+    cheapest = min(
+        dihedral_images(words),
+        key=lambda ws: (_plan(ws, systems, n)[0], [w.letters for w in ws]),
+    )
+    return _enumerate(cheapest, systems, n, max_rows)
+
+
+def _enumerate(words, systems, n: int, max_rows: int) -> int:
+    """Count the circuits of one word tuple by walking its positions in order.
+
+    Vertices are 0-based internally; slopes are shift-invariant and label
+    codes are indexed 0-based, so counts match the 1-based definition
+    exactly.
+    """
+    h = words[0].h
+    _, plans, bounds, last, free_positions = _plan(words, systems, n)
     est = float(n) ** (1 + free_positions)
     if est > NODE_BUDGET:
         raise SearchBudgetError(
@@ -480,9 +525,29 @@ def exact_limit(link, word, max_period: int = MAX_PERIOD) -> ExactLimit:
         raise SearchBudgetError(f"{link_name(link_fn)} word {w}: {exc}") from exc
 
 
+def per_orbit(seen: dict, compute: Callable, *words):
+    """``compute(*words)`` for the first word tuple of each dihedral orbit,
+    reused for the rest.
+
+    Every image of a tuple has a class of the same size (``dihedral_images``),
+    so anything computed from class counts is shared across the orbit. The
+    caller keeps ``seen`` for one sweep, with one ``compute``; nothing is
+    cached across sweeps.
+    """
+    key = orbit_key(words)
+    if key not in seen:
+        seen[key] = compute(*words)
+    return seen[key]
+
+
 def p_table(link, two_k: int) -> dict:
-    """Exact per-word limits (``ExactLimit``) for all pair-matched words of length 2k."""
-    return {w: exact_limit(link, w) for w in enumerate_pair_matched(two_k)}
+    """Exact per-word limits (``ExactLimit``) for all pair-matched words of length 2k,
+    fitted once per dihedral orbit of words."""
+    seen: dict = {}
+    return {
+        w: per_orbit(seen, lambda u: exact_limit(link, u), w)
+        for w in enumerate_pair_matched(two_k)
+    }
 
 
 def check_implies_wigner(link_x, link_y, n: int) -> bool:
@@ -521,10 +586,21 @@ class RelationReport:
     ladder: tuple[int, ...]
     tol: float
     entries: tuple[RelationEntry, ...]
+    #: Distinct circuit classes counted: one per dihedral orbit of word pairs.
+    classes: int
 
     @property
     def all_pass(self) -> bool:
         return all(e.passed for e in self.entries)
+
+
+def _joint_ladder(link_x, link_y, ns: tuple[int, ...]) -> Callable:
+    """Word pair -> ladder estimate of its joint limit over the dimensions ``ns``."""
+
+    def estimate(wx: Word, wy: Word) -> PEstimate:
+        return estimate_p([count_pi_star_joint(link_x, link_y, wx, wy, n) for n in ns])
+
+    return estimate
 
 
 def _sweep_order(two_k: int) -> None:
@@ -538,13 +614,15 @@ def check_compatible(
     """Off-diagonal joint limits must vanish for a compatible link pair."""
     _sweep_order(two_k)
     ns = tuple(ladder) if ladder else default_ladder(two_k)
+    estimate = _joint_ladder(link_x, link_y, ns)
     ws = enumerate_pair_matched(two_k)
+    seen: dict = {}
     entries = []
     for wx in ws:
         for wy in ws:
             if wx == wy:
                 continue
-            est = estimate_p([count_pi_star_joint(link_x, link_y, wx, wy, n) for n in ns])
+            est = per_orbit(seen, estimate, wx, wy)
             entries.append(RelationEntry(wx, wy, est, 0.0, est.p <= tol))
     return RelationReport(
         kind="compatible",
@@ -554,6 +632,7 @@ def check_compatible(
         ladder=ns,
         tol=tol,
         entries=tuple(entries),
+        classes=len(seen),
     )
 
 
@@ -564,9 +643,11 @@ def check_leadsto_wigner(
     Catalan words, 0 otherwise) when the product's limit is the semicircle."""
     _sweep_order(two_k)
     ns = tuple(ladder) if ladder else default_ladder(two_k)
+    estimate = _joint_ladder(link_x, link_y, ns)
+    seen: dict = {}
     entries = []
     for w in enumerate_pair_matched(two_k):
-        est = estimate_p([count_pi_star_joint(link_x, link_y, w, w, n) for n in ns])
+        est = per_orbit(seen, estimate, w, w)
         expected = 1.0 if is_catalan(w) else 0.0
         entries.append(RelationEntry(w, w, est, expected, abs(est.p - expected) <= tol))
     return RelationReport(
@@ -577,6 +658,7 @@ def check_leadsto_wigner(
         ladder=ns,
         tol=tol,
         entries=tuple(entries),
+        classes=len(seen),
     )
 
 
@@ -598,6 +680,8 @@ class InvarianceReport:
     n: int
     injective: bool
     entries: tuple[InvarianceEntry, ...]
+    #: Distinct words counted: one per dihedral orbit.
+    classes: int
 
     @property
     def all_subset(self) -> bool:
@@ -620,11 +704,18 @@ def check_invariance_containment(
     _sweep_order(two_k)
     base = _as_link(link)
     composed = compose(transform, base)
+
+    def counts(w):
+        return (
+            count_pi_star(base, w, n).count,
+            count_pi_star(composed, w, n).count,
+            count_pi_star_joint(base, composed, w, w, n).count,
+        )
+
+    seen: dict = {}
     entries = []
     for w in enumerate_pair_matched(two_k):
-        cb = count_pi_star(base, w, n).count
-        cc = count_pi_star(composed, w, n).count
-        cj = count_pi_star_joint(base, composed, w, w, n).count
+        cb, cc, cj = per_orbit(seen, counts, w)
         entries.append(
             InvarianceEntry(
                 word=w,
@@ -642,4 +733,5 @@ def check_invariance_containment(
         n=n,
         injective=is_injective_on_range(transform, base, n),
         entries=tuple(entries),
+        classes=len(seen),
     )

@@ -46,13 +46,16 @@ from .circuits import (
     default_ladder,
     estimate_p,
     p_table,
+    per_orbit,
 )
 from .ensemble import INPUT_DISTRIBUTIONS, ProductSpec, stream_seed
 from .linkfn import (
     Transform,
     TransformError,
+    compose,
     coprime_power,
     link_labels,
+    link_name,
     parse_link,
     profile_product,
     square,
@@ -358,6 +361,9 @@ class RunContext:
     #: Limit -> wall time and per-order fit of its target assembly; goes to
     #: the manifest only, since wall times differ between runs.
     target_assembly: dict = field(default_factory=dict)
+    #: Size and wall time of each relation or invariance sweep, in run
+    #: order; manifest only, like ``target_assembly``.
+    relation_sweeps: list = field(default_factory=list)
 
     def header(self) -> dict:
         payload = {k: v for k, v in self.cfg.items() if k not in ("out", "threads")}
@@ -379,6 +385,21 @@ class RunContext:
     def check(self, name: str, passed: bool, detail: str = "") -> bool:
         self.checks.append(CheckResult(name, bool(passed), detail))
         return bool(passed)
+
+    def sweep(self, kind: str, links: list, ns: list, run: Callable):
+        """Run one relation or invariance sweep and log its size and wall time."""
+        start = time.perf_counter()
+        rep = run()
+        self.relation_sweeps.append({
+            "kind": kind,
+            "links": links,
+            "two_k": rep.two_k,
+            "ns": ns,
+            "entries": len(rep.entries),
+            "classes": rep.classes,
+            "wall_s": time.perf_counter() - start,
+        })
+        return rep
 
 
 def _fmt(x: float) -> str:
@@ -442,6 +463,10 @@ def _invariance_json(rep: InvarianceReport) -> dict:
             for e in rep.entries
         ],
     }
+
+
+def _composed_name(link: str, transform: Transform) -> str:
+    return link_name(compose(transform, parse_link(link)))
 
 
 def _moment_json(m, target: Optional[float]) -> dict:
@@ -675,21 +700,17 @@ def cmd_moments(ctx: RunContext) -> None:
         print(f"h={m.h}: {_fmt(m.mean)} (stderr {_fmt(m.stderr)})")
 
 
-def _pw_entry(link, link_x, link_y, variant, w, w2, ladder) -> dict:
-    """Ladder counts + extrapolation for one word (or word pair) as JSON."""
-    joint = link_x is not None
-    if joint:
+def _pw_ladder(link, link_x, link_y, variant, ladder, w, w2) -> dict:
+    """Ladder counts + extrapolation for one word (or word pair) as JSON fields."""
+    if link_x is not None:
         counts = [count_pi_star_joint(link_x, link_y, w, w2, n) for n in ladder]
     elif variant == "prime":
         counts = [count_pi_prime(link, w, n) for n in ladder]
     else:
         counts = [count_pi_star(link, w, n) for n in ladder]
-    entry = {"word": str(w)}
-    if joint:
-        entry["word2"] = str(w2)
-    entry["counts"] = [c.count for c in counts]
-    entry.update(_pestimate_json(estimate_p(counts)))
-    return entry
+    fields = {"counts": [c.count for c in counts]}
+    fields.update(_pestimate_json(estimate_p(counts)))
+    return fields
 
 
 def cmd_pw(ctx: RunContext) -> None:
@@ -707,7 +728,6 @@ def cmd_pw(ctx: RunContext) -> None:
     link_x = cfg_link(cfg, "link_x") if joint else None
     link_y = cfg_link(cfg, "link_y") if joint else None
 
-    entries = []
     if "words" in cfg:
         raw_words = cfg_value(cfg, "words", "list")
         if not raw_words:
@@ -726,8 +746,6 @@ def cmd_pw(ctx: RunContext) -> None:
             raise ConfigError(f"config key 'words': mixed word lengths {sorted(lengths)}")
         two_k = lengths.pop()
         ladder = cfg_ladder(cfg, "ladder", default_ladder(two_k))
-        for w, w2 in jobs:
-            entries.append(_pw_entry(link, link_x, link_y, variant, w, w2, ladder))
     else:
         two_k = cfg_value(cfg, "two_k", "int")
         if two_k % 2 != 0 or not 2 <= two_k <= 8:
@@ -743,8 +761,19 @@ def cmd_pw(ctx: RunContext) -> None:
             )
         else:
             jobs = [(w, None) for w in words]
-        for w, w2 in jobs:
-            entries.append(_pw_entry(link, link_x, link_y, variant, w, w2, ladder))
+
+    def ladder_fields(w, w2=None):
+        return _pw_ladder(link, link_x, link_y, variant, ladder, w, w2)
+
+    seen: dict = {}
+    entries = []
+    for w, w2 in jobs:
+        entry = {"word": str(w)}
+        if w2 is not None:
+            entry["word2"] = str(w2)
+        words = (w,) if w2 is None else (w, w2)
+        entry.update(per_orbit(seen, ladder_fields, *words))
+        entries.append(entry)
 
     report = dict(ctx.header())
     report["variant"] = variant
@@ -794,7 +823,8 @@ def cmd_check(ctx: RunContext) -> None:
         tol = float(cfg_value(cfg, "tol", "number", DEFAULT_TOLS["p_tol"]))
         ladder = cfg_ladder(cfg, "ladder", default_ladder(two_k))
         fn = check_compatible if relation == "compatible" else check_leadsto_wigner
-        rep = fn(link_x, link_y, two_k, ladder, tol)
+        rep = ctx.sweep(relation, [link_x, link_y], list(ladder),
+                        lambda: fn(link_x, link_y, two_k, ladder, tol))
         report["report"] = _relation_json(rep)
         ctx.check(
             f"{relation}:{link_x}*{link_y}",
@@ -809,7 +839,8 @@ def cmd_check(ctx: RunContext) -> None:
             raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..6")
         n = cfg_posint(cfg, "n", 10)
         try:
-            rep = check_invariance_containment(link, transform, two_k, n)
+            rep = ctx.sweep("invariance", [link, _composed_name(link, transform)], [n],
+                            lambda: check_invariance_containment(link, transform, two_k, n))
         except TransformError as exc:
             raise ConfigError(f"config key 'transform': {exc}") from exc
         report["report"] = _invariance_json(rep)
@@ -915,8 +946,10 @@ def cmd_verify_table2(ctx: RunContext) -> None:
         for x, y in record.products:
             tag = f"row{row}:{x}*{y}"
             for inv_n in invariance_ns if record.invariance else ():
-                rep = check_invariance_containment(
-                    x, record.invariance(x, y, inv_n), relation_two_k, inv_n
+                transform = record.invariance(x, y, inv_n)
+                rep = ctx.sweep(
+                    "invariance", [x, _composed_name(x, transform)], [inv_n],
+                    lambda: check_invariance_containment(x, transform, relation_two_k, inv_n),
                 )
                 row_report["invariance"].append(_invariance_json(rep))
                 ctx.check(
@@ -926,7 +959,10 @@ def cmd_verify_table2(ctx: RunContext) -> None:
                 )
             for kind in record.relations:
                 relation = check_compatible if kind == "compatible" else check_leadsto_wigner
-                rep = relation(x, y, relation_two_k, relation_ladder, tols["p_tol"])
+                rep = ctx.sweep(
+                    kind, [x, y], list(relation_ladder),
+                    lambda: relation(x, y, relation_two_k, relation_ladder, tols["p_tol"]),
+                )
                 row_report["relations"].append(_relation_json(rep))
                 unit = "word pairs" if kind == "compatible" else "words"
                 ctx.check(
@@ -1128,6 +1164,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     if ctx.target_assembly:
         manifest["target_assembly"] = ctx.target_assembly
+    if ctx.relation_sweeps:
+        manifest["relation_sweeps"] = ctx.relation_sweeps
     _atomic_write(ctx.out_dir / "manifest.json", encode_json(manifest))
 
     for c in ctx.checks:

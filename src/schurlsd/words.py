@@ -14,10 +14,12 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "Word",
     "canonicalize",
+    "dihedral_images",
     "enumerate_pair_matched",
     "generating_positions",
     "is_catalan",
     "is_pair_matched",
+    "orbit_key",
 ]
 
 MAX_ENUM_LENGTH = 16
@@ -72,6 +74,33 @@ def canonicalize(raw: Union[str, Sequence, Iterable]) -> Word:
             ids[sym] = len(ids) + 1
         letters.append(ids[sym])
     return Word(tuple(letters))
+
+
+def dihedral_images(words: Sequence[Word]) -> list[tuple[Word, ...]]:
+    """The 2h rotations and reflections of a tuple of equal-length words.
+
+    Image (r, reversed) reads every word cyclically from position r + 1,
+    backwards when reversed, and re-canonicalizes it; the same reading goes
+    to all words of the tuple. A closed circuit read from another start, or
+    backwards, is again a closed circuit over the same edges, so for links
+    with L(i, j) = L(j, i) every image indexes a circuit class of the same
+    size as the original (slopes only change sign, which keeps
+    s(i) + s(j) in {0, +-n}). Images of symmetric tuples may repeat.
+    """
+    h = words[0].h
+    if any(w.h != h for w in words):
+        raise ValueError(f"dihedral images need equal word lengths, got {[str(w) for w in words]}")
+    images = []
+    for r in range(h):
+        rotated = [w.letters[r:] + w.letters[:r] for w in words]
+        images.append(tuple(canonicalize(x) for x in rotated))
+        images.append(tuple(canonicalize(x[::-1]) for x in rotated))
+    return images
+
+
+def orbit_key(words: Sequence[Word]) -> tuple[Word, ...]:
+    """The lexicographically least dihedral image: equal keys, equal class sizes."""
+    return min(dihedral_images(words), key=lambda ws: [w.letters for w in ws])
 
 
 def is_pair_matched(word: Word) -> bool:

@@ -5,12 +5,18 @@ the package under test: label formulas as literal arithmetic on 1-based index
 pairs, circuit-class counts by enumerating all n^h raw circuits, and the
 Catalan property by literally deleting adjacent double letters until stuck.
 Slow but obviously correct; keep the sizes small.
+
+``array_count`` is the same raw enumeration with all n^h circuits held in
+one array: the labels still come from the literal formulas (or any label
+callable, for composed links), read off once per index pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def wigner_label(i: int, j: int, n: int):
@@ -128,6 +134,46 @@ def raw_count_joint(link_x: str, link_y: str, word_x: str, word_y: str, n: int) 
         if _matches(labels_y, classes_y):
             total += 1
     return total
+
+
+def _circuit_array(n: int, h: int):
+    """All n^h raw circuits as columns: pi(0..h-1) and pi(1..h), 0-based."""
+    pi = np.indices((n,) * h).reshape(h, -1)
+    return pi, np.roll(pi, -1, axis=0)
+
+
+def array_count(links, words, n: int) -> int:
+    """raw_count_star (one word) or raw_count_joint (two), all circuits at once.
+
+    ``links`` are names in ``RAW_LINKS`` or label callables ``(i, j, n)``, one
+    per word.
+    """
+    pi, nxt = _circuit_array(n, len(words[0]))
+    ok = np.ones(pi.shape[1], dtype=bool)
+    for link, word in zip(links, words):
+        label = RAW_LINKS[link] if isinstance(link, str) else link
+        ids: dict = {}
+        table = np.array(
+            [[ids.setdefault(label(i, j, n), len(ids)) for j in range(1, n + 1)]
+             for i in range(1, n + 1)]
+        )
+        labels = table[pi, nxt]
+        for cls in letter_classes(word):
+            for pos in cls[1:]:
+                ok &= labels[pos - 1] == labels[cls[0] - 1]
+    return int(np.count_nonzero(ok))
+
+
+def array_count_prime(link: str, word: str, n: int) -> int:
+    """raw_count_prime, all circuits at once."""
+    allowed = {"toeplitz": [0], "symcirc": [-n, 0, n]}[link]
+    pi, nxt = _circuit_array(n, len(word))
+    s = nxt - pi
+    ok = np.ones(pi.shape[1], dtype=bool)
+    for cls in letter_classes(word):
+        for a, b in itertools.combinations(cls, 2):
+            ok &= np.isin(s[a - 1] + s[b - 1], allowed)
+    return int(np.count_nonzero(ok))
 
 
 def deletion_is_catalan(word: str) -> bool:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import schurlsd.circuits as circuits
 from schurlsd.circuits import (
     MAX_FRONTIER_ROWS,
     SearchBudgetError,
@@ -39,10 +40,12 @@ from schurlsd.linkfn import (
     value_table,
 )
 from schurlsd.oracle import assemble_moments
-from schurlsd.words import canonicalize, enumerate_pair_matched, is_catalan
+from schurlsd.words import canonicalize, dihedral_images, enumerate_pair_matched, is_catalan
 
 from bruteforce import (
     RAW_LINKS,
+    array_count,
+    array_count_prime,
     raw_count_joint,
     raw_count_prime,
     raw_count_star,
@@ -190,6 +193,100 @@ def test_counts_leave_no_cyclic_garbage(max_rows):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- dihedral images: rotated or reversed word tuples count the same class -------------------
+
+#: A composed link that merges Toeplitz labels 1 and 2, so it is not a relabeling
+#: of a built-in link; labels 0..7 cover every n <= 8.
+MERGED_TOEPLITZ = compose(
+    table_transform({v: (1 if v == 2 else v) for v in range(8)}), builtin_link("toeplitz")
+)
+
+
+def raw_merged_toeplitz(i, j, n):
+    return 1 if abs(i - j) == 2 else abs(i - j)
+
+
+#: (package link, raw-oracle label) pairs: every built-in link and the composed one.
+SINGLE_LINKS = [pytest.param(kind, kind, id=kind) for kind in ALL_LINKS] + [
+    pytest.param(MERGED_TOEPLITZ, raw_merged_toeplitz, id="merged_toeplitz")
+]
+JOINT_LINKS = [
+    pytest.param(("wigner", "wigner"), ("toeplitz", "toeplitz"), id="wigner*toeplitz"),
+    pytest.param(("hankel", "hankel"), ("symcirc", "symcirc"), id="hankel*symcirc"),
+    pytest.param(("revcirc", "revcirc"), ("dsymhankel", "dsymhankel"), id="revcirc*dsymhankel"),
+    pytest.param(("toeplitz", "toeplitz"), (MERGED_TOEPLITZ, raw_merged_toeplitz),
+                 id="toeplitz*merged_toeplitz"),
+]
+#: Order-6 pairs whose 12 images are all distinct pairs.
+JOINT_PAIRS_6 = [("aabcbc", "abcacb"), ("ababcc", "abccba"), ("abaccb", "abcbca")]
+DIHEDRAL_NS = [5, 6, 7]
+
+
+def _words_up_to_6():
+    return [w for two_k in (2, 4, 6) for w in enumerate_pair_matched(two_k)]
+
+
+def _assert_images_count_like(words, systems, n, want):
+    for image in set(dihedral_images(words)):
+        got = circuits._enumerate(image, systems, n, MAX_FRONTIER_ROWS)
+        assert got == want, ([str(w) for w in words], [str(w) for w in image], n)
+
+
+@pytest.mark.parametrize("link,raw", SINGLE_LINKS)
+@pytest.mark.parametrize("n", DIHEDRAL_NS)
+def test_dihedral_images_of_words_count_like_raw_enumeration(link, raw, n):
+    systems = [circuits._LinkSystem(circuits._as_link(link), n)]
+    for w in _words_up_to_6():
+        want = array_count([raw], [str(w)], n)
+        _assert_images_count_like((w,), systems, n, want)
+        assert count_pi_star(link, w, n).count == want
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "symcirc"])
+@pytest.mark.parametrize("n", DIHEDRAL_NS)
+def test_dihedral_images_of_slope_classes_count_like_raw_enumeration(kind, n):
+    systems = [circuits._SlopeSystem(kind, n)]
+    for w in _words_up_to_6():
+        want = array_count_prime(kind, str(w), n)
+        _assert_images_count_like((w,), systems, n, want)
+        assert count_pi_prime(kind, w, n).count == want
+
+
+@pytest.mark.parametrize("x,y", JOINT_LINKS)
+@pytest.mark.parametrize("n", DIHEDRAL_NS)
+def test_dihedral_images_of_word_pairs_count_like_raw_enumeration(x, y, n):
+    (link_x, raw_x), (link_y, raw_y) = x, y
+    systems = [circuits._LinkSystem(circuits._as_link(link), n) for link in (link_x, link_y)]
+    pairs = [(wx, wy) for two_k in (2, 4) for wx, wy in
+             itertools.product(enumerate_pair_matched(two_k), repeat=2)]
+    pairs += [(canonicalize(a), canonicalize(b)) for a, b in JOINT_PAIRS_6]
+    for wx, wy in pairs:
+        want = array_count([raw_x, raw_y], [str(wx), str(wy)], n)
+        _assert_images_count_like((wx, wy), systems, n, want)
+        assert count_pi_star_joint(link_x, link_y, wx, wy, n).count == want
+
+
+def test_array_oracle_matches_the_literal_enumeration():
+    # the array form of the raw oracle must agree with the one-circuit-at-a-time loops
+    for w in ["aabb", "abab", "abba", "abcabc", "aabccb"]:
+        assert array_count(["symcirc"], [w], 5) == raw_count_star("symcirc", w, 5)
+        assert array_count_prime("symcirc", w, 5) == raw_count_prime("symcirc", w, 5)
+    assert array_count(["toeplitz", "hankel"], ["abab", "abba"], 8) == 88
+    assert array_count(["wigner", "revcirc"], ["abcacb", "abcabc"], 5) == raw_count_joint(
+        "wigner", "revcirc", "abcacb", "abcabc", 5
+    )
+
+
+def test_budget_guard_applies_to_the_enumerated_image(monkeypatch):
+    # (abab, abba) has 2 free positions as written and 1 on its cheapest image
+    monkeypatch.setattr(circuits, "NODE_BUDGET", 8**2)
+    assert count_pi_star_joint("toeplitz", "hankel", "abab", "abba", 8).count == 88
+    systems = [circuits._LinkSystem(parse_link(k), 8) for k in ("toeplitz", "hankel")]
+    words = (canonicalize("abab"), canonicalize("abba"))
+    with pytest.raises(SearchBudgetError):
+        circuits._enumerate(words, systems, 8, MAX_FRONTIER_ROWS)
 
 
 # --- argument and budget errors -------------------------------------------------------------
@@ -413,6 +510,45 @@ def test_leadsto_wigner_catalan_pattern(x, y):
     assert by_word["abba"].expected == 1.0
     assert by_word["abab"].expected == 0.0
     assert report.all_pass
+
+
+def test_sweeps_count_each_dihedral_orbit_once(monkeypatch):
+    calls = []
+    direct = circuits.count_pi_star_joint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "count_pi_star_joint", counted)
+    ladder = (4, 5, 6)
+    for check, orbits in ((check_compatible, 34), (check_leadsto_wigner, 5)):
+        calls.clear()
+        report = check("toeplitz", "hankel", 6, ladder=ladder)
+        assert len(calls) == orbits * len(ladder)
+        assert report.classes == orbits
+        for e in report.entries:
+            counts = [direct("toeplitz", "hankel", e.word, e.word2, n) for n in ladder]
+            assert e.estimate == estimate_p(counts), (str(e.word), str(e.word2))
+
+
+def test_invariance_and_p_table_count_each_word_orbit_once(monkeypatch):
+    calls = []
+    direct = circuits.count_pi_star
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "count_pi_star", counted)
+    report = check_invariance_containment("toeplitz", square(), 6, 8)
+    assert len(report.entries) == 15 and report.classes == 5
+    assert len(calls) == 2 * 5
+    for e in report.entries:
+        assert e.count_base == direct("toeplitz", e.word, 8).count
+    table = p_table("hankel", 6)
+    for w, fit in table.items():
+        assert fit == exact_limit("hankel", w)
 
 
 # --- invariance containment ---------------------------------------------------------------------

@@ -9,8 +9,11 @@ import sys
 
 import pytest
 
+import schurlsd.cli as cli
+from schurlsd.circuits import count_pi_star_joint
 from schurlsd.cli import _label_map, main
 from schurlsd.linkfn import eval_link, parse_link, table_transform
+from schurlsd.words import canonicalize, orbit_key
 
 
 def run_cli(tmp_path, command, cfg, seed=1, out="out", extra=None):
@@ -234,6 +237,30 @@ def test_pw_joint_sweep(tmp_path):
     assert by_word["abab"]["p"] == pytest.approx(0.0, abs=0.03)
 
 
+def test_pw_all_pairs_count_each_dihedral_orbit_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count_pi_star_joint(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "count_pi_star_joint", counted)
+    ladder = [8, 16, 32]
+    cfg = {"link_x": "toeplitz", "link_y": "hankel", "two_k": 4, "pairs": "all",
+           "ladder": ladder}
+    code, out = run_cli(tmp_path, "pw", cfg)
+    assert code == 0
+    entries = read_json(out, "pw_report.json")["entries"]
+    words = ["aabb", "abab", "abba"]
+    assert [(e["word"], e["word2"]) for e in entries] == [(a, b) for a in words for b in words]
+    orbits = {orbit_key((canonicalize(e["word"]), canonicalize(e["word2"]))) for e in entries}
+    assert len(orbits) == 5 and len(calls) == 5 * len(ladder)
+    for e in entries:
+        direct = [count_pi_star_joint("toeplitz", "hankel", e["word"], e["word2"], n).count
+                  for n in ladder]
+        assert e["counts"] == direct
+
+
 def test_pw_rejects_conflicting_links(tmp_path):
     cfg = {"link": "toeplitz", "link_x": "toeplitz", "link_y": "hankel", "two_k": 4}
     code, _ = run_cli(tmp_path, "pw", cfg)
@@ -271,6 +298,19 @@ def test_check_compatible(tmp_path):
     assert code == 0
     report = read_json(out, "check_report.json")
     assert len(report["report"]["entries"]) == 6
+
+
+def test_check_manifest_logs_relation_sweeps_outside_the_report(tmp_path):
+    cfg = {"relation": "leadsto", "link_x": "toeplitz", "link_y": "hankel",
+           "two_k": 6, "ladder": [8, 16, 32]}
+    code, out = run_cli(tmp_path, "check", cfg)
+    assert code == 0
+    (sweep,) = read_json(out, "manifest.json")["relation_sweeps"]
+    wall = sweep.pop("wall_s")
+    assert wall > 0
+    assert sweep == {"kind": "leadsto", "links": ["toeplitz", "hankel"], "two_k": 6,
+                     "ns": [8, 16, 32], "entries": 15, "classes": 5}
+    assert "relation_sweeps" not in (out / "check_report.json").read_text()
 
 
 def test_check_invariance_square(tmp_path):
@@ -329,6 +369,25 @@ def test_verify_reports_identical_across_threads_and_reruns(tmp_path):
         for name in ("t1", "t3", "again")
     ]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_verify_manifest_logs_every_relation_and_invariance_sweep(tmp_path):
+    cfg = {"rows": [1, 2], "mc": False, "relation_ladder": [8, 16, 32], "invariance_ns": [8]}
+    code, out = run_cli(tmp_path, "verify-table2", cfg)
+    assert code == 0
+    sweeps = read_json(out, "manifest.json")["relation_sweeps"]
+    kinds = [(s["kind"], tuple(s["links"])) for s in sweeps]
+    # row 1: invariance then leadsto per product; row 2: compatible, leadsto
+    assert kinds[:2] == [("invariance", ("wigner", "usertable(wigner)")),
+                         ("leadsto", ("wigner", "toeplitz"))]
+    assert kinds[-2:] == [("compatible", ("symcirc", "dsymhankel")),
+                          ("leadsto", ("symcirc", "dsymhankel"))]
+    assert len(sweeps) == 2 * 5 + 2 * 6
+    for s in sweeps:
+        assert s["two_k"] == 4 and s["wall_s"] >= 0
+        assert (s["entries"], s["classes"]) == {
+            "invariance": (3, 2), "leadsto": (3, 2), "compatible": (6, 3)}[s["kind"]]
+    assert "wall_s" not in (out / "verify_table2_report.json").read_text()
 
 
 def test_verify_row3_gates_every_even_moment_against_exact_targets(tmp_path):

@@ -7,10 +7,12 @@ import pytest
 from schurlsd.words import (
     Word,
     canonicalize,
+    dihedral_images,
     enumerate_pair_matched,
     generating_positions,
     is_catalan,
     is_pair_matched,
+    orbit_key,
 )
 
 from bruteforce import all_pair_matched, deletion_is_catalan
@@ -133,3 +135,38 @@ def test_generating_positions_size(two_k):
         assert len(gen) == word.num_letters + 1
         assert 0 in gen
         assert all(0 <= p <= word.h for p in gen)
+
+
+# --- dihedral images and orbit keys -------------------------------------------------
+
+
+def test_dihedral_images_rotate_and_reverse_every_word_together():
+    images = dihedral_images((canonicalize("aabccb"), canonicalize("abcacb")))
+    assert len(images) == 12
+    assert images[0] == (canonicalize("aabccb"), canonicalize("abcacb"))
+    # r = 1 reads "abccba" and "bcacba"; reversed, "abccba" and "abcacb"
+    assert images[2] == (canonicalize("abccba"), canonicalize("abcbac"))
+    assert images[3] == (canonicalize("abccba"), canonicalize("abcacb"))
+    for image in images:
+        assert dihedral_images(image)[0] == image
+        assert set(dihedral_images(image)) == set(images)
+
+
+def test_dihedral_images_reject_unequal_lengths():
+    with pytest.raises(ValueError):
+        dihedral_images((canonicalize("aa"), canonicalize("aabb")))
+
+
+def test_orbit_counts_of_order_six_words_and_pairs():
+    words = enumerate_pair_matched(6)
+    assert len({orbit_key((w,)) for w in words}) == 5
+    assert len({orbit_key((w, w)) for w in words}) == 5
+    assert len({orbit_key((a, b)) for a in words for b in words if a != b}) == 34
+    # the key is the least image, so it is its own key and lies in the orbit
+    for w in words:
+        key = orbit_key((w,))
+        assert orbit_key(key) == key and key in dihedral_images((w,))
+        assert key[0].letters == min(img[0].letters for img in dihedral_images((w,)))
+    # order 4: abba rotates to aabb, abab is alone
+    assert orbit_key((canonicalize("abba"),)) == (canonicalize("aabb"),)
+    assert orbit_key((canonicalize("abab"),)) == (canonicalize("abab"),)
