@@ -8,7 +8,8 @@ Two independent verification channels:
 * an exact combinatorial channel (``words``, ``circuits``, ``oracle``) that
   counts link-constrained circuits, recovers each word's limit as an exact
   rational from counts at small n, and assembles the moments the spectra
-  must match. Only the joint relation checks still extrapolate 1/n ladders.
+  must match. Joint relation verdicts are exact too: a rank certificate
+  proves a joint limit is 0, and the remaining classes are fitted.
 
 ``linkfn`` defines the pattern vocabulary shared by both channels and
 ``cli`` drives the shipped verification runs.

@@ -29,15 +29,21 @@ A class count is a quasi-polynomial in n of degree k + 1 (h = 2k): it counts
 lattice points of polytopes whose facets move linearly with n (Ehrhart
 theory), so on each residue class of n mod some period it is a polynomial,
 and its leading coefficient is the word's limit. ``exact_limit`` recovers
-that coefficient as an exact rational from counts at small n; ``estimate_p``
-fits the 1/n ladders that the joint relation checks still use.
+that coefficient as an exact rational from counts at small n.
+
+Joint limits (``joint_limit``, behind the relation checks) first try the
+dimension count by which compatibility is proved: each label equality is a
+finite union of affine equations in the h path vertices (``LABEL_BRANCHES``),
+and a choice of one branch per matched pair whose equations have rank >= k
+leaves at most n^(h - k) = n^k circuits, so if every choice does, the limit
+is 0. Otherwise the joint counts are fitted like single-link ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -54,7 +60,6 @@ __all__ = [
     "ExactLimit",
     "InvarianceEntry",
     "InvarianceReport",
-    "PEstimate",
     "RelationEntry",
     "RelationReport",
     "SearchBudgetError",
@@ -65,10 +70,9 @@ __all__ = [
     "count_pi_prime",
     "count_pi_star",
     "count_pi_star_joint",
-    "default_ladder",
-    "estimate_p",
     "exact_limit",
     "fit_quasi_polynomial",
+    "joint_limit",
     "p_table",
     "per_orbit",
 ]
@@ -85,6 +89,22 @@ MAX_PERIOD = 4
 HELD_OUT = 3
 
 SLOPE_LINK_KINDS = ("toeplitz", "symcirc")
+
+#: L(a, b) = L(c, d) for a built-in link kind, as a union of branches. A
+#: branch is a tuple of equations (coefficients of (a, b, c, d), values): the
+#: form must equal v * n for one of the values v. Only the coefficients enter
+#: the rank; the values count the affine pieces of a branch.
+LABEL_BRANCHES = {
+    "wigner": (
+        (((1, 0, -1, 0), (0,)), ((0, 1, 0, -1), (0,))),
+        (((1, 0, 0, -1), (0,)), ((0, 1, -1, 0), (0,))),
+    ),
+    "toeplitz": ((((1, -1, -1, 1), (0,)),), (((1, -1, 1, -1), (0,)),)),
+    "symcirc": ((((1, -1, -1, 1), (0, 1, -1)),), (((1, -1, 1, -1), (0, 1, -1)),)),
+    "hankel": ((((1, 1, -1, -1), (0,)),),),
+    "revcirc": ((((1, 1, -1, -1), (0, 1, -1)),),),
+    "dsymhankel": ((((1, 1, -1, -1), (0, 1, -1)),), (((1, 1, 1, 1), (1, 2, 3, 4)),)),
+}
 
 
 class SearchBudgetError(RuntimeError):
@@ -108,40 +128,30 @@ class CircuitClassCount:
     link2: Optional[str] = None
     word2: Optional[Word] = None
 
-    @property
-    def ratio(self) -> float:
-        return self.count / float(self.n) ** self.normalizer_exponent
-
-
-@dataclass(frozen=True)
-class PEstimate:
-    """Extrapolated per-word limit from a ladder of exact counts.
-
-    Fits ratio(n) = p + c/n by least squares; ``p`` is the intercept clamped
-    at zero (class sizes cannot have negative limits), ``slope`` is c and
-    ``residual`` the root-mean-square fit residual.
-    """
-
-    ns: tuple[int, ...]
-    ratios: tuple[float, ...]
-    p: float
-    slope: float
-    residual: float
-
 
 @dataclass(frozen=True)
 class ExactLimit:
-    """Exact per-word limit: the leading coefficient of the class counts.
+    """Exact per-word limit and its proof.
 
-    On each residue class of n mod ``period`` the counts at n in ``ns`` (an
-    inclusive range) agree with one polynomial of degree k + 1, fitted on the
-    first k + 2 points of the class and reproducing the last ``HELD_OUT``
-    exactly; ``p`` is the leading coefficient all classes share.
+    ``proof`` "fit": on each residue class of n mod ``period`` the counts at
+    n in ``ns`` (an inclusive range) agree with one polynomial of degree
+    k + 1, fitted on the first k + 2 points of the class and reproducing the
+    last ``HELD_OUT`` exactly; ``p`` is the leading coefficient all classes
+    share.
+
+    ``proof`` "rank": ``p`` is 0 because every branch choice has rank >= k,
+    so the class has at most ``bound`` * n^k circuits at every n.
+
+    ``nodes`` counts the branch choices the rank walk visited (0 when it did
+    not run).
     """
 
     p: "Fraction"
-    period: int
-    ns: tuple[int, int]
+    period: Optional[int] = None
+    ns: Optional[tuple[int, int]] = None
+    proof: str = "fit"
+    bound: Optional[int] = None
+    nodes: int = 0
 
 
 # --- constraint backends ----------------------------------------------------
@@ -436,37 +446,7 @@ def count_pi_star_joint(
     )
 
 
-# --- extrapolation and relation checks ---------------------------------------
-
-
-def default_ladder(two_k: int) -> tuple[int, ...]:
-    """Dimension ladders keeping exact counting cheap: one extra rung for
-    fourth-order words, where n=64 is still instant."""
-    return (8, 16, 32, 64) if two_k <= 4 else (8, 16, 32)
-
-
-def estimate_p(counts: Sequence[CircuitClassCount]) -> PEstimate:
-    """Fit ratio(n) = p + c/n over a ladder of counts for one class."""
-    if len(counts) < 3:
-        raise ValueError(f"extrapolation needs at least 3 ladder points, got {len(counts)}")
-    ns = tuple(c.n for c in counts)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"ladder dimensions must be strictly increasing, got {ns}")
-    ids = {(c.link, c.word, c.link2, c.word2, c.variant) for c in counts}
-    if len(ids) != 1:
-        raise ValueError("ladder mixes counts of different circuit classes")
-    ratios = tuple(c.ratio for c in counts)
-    design = np.column_stack([np.ones(len(ns)), 1.0 / np.asarray(ns, dtype=float)])
-    coef, *_ = np.linalg.lstsq(design, np.asarray(ratios), rcond=None)
-    fit = design @ coef
-    residual = float(np.sqrt(np.mean((fit - np.asarray(ratios)) ** 2)))
-    return PEstimate(
-        ns=ns,
-        ratios=ratios,
-        p=max(float(coef[0]), 0.0),
-        slope=float(coef[1]),
-        residual=residual,
-    )
+# --- exact limits and relation checks ----------------------------------------------
 
 
 def fit_quasi_polynomial(
@@ -514,15 +494,124 @@ def fit_quasi_polynomial(
     )
 
 
-def exact_limit(link, word, max_period: int = MAX_PERIOD) -> ExactLimit:
-    """Exact limit of count_pi_star(link, word, n) / n^(k+1) as n -> infinity."""
+def exact_limit(link, word, max_period: int = MAX_PERIOD, variant: str = "star") -> ExactLimit:
+    """Exact limit of count_pi_star(link, word, n) / n^(k+1) as n -> infinity
+    (``count_pi_prime`` for ``variant`` "prime")."""
     link_fn, w = _as_link(link), _as_word(word)
+    count = count_pi_prime if variant == "prime" else count_pi_star
     try:
-        return fit_quasi_polynomial(
-            lambda n: count_pi_star(link_fn, w, n).count, w.h // 2 + 1, max_period
-        )
+        return fit_quasi_polynomial(lambda n: count(link_fn, w, n).count, w.h // 2 + 1, max_period)
     except SearchBudgetError as exc:
         raise SearchBudgetError(f"{link_name(link_fn)} word {w}: {exc}") from exc
+
+
+def _branch_kind(link: LinkFunction) -> Optional[str]:
+    """The built-in kind whose ``LABEL_BRANCHES`` give this link's label equality.
+
+    ``square`` (on integer labels) and ``coprimepower`` (on Wigner pairs) are
+    injective, so a link composed of them equates exactly the cells its base
+    does. None for any other link.
+    """
+    if link.kind != "composed":
+        return link.kind
+    base = _branch_kind(link.base)
+    injective = {"square": base not in (None, "wigner"), "coprimepower": link.base.kind == "wigner"}
+    return base if injective.get(link.transform.kind) else None
+
+
+def _reduce(basis: list, v: list) -> Optional[tuple]:
+    """``v`` reduced against an echelon ``basis`` of (pivot, row) pairs: the
+    new (pivot, row), or None when ``v`` lies in the basis's span.
+
+    Each row is zero at the pivots of the rows before it, so eliminating the
+    pivots in order leaves them all zero; integer rows are kept exact by
+    cross-multiplying and dividing out the gcd.
+    """
+    for c, row in basis:
+        if v[c]:
+            v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+    g = math.gcd(*v)
+    if g == 0:
+        return None
+    v = [x // g for x in v]
+    return next(c for c, x in enumerate(v) if x), v
+
+
+def _rank_certificate(words, kinds) -> tuple[Optional[int], int]:
+    """Dimension count of a class over the path vertices pi(0..h-1).
+
+    Each matched pair (i, j) of a word, under its link kind, contributes
+    ``LABEL_BRANCHES`` on the edges (a, b) = (pi(i-1), pi(i)) and
+    (c, d) = (pi(j-1), pi(j)). A depth-first walk picks one branch per pair
+    and prunes once the picked equations reach rank k: each affine piece
+    there has at most n^(h - k) = n^k points, and every circuit of the class
+    lies in the pieces of some pruned node. Returns (bound, nodes): ``bound``
+    is the number of such pieces (the class has at most bound * n^k circuits)
+    or None when some full branch choice stays below rank k; ``nodes`` counts
+    the nodes visited.
+    """
+    h = words[0].h
+    constraints = []
+    for w, kind in zip(words, kinds):
+        first: dict = {}
+        for j, x in enumerate(w.letters, start=1):
+            i = first.setdefault(x, j)
+            if i < j:
+                ends = (i - 1, i % h, j - 1, j % h)  # adjacent edges share a vertex
+                constraints.append([
+                    [([sum(c for e, c in zip(ends, coeffs) if e == t) for t in range(h)],
+                      len(values)) for coeffs, values in branch]
+                    for branch in LABEL_BRANCHES[kind]
+                ])
+    constraints.sort(key=len)  # forced (one-branch) equations first
+
+    bound = nodes = 0
+    stack = [(0, [], 1)]  # (constraints decided, echelon basis, affine pieces)
+    while stack:
+        depth, basis, pieces = stack.pop()
+        nodes += 1
+        if len(basis) >= h // 2:
+            bound += pieces
+        elif depth == len(constraints):
+            return None, nodes
+        else:
+            for equations in constraints[depth]:
+                picked, count = basis, pieces
+                for v, values in equations:
+                    row = _reduce(picked, v)
+                    if row is not None:
+                        picked = picked + [row]
+                    count *= values
+                stack.append((depth + 1, picked, count))
+    return bound, nodes
+
+
+def joint_limit(link_x, link_y, word_x, word_y) -> ExactLimit:
+    """Exact limit of count_pi_star_joint(...) / n^(k+1) as n -> infinity.
+
+    Tries the rank certificate (``_rank_certificate``; proof "rank", p = 0)
+    when both links have label branches, then fits the joint counts (proof
+    "fit"). A pair that neither settles raises ``SearchBudgetError`` naming it.
+    """
+    from fractions import Fraction  # kept off the import path of the CLI
+
+    lx, ly = _as_link(link_x), _as_link(link_y)
+    wx, wy = _as_word(word_x), _as_word(word_y)
+    if wx.h != wy.h:
+        raise ValueError(f"word lengths differ: {wx} has {wx.h}, {wy} has {wy.h}")
+    kinds = (_branch_kind(lx), _branch_kind(ly))
+    nodes = 0
+    if None not in kinds:
+        bound, nodes = _rank_certificate((wx, wy), kinds)
+        if bound is not None:
+            return ExactLimit(Fraction(0), proof="rank", bound=bound, nodes=nodes)
+    try:
+        fit = fit_quasi_polynomial(
+            lambda n: count_pi_star_joint(lx, ly, wx, wy, n).count, wx.h // 2 + 1
+        )
+    except SearchBudgetError as exc:
+        raise SearchBudgetError(f"{link_name(lx)}*{link_name(ly)} words {wx}, {wy}: {exc}") from exc
+    return ExactLimit(fit.p, fit.period, fit.ns, nodes=nodes)
 
 
 def per_orbit(seen: dict, compute: Callable, *words):
@@ -572,8 +661,8 @@ def check_implies_wigner(link_x, link_y, n: int) -> bool:
 class RelationEntry:
     word: Word
     word2: Word
-    estimate: PEstimate
-    expected: float
+    limit: ExactLimit
+    expected: int
     passed: bool
 
 
@@ -583,24 +672,17 @@ class RelationReport:
     link_x: str
     link_y: str
     two_k: int
-    ladder: tuple[int, ...]
-    tol: float
     entries: tuple[RelationEntry, ...]
-    #: Distinct circuit classes counted: one per dihedral orbit of word pairs.
+    #: Distinct circuit classes: one per dihedral orbit of word pairs.
     classes: int
+    #: Rank-walk nodes visited over all classes.
+    nodes: int
+    #: Proof tag -> number of classes settled by it.
+    proofs: dict
 
     @property
     def all_pass(self) -> bool:
         return all(e.passed for e in self.entries)
-
-
-def _joint_ladder(link_x, link_y, ns: tuple[int, ...]) -> Callable:
-    """Word pair -> ladder estimate of its joint limit over the dimensions ``ns``."""
-
-    def estimate(wx: Word, wy: Word) -> PEstimate:
-        return estimate_p([count_pi_star_joint(link_x, link_y, wx, wy, n) for n in ns])
-
-    return estimate
 
 
 def _sweep_order(two_k: int) -> None:
@@ -608,58 +690,41 @@ def _sweep_order(two_k: int) -> None:
         raise ValueError(f"relation sweeps cover even orders 2..{MAX_SWEEP_ORDER}, got {two_k}")
 
 
-def check_compatible(
-    link_x, link_y, two_k: int, ladder: Optional[Sequence[int]] = None, tol: float = 0.03
-) -> RelationReport:
+def _relation(kind: str, link_x, link_y, two_k: int, cases) -> RelationReport:
+    """Joint limits of (word, word2, expected) ``cases``, one per orbit; an
+    entry passes when its exact limit equals the expected value."""
+    seen: dict = {}
+    entries = []
+    for wx, wy, expected in cases:
+        lim = per_orbit(seen, lambda u, v: joint_limit(link_x, link_y, u, v), wx, wy)
+        entries.append(RelationEntry(wx, wy, lim, expected, lim.p == expected))
+    limits = seen.values()
+    return RelationReport(
+        kind=kind,
+        link_x=link_name(_as_link(link_x)),
+        link_y=link_name(_as_link(link_y)),
+        two_k=two_k,
+        entries=tuple(entries),
+        classes=len(seen),
+        nodes=sum(lim.nodes for lim in limits),
+        proofs={tag: sum(lim.proof == tag for lim in limits) for tag in ("rank", "fit")},
+    )
+
+
+def check_compatible(link_x, link_y, two_k: int) -> RelationReport:
     """Off-diagonal joint limits must vanish for a compatible link pair."""
     _sweep_order(two_k)
-    ns = tuple(ladder) if ladder else default_ladder(two_k)
-    estimate = _joint_ladder(link_x, link_y, ns)
     ws = enumerate_pair_matched(two_k)
-    seen: dict = {}
-    entries = []
-    for wx in ws:
-        for wy in ws:
-            if wx == wy:
-                continue
-            est = per_orbit(seen, estimate, wx, wy)
-            entries.append(RelationEntry(wx, wy, est, 0.0, est.p <= tol))
-    return RelationReport(
-        kind="compatible",
-        link_x=link_name(_as_link(link_x)),
-        link_y=link_name(_as_link(link_y)),
-        two_k=two_k,
-        ladder=ns,
-        tol=tol,
-        entries=tuple(entries),
-        classes=len(seen),
-    )
+    cases = [(wx, wy, 0) for wx in ws for wy in ws if wx != wy]
+    return _relation("compatible", link_x, link_y, two_k, cases)
 
 
-def check_leadsto_wigner(
-    link_x, link_y, two_k: int, ladder: Optional[Sequence[int]] = None, tol: float = 0.03
-) -> RelationReport:
-    """Diagonal joint limits must match the non-crossing indicator (1 for
+def check_leadsto_wigner(link_x, link_y, two_k: int) -> RelationReport:
+    """Diagonal joint limits must equal the non-crossing indicator (1 for
     Catalan words, 0 otherwise) when the product's limit is the semicircle."""
     _sweep_order(two_k)
-    ns = tuple(ladder) if ladder else default_ladder(two_k)
-    estimate = _joint_ladder(link_x, link_y, ns)
-    seen: dict = {}
-    entries = []
-    for w in enumerate_pair_matched(two_k):
-        est = per_orbit(seen, estimate, w, w)
-        expected = 1.0 if is_catalan(w) else 0.0
-        entries.append(RelationEntry(w, w, est, expected, abs(est.p - expected) <= tol))
-    return RelationReport(
-        kind="leadsto",
-        link_x=link_name(_as_link(link_x)),
-        link_y=link_name(_as_link(link_y)),
-        two_k=two_k,
-        ladder=ns,
-        tol=tol,
-        entries=tuple(entries),
-        classes=len(seen),
-    )
+    cases = [(w, w, int(is_catalan(w))) for w in enumerate_pair_matched(two_k)]
+    return _relation("leadsto", link_x, link_y, two_k, cases)
 
 
 @dataclass(frozen=True)

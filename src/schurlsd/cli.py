@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .circuits import (
-    PEstimate,
+    ExactLimit,
     InvarianceReport,
     RelationReport,
     SearchBudgetError,
@@ -40,11 +40,8 @@ from .circuits import (
     check_implies_wigner,
     check_invariance_containment,
     check_leadsto_wigner,
-    count_pi_prime,
-    count_pi_star,
-    count_pi_star_joint,
-    default_ladder,
-    estimate_p,
+    exact_limit,
+    joint_limit,
     p_table,
     per_orbit,
 )
@@ -147,7 +144,6 @@ DEFAULT_TOLS = {
     "beta6_abs": 0.6,
     "ks_max": 0.05,
     "z_max": 3.0,
-    "p_tol": 0.03,
 }
 
 #: Absolute slack added to every standard-error band; keeps exact-by-
@@ -266,22 +262,6 @@ def cfg_link(cfg: Mapping, key: str, default=_MISSING) -> str:
     return text
 
 
-def cfg_ladder(cfg: Mapping, key: str, default) -> tuple[int, ...]:
-    raw = cfg_value(cfg, key, "list", default)
-    if raw is default:
-        return tuple(default)
-    ns = []
-    for v in raw:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ConfigError(f"config key {key!r}: {v!r} is not a positive integer")
-        ns.append(v)
-    if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(
-            f"config key {key!r}: {raw!r} must be >= 3 strictly increasing dimensions"
-        )
-    return tuple(ns)
-
-
 def cfg_word(key: str, text) -> Word:
     if not isinstance(text, str) or not text:
         raise ConfigError(f"config key {key!r}: {text!r} is not a word string")
@@ -361,8 +341,8 @@ class RunContext:
     #: Limit -> wall time and per-order fit of its target assembly; goes to
     #: the manifest only, since wall times differ between runs.
     target_assembly: dict = field(default_factory=dict)
-    #: Size and wall time of each relation or invariance sweep, in run
-    #: order; manifest only, like ``target_assembly``.
+    #: Size, proofs and wall time of each relation or invariance sweep, in
+    #: run order; manifest only, like ``target_assembly``.
     relation_sweeps: list = field(default_factory=list)
 
     def header(self) -> dict:
@@ -386,15 +366,19 @@ class RunContext:
         self.checks.append(CheckResult(name, bool(passed), detail))
         return bool(passed)
 
-    def sweep(self, kind: str, links: list, ns: list, run: Callable):
-        """Run one relation or invariance sweep and log its size and wall time."""
+    def sweep(self, kind: str, links: list, run: Callable):
+        """Run one relation or invariance sweep and log its size and wall time:
+        the dimension of an invariance sweep, the rank-walk nodes and the
+        classes per proof of a relation sweep."""
         start = time.perf_counter()
         rep = run()
+        size = ({"ns": [rep.n]} if kind == "invariance"
+                else {"nodes": rep.nodes, "proofs": rep.proofs})
         self.relation_sweeps.append({
             "kind": kind,
             "links": links,
             "two_k": rep.two_k,
-            "ns": ns,
+            **size,
             "entries": len(rep.entries),
             "classes": rep.classes,
             "wall_s": time.perf_counter() - start,
@@ -409,14 +393,12 @@ def _fmt(x: float) -> str:
 # --- report converters ------------------------------------------------------------
 
 
-def _pestimate_json(est: PEstimate) -> dict:
-    return {
-        "ns": list(est.ns),
-        "ratios": list(est.ratios),
-        "p": est.p,
-        "slope": est.slope,
-        "residual": est.residual,
-    }
+def _limit_json(lim: ExactLimit) -> dict:
+    """An exact limit as a string with its proof: the rank certificate's
+    bound on count / n^k, or the fit's period and span of n."""
+    if lim.proof == "rank":
+        return {"p": str(lim.p), "proof": "rank", "bound": lim.bound}
+    return {"p": str(lim.p), "proof": "fit", "period": lim.period, "n_range": list(lim.ns)}
 
 
 def _relation_json(rep: RelationReport) -> dict:
@@ -425,16 +407,13 @@ def _relation_json(rep: RelationReport) -> dict:
         "link_x": rep.link_x,
         "link_y": rep.link_y,
         "two_k": rep.two_k,
-        "ladder": list(rep.ladder),
-        "tol": rep.tol,
         "all_pass": rep.all_pass,
         "entries": [
             {
                 "word": str(e.word),
                 "word2": str(e.word2),
-                "expected": e.expected,
-                "p": e.estimate.p,
-                "residual": e.estimate.residual,
+                "expected": str(e.expected),
+                **_limit_json(e.limit),
                 "pass": e.passed,
             }
             for e in rep.entries
@@ -599,7 +578,9 @@ def cmd_spectrum(ctx: RunContext) -> None:
     lo, hi = -3.0, 3.0
     if "range" in cfg:
         raw = cfg_value(cfg, "range", "list")
-        if len(raw) != 2 or not all(isinstance(v, (int, float)) for v in raw):
+        if len(raw) != 2 or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
+        ):
             raise ConfigError(f"config key 'range': {raw!r} must be [lo, hi]")
         lo, hi = float(raw[0]), float(raw[1])
         if not lo < hi:
@@ -700,23 +681,10 @@ def cmd_moments(ctx: RunContext) -> None:
         print(f"h={m.h}: {_fmt(m.mean)} (stderr {_fmt(m.stderr)})")
 
 
-def _pw_ladder(link, link_x, link_y, variant, ladder, w, w2) -> dict:
-    """Ladder counts + extrapolation for one word (or word pair) as JSON fields."""
-    if link_x is not None:
-        counts = [count_pi_star_joint(link_x, link_y, w, w2, n) for n in ladder]
-    elif variant == "prime":
-        counts = [count_pi_prime(link, w, n) for n in ladder]
-    else:
-        counts = [count_pi_star(link, w, n) for n in ladder]
-    fields = {"counts": [c.count for c in counts]}
-    fields.update(_pestimate_json(estimate_p(counts)))
-    return fields
-
-
 def cmd_pw(ctx: RunContext) -> None:
     cfg = ctx.cfg
     _check_known_keys(
-        cfg, "pw", {"link", "link_x", "link_y", "variant", "words", "two_k", "ladder", "pairs"}
+        cfg, "pw", {"link", "link_x", "link_y", "variant", "words", "two_k", "pairs"}
     )
     joint = "link_x" in cfg or "link_y" in cfg
     if joint and "link" in cfg:
@@ -741,16 +709,15 @@ def cmd_pw(ctx: RunContext) -> None:
             else:
                 w = cfg_word("words", item)
                 jobs.append((w, w) if joint else (w, None))
-        lengths = {w.h for w, _ in jobs}
+        lengths = {w.h for job in jobs for w in job if w is not None}
         if len(lengths) != 1:
             raise ConfigError(f"config key 'words': mixed word lengths {sorted(lengths)}")
-        two_k = lengths.pop()
-        ladder = cfg_ladder(cfg, "ladder", default_ladder(two_k))
+        if lengths.pop() > 6:
+            raise ConfigError("config key 'words': words longer than 6 letters are not supported")
     else:
         two_k = cfg_value(cfg, "two_k", "int")
-        if two_k % 2 != 0 or not 2 <= two_k <= 8:
-            raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..8")
-        ladder = cfg_ladder(cfg, "ladder", default_ladder(two_k))
+        if two_k % 2 != 0 or not 2 <= two_k <= 6:
+            raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..6")
         words = enumerate_pair_matched(two_k)
         if joint:
             pairs = cfg_choice(cfg, "pairs", ("diagonal", "all"), "diagonal")
@@ -762,8 +729,10 @@ def cmd_pw(ctx: RunContext) -> None:
         else:
             jobs = [(w, None) for w in words]
 
-    def ladder_fields(w, w2=None):
-        return _pw_ladder(link, link_x, link_y, variant, ladder, w, w2)
+    def limit(w, w2=None):
+        if joint:
+            return joint_limit(link_x, link_y, w, w2)
+        return exact_limit(link, w, variant=variant)
 
     seen: dict = {}
     entries = []
@@ -772,7 +741,7 @@ def cmd_pw(ctx: RunContext) -> None:
         if w2 is not None:
             entry["word2"] = str(w2)
         words = (w,) if w2 is None else (w, w2)
-        entry.update(per_orbit(seen, ladder_fields, *words))
+        entry.update(_limit_json(per_orbit(seen, limit, *words)))
         entries.append(entry)
 
     report = dict(ctx.header())
@@ -781,7 +750,7 @@ def cmd_pw(ctx: RunContext) -> None:
     ctx.emit_json("pw_report.json", report)
     for e in entries:
         label = e["word"] + ("," + e["word2"] if "word2" in e else "")
-        print(f"p({label}) = {_fmt(e['p'])} (residual {_fmt(e['residual'])})")
+        print(f"p({label}) = {e['p']} ({e['proof']})")
 
 
 def cmd_check(ctx: RunContext) -> None:
@@ -789,8 +758,8 @@ def cmd_check(ctx: RunContext) -> None:
     _check_known_keys(
         cfg,
         "check",
-        {"relation", "link", "link_x", "link_y", "two_k", "ladder", "tol", "n", "ns",
-         "transform", "expected", "require_equal"},
+        {"relation", "link", "link_x", "link_y", "two_k", "n", "ns", "transform",
+         "expected", "require_equal"},
     )
     relation = cfg_choice(cfg, "relation", ("implies", "compatible", "leadsto", "invariance"))
     report = dict(ctx.header())
@@ -800,6 +769,8 @@ def cmd_check(ctx: RunContext) -> None:
         link_x = cfg_link(cfg, "link_x")
         link_y = cfg_link(cfg, "link_y")
         raw_ns = cfg_value(cfg, "ns", "list", [10, 20, 50])
+        if not raw_ns:
+            raise ConfigError("config key 'ns': [] names no dimension to check")
         results = {}
         for n in raw_ns:
             if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 64:
@@ -820,11 +791,8 @@ def cmd_check(ctx: RunContext) -> None:
         two_k = cfg_value(cfg, "two_k", "int", 4)
         if two_k % 2 != 0 or not 2 <= two_k <= 6:
             raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..6")
-        tol = float(cfg_value(cfg, "tol", "number", DEFAULT_TOLS["p_tol"]))
-        ladder = cfg_ladder(cfg, "ladder", default_ladder(two_k))
         fn = check_compatible if relation == "compatible" else check_leadsto_wigner
-        rep = ctx.sweep(relation, [link_x, link_y], list(ladder),
-                        lambda: fn(link_x, link_y, two_k, ladder, tol))
+        rep = ctx.sweep(relation, [link_x, link_y], lambda: fn(link_x, link_y, two_k))
         report["report"] = _relation_json(rep)
         ctx.check(
             f"{relation}:{link_x}*{link_y}",
@@ -839,7 +807,7 @@ def cmd_check(ctx: RunContext) -> None:
             raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..6")
         n = cfg_posint(cfg, "n", 10)
         try:
-            rep = ctx.sweep("invariance", [link, _composed_name(link, transform)], [n],
+            rep = ctx.sweep("invariance", [link, _composed_name(link, transform)],
                             lambda: check_invariance_containment(link, transform, two_k, n))
         except TransformError as exc:
             raise ConfigError(f"config key 'transform': {exc}") from exc
@@ -898,7 +866,7 @@ def cmd_verify_table2(ctx: RunContext) -> None:
         cfg,
         "verify-table2",
         {"rows", "n", "trials", "dist", "dist_x", "dist_y", "h_max", "tol",
-         "relation_ladder", "relation_two_k", "invariance_ns", "mc"},
+         "relation_two_k", "invariance_ns", "mc"},
     )
     rows = _parse_rows(cfg)
     n = cfg_posint(cfg, "n", 1000, minimum=2)
@@ -916,7 +884,6 @@ def cmd_verify_table2(ctx: RunContext) -> None:
         raise ConfigError(
             f"config key 'relation_two_k': {relation_two_k!r} must be an even integer in 2..6"
         )
-    relation_ladder = cfg_ladder(cfg, "relation_ladder", (8, 16, 32))
     invariance_ns = cfg_value(cfg, "invariance_ns", "list", [8, 16])
     for v in invariance_ns:
         if not isinstance(v, int) or isinstance(v, bool) or v < 4:
@@ -948,7 +915,7 @@ def cmd_verify_table2(ctx: RunContext) -> None:
             for inv_n in invariance_ns if record.invariance else ():
                 transform = record.invariance(x, y, inv_n)
                 rep = ctx.sweep(
-                    "invariance", [x, _composed_name(x, transform)], [inv_n],
+                    "invariance", [x, _composed_name(x, transform)],
                     lambda: check_invariance_containment(x, transform, relation_two_k, inv_n),
                 )
                 row_report["invariance"].append(_invariance_json(rep))
@@ -959,10 +926,7 @@ def cmd_verify_table2(ctx: RunContext) -> None:
                 )
             for kind in record.relations:
                 relation = check_compatible if kind == "compatible" else check_leadsto_wigner
-                rep = ctx.sweep(
-                    kind, [x, y], list(relation_ladder),
-                    lambda: relation(x, y, relation_two_k, relation_ladder, tols["p_tol"]),
-                )
+                rep = ctx.sweep(kind, [x, y], lambda: relation(x, y, relation_two_k))
                 row_report["relations"].append(_relation_json(rep))
                 unit = "word pairs" if kind == "compatible" else "words"
                 ctx.check(

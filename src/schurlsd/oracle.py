@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "assemble_moments",
     "catalan_number",
     "moment_bound",
-    "moment_matrix_is_psd",
     "pair_matched_count",
     "semicircle_cdf",
     "semicircle_moments",
@@ -106,18 +105,3 @@ def semicircle_cdf(x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def moment_matrix_is_psd(
-    moments: Union[MomentSequence, Sequence[float]], tol: float = 1e-9
-) -> bool:
-    """Check the moment matrix M[i, j] = beta_{i+j} (beta_0 = 1) is PSD.
-
-    A failed check means the sequence cannot be the moments of any
-    distribution; used as a sanity gate on assembled targets.
-    """
-    values = moments.values if isinstance(moments, MomentSequence) else tuple(moments)
-    m = [1.0, *(float(v) for v in values)]
-    size = len(values) // 2 + 1
-    mat = np.array([[m[i + j] for j in range(size)] for i in range(size)])
-    return bool(np.linalg.eigvalsh(mat).min() >= -tol)

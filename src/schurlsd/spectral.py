@@ -9,6 +9,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .ensemble import ProductSpec, product_realization
+from .linkfn import parse_link, value_table
 
 __all__ = [
     "ESD",
@@ -17,9 +18,7 @@ __all__ = [
     "eigenvalues",
     "histogram",
     "ks_distance",
-    "mc_moments",
     "moment_from_spectrum",
-    "moment_from_trace",
     "moments_from_spectra",
     "trial_spectra",
 ]
@@ -90,19 +89,12 @@ def moment_from_spectrum(spectrum: Spectrum, h: int) -> float:
     return float(np.mean(spectrum.eigenvalues**h))
 
 
-def moment_from_trace(a: np.ndarray, h: int) -> float:
-    """(1/n) trace(A^h) by repeated multiplication; the route that never
-    touches the eigensolver, kept as its independent cross-check. h <= 8."""
-    if not 1 <= h <= MAX_MC_ORDER:
-        raise ValueError(f"moment order must be in 1..{MAX_MC_ORDER}, got {h}")
-    power = a
-    for _ in range(h - 1):
-        power = power @ a
-    return float(np.trace(power)) / a.shape[0]
-
-
 def trial_spectra(spec: ProductSpec, threads: int = 1) -> list[Spectrum]:
     """Spectra of all trials, in trial order regardless of thread count."""
+    # Build both code tables before the first draw: a table first built inside
+    # a trial pins the heap holes that trial's transient n x n arrays leave.
+    for link in (spec.link_x, spec.link_y):
+        value_table(parse_link(link), spec.n)
     trials = range(spec.trials)
     work = lambda t: eigenvalues(product_realization(spec, t))
     if threads <= 1:
@@ -147,13 +139,6 @@ def moments_from_spectra(spectra: Sequence[Spectrum], h_max: int) -> list[Moment
             )
         )
     return out
-
-
-def mc_moments(spec: ProductSpec, h_max: int, threads: int = 1) -> list[MomentEstimate]:
-    """Across-trial moment estimates for h = 1..h_max of a product run."""
-    if spec.trials < 2:
-        raise ValueError("mc_moments needs trials >= 2 for an across-trial variance")
-    return moments_from_spectra(trial_spectra(spec, threads=threads), h_max)
 
 
 def ks_distance(esd: ESD, ref_cdf: Callable) -> float:

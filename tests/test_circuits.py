@@ -1,4 +1,4 @@
-"""Tests for exact circuit-class counting, exact limits, extrapolation, and relation checks.
+"""Tests for exact circuit-class counting, exact limits, rank certificates, and relation checks.
 
 Every counting path is pinned against the raw n^h enumeration in
 ``bruteforce`` at small n, then frozen values and structural invariants
@@ -13,6 +13,7 @@ import pytest
 
 import schurlsd.circuits as circuits
 from schurlsd.circuits import (
+    LABEL_BRANCHES,
     MAX_FRONTIER_ROWS,
     SearchBudgetError,
     check_compatible,
@@ -22,12 +23,12 @@ from schurlsd.circuits import (
     count_pi_prime,
     count_pi_star,
     count_pi_star_joint,
-    default_ladder,
-    estimate_p,
     exact_limit,
     fit_quasi_polynomial,
+    joint_limit,
     p_table,
 )
+from schurlsd.cli import TABLE2_ROWS
 from schurlsd.linkfn import (
     builtin_link,
     compose,
@@ -41,6 +42,7 @@ from schurlsd.linkfn import (
 )
 from schurlsd.oracle import assemble_moments
 from schurlsd.words import canonicalize, dihedral_images, enumerate_pair_matched, is_catalan
+from schurlsd.words import orbit_key
 
 from bruteforce import (
     RAW_LINKS,
@@ -137,7 +139,8 @@ def test_wigner_exactness_band(n):
         for word in enumerate_pair_matched(two_k):
             if not is_catalan(word):
                 continue
-            ratio = count_pi_star("wigner", word, n).ratio
+            c = count_pi_star("wigner", word, n)
+            ratio = c.count / n**c.normalizer_exponent
             assert 1 - (k + 1) ** 2 / n <= ratio <= 1
 
 
@@ -309,63 +312,7 @@ def test_budget_guard_raises():
         count_pi_star("toeplitz", "abcdefgh", 64)
 
 
-# --- extrapolation ---------------------------------------------------------------------------
-
-
-def test_default_ladders():
-    assert default_ladder(2) == (8, 16, 32, 64)
-    assert default_ladder(4) == (8, 16, 32, 64)
-    assert default_ladder(6) == (8, 16, 32)
-
-
-def test_estimate_p_recovers_exact_linear_model():
-    # ratios manufactured to satisfy ratio = 0.25 + 3/n exactly
-    counts = [count_pi_star("toeplitz", "abab", n) for n in (8, 16, 32)]
-    fake = [
-        type(c)(
-            link=c.link, word=c.word, n=c.n,
-            count=int((0.25 + 3.0 / c.n) * c.n**3),
-            normalizer_exponent=c.normalizer_exponent,
-        )
-        for c in counts
-    ]
-    est = estimate_p(fake)
-    assert est.p == pytest.approx(0.25, abs=1e-6)
-    assert est.slope == pytest.approx(3.0, abs=1e-4)
-    assert est.residual <= 1e-6
-
-
-def test_estimate_p_clamps_negative_limits_to_zero():
-    counts = [count_pi_star("hankel", "abab", n) for n in (8, 16, 32, 64)]
-    est = estimate_p(counts)
-    assert est.p >= 0.0
-    assert est.p <= 0.01
-
-
-def test_estimate_p_validation():
-    counts = [count_pi_star("toeplitz", "abab", n) for n in (8, 16)]
-    with pytest.raises(ValueError):
-        estimate_p(counts)
-    backwards = [count_pi_star("toeplitz", "abab", n) for n in (32, 16, 8)]
-    with pytest.raises(ValueError):
-        estimate_p(backwards)
-    mixed = [
-        count_pi_star("toeplitz", "abab", 8),
-        count_pi_star("toeplitz", "abba", 16),
-        count_pi_star("toeplitz", "abab", 32),
-    ]
-    with pytest.raises(ValueError):
-        estimate_p(mixed)
-
-
-def test_known_limits_from_default_ladders():
-    toeplitz_abab = estimate_p([count_pi_star("toeplitz", "abab", n) for n in (8, 16, 32, 64)])
-    assert toeplitz_abab.p == pytest.approx(2 / 3, abs=0.02)
-    for word in ("aabb", "abba"):
-        wigner = estimate_p([count_pi_star("wigner", word, n) for n in (8, 16, 32)])
-        assert wigner.p == pytest.approx(1.0, abs=0.02)
-    wigner_abab = estimate_p([count_pi_star("wigner", "abab", n) for n in (8, 16, 32)])
-    assert wigner_abab.p == pytest.approx(0.0, abs=0.02)
+# --- exact limits by quasi-polynomial interpolation -----------------------------------------
 
 
 def test_p_table_shapes():
@@ -373,8 +320,6 @@ def test_p_table_shapes():
     assert set(table) == set(enumerate_pair_matched(4))
     assert table[canonicalize("abab")].p == Fraction(2, 3)
 
-
-# --- exact limits by quasi-polynomial interpolation -----------------------------------------
 
 
 @pytest.mark.parametrize("kind", ALL_LINKS)
@@ -479,22 +424,23 @@ def test_implies_wigner_matches_raw_scan(x, y):
 
 
 def test_compatible_toeplitz_hankel():
-    report = check_compatible("toeplitz", "hankel", 4, ladder=(8, 16, 32), tol=0.03)
+    report = check_compatible("toeplitz", "hankel", 4)
     assert report.kind == "compatible"
     assert len(report.entries) == 6  # ordered off-diagonal pairs
-    assert all(e.passed for e in report.entries)
+    assert all(e.passed and e.limit.p == 0 and e.expected == 0 for e in report.entries)
     assert report.all_pass
+    assert report.proofs == {"rank": 3, "fit": 0} and report.classes == 3
 
 
 def test_compatible_symcirc_hankel():
-    report = check_compatible("symcirc", "hankel", 4, ladder=(8, 16, 32), tol=0.03)
+    report = check_compatible("symcirc", "hankel", 4)
     assert report.all_pass
 
 
 def test_compatible_identical_toeplitz_pairs_vanish_too():
     # identical links: every off-diagonal intersection is lower order as well,
-    # so the compatibility verdict is a pass (counts shrink like c/n)
-    report = check_compatible("toeplitz", "toeplitz", 4, ladder=(8, 16, 32, 64), tol=0.03)
+    # so the compatibility verdict is a pass (counts grow like n^k)
+    report = check_compatible("toeplitz", "toeplitz", 4)
     assert report.all_pass
 
 
@@ -503,33 +449,33 @@ def test_compatible_identical_toeplitz_pairs_vanish_too():
     [("toeplitz", "hankel"), ("toeplitz", "revcirc"), ("wigner", "wigner")],
 )
 def test_leadsto_wigner_catalan_pattern(x, y):
-    report = check_leadsto_wigner(x, y, 4, ladder=(8, 16, 32), tol=0.03)
+    report = check_leadsto_wigner(x, y, 4)
     assert report.kind == "leadsto"
     by_word = {str(e.word): e for e in report.entries}
-    assert by_word["aabb"].expected == 1.0
-    assert by_word["abba"].expected == 1.0
-    assert by_word["abab"].expected == 0.0
+    assert by_word["aabb"].expected == 1 and by_word["aabb"].limit.proof == "fit"
+    assert by_word["abba"].expected == 1
+    assert by_word["abab"].expected == 0 and by_word["abab"].limit.proof == "rank"
     assert report.all_pass
 
 
 def test_sweeps_count_each_dihedral_orbit_once(monkeypatch):
     calls = []
-    direct = circuits.count_pi_star_joint
+    direct = circuits.joint_limit
 
     def counted(*args, **kwargs):
         calls.append(args)
         return direct(*args, **kwargs)
 
-    monkeypatch.setattr(circuits, "count_pi_star_joint", counted)
-    ladder = (4, 5, 6)
+    monkeypatch.setattr(circuits, "joint_limit", counted)
     for check, orbits in ((check_compatible, 34), (check_leadsto_wigner, 5)):
         calls.clear()
-        report = check("toeplitz", "hankel", 6, ladder=ladder)
-        assert len(calls) == orbits * len(ladder)
-        assert report.classes == orbits
+        report = check("toeplitz", "hankel", 6)
+        assert len(calls) == orbits
+        assert report.classes == orbits == sum(report.proofs.values())
         for e in report.entries:
-            counts = [direct("toeplitz", "hankel", e.word, e.word2, n) for n in ladder]
-            assert e.estimate == estimate_p(counts), (str(e.word), str(e.word2))
+            # the certificate's size depends on the image walked, its verdict does not
+            want = direct("toeplitz", "hankel", e.word, e.word2)
+            assert (e.limit.p, e.limit.proof) == (want.p, want.proof), (str(e.word), str(e.word2))
 
 
 def test_invariance_and_p_table_count_each_word_orbit_once(monkeypatch):
@@ -549,6 +495,112 @@ def test_invariance_and_p_table_count_each_word_orbit_once(monkeypatch):
     table = p_table("hankel", 6)
     for w, fit in table.items():
         assert fit == exact_limit("hankel", w)
+
+
+# --- rank certificates ------------------------------------------------------------------------
+
+#: The 11 products of Table 2 rows 1 and 2, whose limit is the semicircle.
+ROW12_PRODUCTS = [pair for row in (1, 2) for pair in TABLE2_ROWS[row].products]
+
+
+def _orbit_pairs(two_k):
+    """One ordered word pair of order two_k per dihedral orbit."""
+    seen = {}
+    for pair in itertools.product(enumerate_pair_matched(two_k), repeat=2):
+        seen.setdefault(orbit_key(pair), pair)
+    return list(seen.values())
+
+
+def _joint_fit(x, y, wx, wy):
+    # some off-diagonal dsymhankel classes of order 4 have period 8
+    return fit_quasi_polynomial(
+        lambda n: count_pi_star_joint(x, y, wx, wy, n).count, wx.h // 2 + 1, max_period=8
+    )
+
+
+@pytest.mark.parametrize("kind", ALL_LINKS)
+def test_label_branches_are_label_equality(kind):
+    link = parse_link(kind)
+    for n in range(1, 10):
+        cells = list(itertools.product(range(1, n + 1), repeat=2))
+        labels = {cell: eval_link(link, *cell, n) for cell in cells}
+        for ends in itertools.product(cells, repeat=2):
+            vertices = ends[0] + ends[1]
+            in_a_branch = any(
+                all(sum(c * v for c, v in zip(coeffs, vertices)) in {x * n for x in values}
+                    for coeffs, values in branch)
+                for branch in LABEL_BRANCHES[kind]
+            )
+            assert in_a_branch == (labels[ends[0]] == labels[ends[1]]), (kind, n, vertices)
+
+
+@pytest.mark.parametrize("x,y", ROW12_PRODUCTS)
+def test_rank_certificates_bound_raw_counts(x, y):
+    # a certified class has at most bound * n^k circuits at every n
+    cases = [(pair, range(1, 9)) for pair in _orbit_pairs(4)]
+    if (x, y) in (("toeplitz", "hankel"), ("symcirc", "dsymhankel")):
+        cases += [(pair, [7]) for pair in _orbit_pairs(6)]
+    for (wx, wy), ns in cases:
+        bound, nodes = circuits._rank_certificate((wx, wy), (x, y))
+        assert nodes >= 1
+        if bound is None:  # only the Catalan diagonal classes, whose limit is 1
+            assert wx == wy and is_catalan(wx), (str(wx), str(wy))
+            continue
+        for n in ns:
+            raw = array_count([x, y], [str(wx), str(wy)], n)
+            assert raw <= bound * n ** (wx.h // 2), (str(wx), str(wy), n, raw, bound)
+
+
+@pytest.mark.parametrize(
+    "x,y,two_k", [(x, y, 4) for x, y in ROW12_PRODUCTS] + [("toeplitz", "hankel", 6)]
+)
+def test_verdicts_equal_the_fitters_on_every_orbit(x, y, two_k):
+    for wx, wy in _orbit_pairs(two_k):
+        lim = joint_limit(x, y, wx, wy)
+        assert lim.p == _joint_fit(x, y, wx, wy).p, (str(wx), str(wy), lim)
+        assert lim.p == (wx == wy and is_catalan(wx))
+
+
+def test_negative_controls_stay_uncertified_and_fail():
+    # toeplitz*toeplitz and hankel*hankel are the single-link classes, whose
+    # crossing words keep a positive limit
+    for link, two_k, word, p in (("toeplitz", 4, "abab", Fraction(2, 3)),
+                                 ("hankel", 6, "abcabc", Fraction(1, 2))):
+        w = canonicalize(word)
+        assert circuits._rank_certificate((w, w), (link, link))[0] is None
+        report = check_leadsto_wigner(link, link, two_k)
+        entry = next(e for e in report.entries if e.word == w)
+        assert (entry.limit.p, entry.limit.proof, entry.passed) == (p, "fit", False)
+        assert not report.all_pass
+
+
+def test_injective_composed_links_use_their_base_branches():
+    for name, kind in (("square(square(toeplitz))", "toeplitz"),
+                       ("coprimepower(2,3,wigner)", "wigner"),
+                       ("square(wigner)", None),
+                       ("coprimepower(2,3,toeplitz)", None)):
+        assert circuits._branch_kind(parse_link(name)) == kind, name
+    power = parse_link("coprimepower(2,3,wigner)")
+    assert circuits._branch_kind(compose(square(), power)) is None
+    composed = joint_limit("square(toeplitz)", "coprimepower(2,3,wigner)", "abab", "abba")
+    assert composed == joint_limit("toeplitz", "wigner", "abab", "abba")
+    assert composed.proof == "rank"
+    # a table link, even one defined for every n the fit reaches, is only fitted
+    wide = compose(table_transform({v: (1 if v == 2 else v) for v in range(64)}),
+                   builtin_link("toeplitz"))
+    assert circuits._branch_kind(wide) is None
+    merged = joint_limit(wide, "hankel", "aabb", "aabb")
+    assert (merged.p, merged.proof, merged.nodes) == (1, "fit", 0)
+
+
+def test_unsettled_pair_raises_naming_it(monkeypatch):
+    def nothing_fits(*args, **kwargs):
+        raise SearchBudgetError("nothing fits")
+
+    monkeypatch.setattr(circuits, "fit_quasi_polynomial", nothing_fits)
+    with pytest.raises(SearchBudgetError, match=r"toeplitz\*toeplitz words abab, abab: nothing"):
+        joint_limit("toeplitz", "toeplitz", "abab", "abab")
+    assert joint_limit("toeplitz", "hankel", "abab", "abba").proof == "rank"
 
 
 # --- invariance containment ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import schurlsd.cli as cli
-from schurlsd.circuits import count_pi_star_joint
+from schurlsd.circuits import joint_limit
 from schurlsd.cli import _label_map, main
 from schurlsd.linkfn import eval_link, parse_link, table_transform
 from schurlsd.words import canonicalize, orbit_key
@@ -65,10 +65,33 @@ def test_exit_two_on_bad_value(tmp_path, capsys):
     assert "two_k" in err and "7" in err
 
 
-def test_exit_three_on_budget(tmp_path):
-    cfg = {"link": "toeplitz", "words": ["abcdefgh"], "ladder": [64, 128, 256]}
-    code, _ = run_cli(tmp_path, "pw", cfg)
+def test_exit_three_on_budget(tmp_path, capsys):
+    # an order-6 count at n = 1000 has 1000^4 search nodes
+    cfg = {"relation": "invariance", "link": "toeplitz", "transform": {"kind": "square"},
+           "two_k": 6, "n": 1000}
+    code, _ = run_cli(tmp_path, "check", cfg)
     assert code == 3
+    assert "resource error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("check", {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel",
+                   "ladder": [8, 16, 32]}),
+        ("check", {"relation": "leadsto", "link_x": "toeplitz", "link_y": "hankel",
+                   "tol": 0.03}),
+        ("pw", {"link": "toeplitz", "words": ["abab"], "ladder": [8, 16, 32]}),
+        ("verify-table2", {"rows": [2], "mc": False, "relation_ladder": [8, 16, 32]}),
+        ("verify-table2", {"rows": [2], "mc": False, "tol": {"p_tol": 0.03}}),
+    ],
+    ids=["check.ladder", "check.tol", "pw.ladder", "verify-table2.relation_ladder",
+         "tol.p_tol"],
+)
+def test_removed_ladder_and_tolerance_keys_exit_two(tmp_path, capsys, command, cfg):
+    code, _ = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert "unknown" in capsys.readouterr().err
 
 
 # --- words ------------------------------------------------------------------------------
@@ -148,6 +171,13 @@ def test_spectrum_range_validation(tmp_path):
     assert code == 2
 
 
+def test_spectrum_range_rejects_booleans(tmp_path):
+    for bad in ([True, 3], [0, False]):
+        cfg = {"link_x": "wigner", "link_y": "toeplitz", "n": 20, "trials": 2, "range": bad}
+        code, _ = run_cli(tmp_path, "spectrum", cfg)
+        assert code == 2, bad
+
+
 # --- moments -----------------------------------------------------------------------------
 
 
@@ -207,15 +237,14 @@ def test_moments_requires_two_trials(tmp_path):
 # --- pw ----------------------------------------------------------------------------------
 
 
-def test_pw_single_link_words(tmp_path):
-    cfg = {"link": "toeplitz", "words": ["abab"], "ladder": [8, 16, 32, 64]}
+def test_pw_single_link_words(tmp_path, capsys):
+    cfg = {"link": "toeplitz", "words": ["abab"]}
     code, out = run_cli(tmp_path, "pw", cfg)
     assert code == 0
     report = read_json(out, "pw_report.json")
     (entry,) = report["entries"]
-    assert entry["word"] == "abab"
-    assert entry["counts"] == [400, 2976, 22848, 178816]
-    assert entry["p"] == pytest.approx(2 / 3, abs=0.01)
+    assert entry == {"word": "abab", "p": "2/3", "proof": "fit", "period": 1, "n_range": [1, 7]}
+    assert "p(abab) = 2/3 (fit)" in capsys.readouterr().out
 
 
 def test_pw_prime_variant(tmp_path):
@@ -223,7 +252,7 @@ def test_pw_prime_variant(tmp_path):
     code, out = run_cli(tmp_path, "pw", cfg)
     assert code == 0
     report = read_json(out, "pw_report.json")
-    assert all(e["p"] == pytest.approx(1.0, abs=1e-9) for e in report["entries"])
+    assert [e["p"] for e in report["entries"]] == ["1", "1", "1"]
 
 
 def test_pw_joint_sweep(tmp_path):
@@ -233,8 +262,9 @@ def test_pw_joint_sweep(tmp_path):
     report = read_json(out, "pw_report.json")
     by_word = {e["word"]: e for e in report["entries"]}
     assert len(by_word) == 3
-    assert by_word["abba"]["p"] == pytest.approx(1.0, abs=0.03)
-    assert by_word["abab"]["p"] == pytest.approx(0.0, abs=0.03)
+    assert by_word["abba"]["p"] == "1" and by_word["abba"]["proof"] == "fit"
+    assert by_word["abab"]["p"] == "0" and by_word["abab"]["proof"] == "rank"
+    assert by_word["abab"]["bound"] >= 1
 
 
 def test_pw_all_pairs_count_each_dihedral_orbit_once(tmp_path, monkeypatch):
@@ -242,23 +272,20 @@ def test_pw_all_pairs_count_each_dihedral_orbit_once(tmp_path, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return count_pi_star_joint(*args, **kwargs)
+        return joint_limit(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "count_pi_star_joint", counted)
-    ladder = [8, 16, 32]
-    cfg = {"link_x": "toeplitz", "link_y": "hankel", "two_k": 4, "pairs": "all",
-           "ladder": ladder}
+    monkeypatch.setattr(cli, "joint_limit", counted)
+    cfg = {"link_x": "toeplitz", "link_y": "hankel", "two_k": 4, "pairs": "all"}
     code, out = run_cli(tmp_path, "pw", cfg)
     assert code == 0
     entries = read_json(out, "pw_report.json")["entries"]
     words = ["aabb", "abab", "abba"]
     assert [(e["word"], e["word2"]) for e in entries] == [(a, b) for a in words for b in words]
     orbits = {orbit_key((canonicalize(e["word"]), canonicalize(e["word2"]))) for e in entries}
-    assert len(orbits) == 5 and len(calls) == 5 * len(ladder)
+    assert len(orbits) == 5 and len(calls) == 5
     for e in entries:
-        direct = [count_pi_star_joint("toeplitz", "hankel", e["word"], e["word2"], n).count
-                  for n in ladder]
-        assert e["counts"] == direct
+        direct = joint_limit("toeplitz", "hankel", e["word"], e["word2"])
+        assert (e["p"], e["proof"]) == (str(direct.p), direct.proof)
 
 
 def test_pw_rejects_conflicting_links(tmp_path):
@@ -271,6 +298,20 @@ def test_pw_rejects_mixed_lengths(tmp_path):
     cfg = {"link": "toeplitz", "words": ["aa", "aabb"]}
     code, _ = run_cli(tmp_path, "pw", cfg)
     assert code == 2
+    cfg = {"link_x": "toeplitz", "link_y": "hankel", "words": [["aa", "aabb"]]}
+    code, _ = run_cli(tmp_path, "pw", cfg)
+    assert code == 2
+
+
+def test_pw_rejects_orders_above_six(tmp_path):
+    for cfg in (
+        {"link": "toeplitz", "two_k": 8},
+        {"link_x": "toeplitz", "link_y": "hankel", "two_k": 8},
+        {"link": "toeplitz", "words": ["abcdabcd"]},
+        {"link_x": "toeplitz", "link_y": "hankel", "words": [["abcdabcd", "aabbccdd"]]},
+    ):
+        code, _ = run_cli(tmp_path, "pw", cfg)
+        assert code == 2
 
 
 def test_pw_rejects_prime_for_joint(tmp_path):
@@ -291,25 +332,40 @@ def test_check_implies(tmp_path):
     assert report["results"] == {"10": True, "20": True}
 
 
+def test_check_implies_rejects_an_empty_dimension_list(tmp_path):
+    cfg = {"relation": "implies", "link_x": "toeplitz", "link_y": "hankel",
+           "ns": [], "expected": True}
+    code, _ = run_cli(tmp_path, "check", cfg)
+    assert code == 2
+
+
 def test_check_compatible(tmp_path):
-    cfg = {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel",
-           "two_k": 4, "ladder": [8, 16, 32], "tol": 0.03}
+    cfg = {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel", "two_k": 4}
     code, out = run_cli(tmp_path, "check", cfg)
     assert code == 0
-    report = read_json(out, "check_report.json")
-    assert len(report["report"]["entries"]) == 6
+    report = read_json(out, "check_report.json")["report"]
+    assert list(report) == ["kind", "link_x", "link_y", "two_k", "all_pass", "entries"]
+    assert len(report["entries"]) == 6
+    for e in report["entries"]:
+        assert list(e) == ["word", "word2", "expected", "p", "proof", "bound", "pass"]
+        assert (e["expected"], e["p"], e["proof"], e["pass"]) == ("0", "0", "rank", True)
 
 
 def test_check_manifest_logs_relation_sweeps_outside_the_report(tmp_path):
-    cfg = {"relation": "leadsto", "link_x": "toeplitz", "link_y": "hankel",
-           "two_k": 6, "ladder": [8, 16, 32]}
+    cfg = {"relation": "leadsto", "link_x": "toeplitz", "link_y": "hankel", "two_k": 6}
     code, out = run_cli(tmp_path, "check", cfg)
     assert code == 0
     (sweep,) = read_json(out, "manifest.json")["relation_sweeps"]
     wall = sweep.pop("wall_s")
     assert wall > 0
+    nodes = sweep.pop("nodes")
+    assert nodes >= 5
     assert sweep == {"kind": "leadsto", "links": ["toeplitz", "hankel"], "two_k": 6,
-                     "ns": [8, 16, 32], "entries": 15, "classes": 5}
+                     "proofs": {"rank": 3, "fit": 2}, "entries": 15, "classes": 5}
+    report = read_json(out, "check_report.json")["report"]
+    fits = [e for e in report["entries"] if e["proof"] == "fit"]
+    assert len(fits) == 5 and all(e["p"] == e["expected"] == "1" for e in fits)
+    assert all(list(e)[3:7] == ["p", "proof", "period", "n_range"] for e in fits)
     assert "relation_sweeps" not in (out / "check_report.json").read_text()
 
 
@@ -346,8 +402,7 @@ def test_check_transform_domain_error_is_config_error(tmp_path):
 # --- verify-table2 --------------------------------------------------------------------------
 
 
-ROW5_CFG = {"rows": [5], "mc": True, "n": 120, "trials": 4,
-            "relation_ladder": [8, 16, 32], "invariance_ns": [8]}
+ROW5_CFG = {"rows": [5], "mc": True, "n": 120, "trials": 4, "invariance_ns": [8]}
 
 
 def test_verify_row5_small_scale(tmp_path):
@@ -372,7 +427,7 @@ def test_verify_reports_identical_across_threads_and_reruns(tmp_path):
 
 
 def test_verify_manifest_logs_every_relation_and_invariance_sweep(tmp_path):
-    cfg = {"rows": [1, 2], "mc": False, "relation_ladder": [8, 16, 32], "invariance_ns": [8]}
+    cfg = {"rows": [1, 2], "mc": False, "invariance_ns": [8]}
     code, out = run_cli(tmp_path, "verify-table2", cfg)
     assert code == 0
     sweeps = read_json(out, "manifest.json")["relation_sweeps"]
@@ -387,12 +442,17 @@ def test_verify_manifest_logs_every_relation_and_invariance_sweep(tmp_path):
         assert s["two_k"] == 4 and s["wall_s"] >= 0
         assert (s["entries"], s["classes"]) == {
             "invariance": (3, 2), "leadsto": (3, 2), "compatible": (6, 3)}[s["kind"]]
+        if s["kind"] == "invariance":
+            assert s["ns"] == [8] and "nodes" not in s
+        else:
+            assert "ns" not in s and s["nodes"] >= s["classes"]
+            assert s["proofs"] == ({"rank": 1, "fit": 1} if s["kind"] == "leadsto"
+                                   else {"rank": 3, "fit": 0})
     assert "wall_s" not in (out / "verify_table2_report.json").read_text()
 
 
 def test_verify_row3_gates_every_even_moment_against_exact_targets(tmp_path):
-    cfg = {"rows": [3], "mc": True, "n": 150, "trials": 4,
-           "relation_ladder": [8, 16, 32], "invariance_ns": [8]}
+    cfg = {"rows": [3], "mc": True, "n": 150, "trials": 4, "invariance_ns": [8]}
     code, out = run_cli(tmp_path, "verify-table2", cfg, seed=20260814)
     report = read_json(out, "verify_table2_report.json")
     names = [c["name"] for c in report["checks"]]
@@ -485,13 +545,14 @@ def test_verify_unknown_tolerance_rejected(tmp_path):
 
 
 def test_reports_serialize_floats_with_17_significant_digits(tmp_path):
-    cfg = {"link": "toeplitz", "words": ["abab"], "ladder": [8, 16, 32]}
-    _, out = run_cli(tmp_path, "pw", cfg)
-    text = (out / "pw_report.json").read_text()
+    cfg = {"link_x": "toeplitz", "link_y": "hankel", "n": 20, "trials": 2, "h_max": 4}
+    _, out = run_cli(tmp_path, "moments", cfg)
+    text = (out / "moments_report.json").read_text()
     report = json.loads(text)
-    (entry,) = report["entries"]
-    # a third-ish ratio needs all 17 digits; round-tripping must be exact
-    assert f'{entry["p"]:.17g}' in text
+    # a Monte Carlo mean needs all 17 digits; round-tripping must be exact
+    mean = report["moments"][3]["mean"]
+    assert len(repr(mean).lstrip("-").replace(".", "").lstrip("0")) >= 15
+    assert f"{mean:.17g}" in text
 
 
 # --- module entry point ------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Tests for reference moments, assembled targets, bounds, and the moment-matrix check."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from schurlsd.cli import _limit_targets
 from schurlsd.oracle import (
     assemble_moments,
     catalan_number,
     moment_bound,
-    moment_matrix_is_psd,
     pair_matched_count,
     semicircle_cdf,
     semicircle_moments,
@@ -111,10 +113,43 @@ def test_semicircle_respects_its_own_bound():
 # --- moment-matrix sanity ------------------------------------------------------------------
 
 
+def moment_matrix_is_psd(moments) -> bool:
+    """Is the Hankel matrix M[i, j] = beta_{i+j} (beta_0 = 1) of ``moments``
+    (beta_1, ..., beta_2m) positive semidefinite? Exact symmetric elimination:
+    a negative pivot, or a zero pivot with a nonzero rest of its row, fails.
+    A sequence that fails is the moment sequence of no distribution."""
+    beta = [Fraction(1), *map(Fraction, moments)]
+    size = len(moments) // 2 + 1
+    m = [[beta[i + j] for j in range(size)] for i in range(size)]
+    for i in range(size):
+        pivot = m[i][i]
+        if pivot < 0 or (pivot == 0 and any(m[i][i + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for r in range(i + 1, size):
+            factor = m[r][i] / pivot
+            for c in range(i + 1, size):
+                m[r][c] -= factor * m[i][c]
+    return True
+
+
 def test_moment_matrix_psd_for_semicircle():
-    assert moment_matrix_is_psd(semicircle_moments(12))
+    assert moment_matrix_is_psd(semicircle_moments(12).values)
+
+
+@pytest.mark.parametrize("limit", ["toeplitz", "hankel", "revcirc"])
+def test_exact_targets_of_rows_3_to_5_have_psd_moment_matrices(limit):
+    # beta_0..beta_6 of the single-pattern limits, odd moments 0
+    targets = _limit_targets(limit, 6)
+    moments = [Fraction(targets[h]["exact"]) if h % 2 == 0 else 0 for h in range(1, 7)]
+    assert moment_matrix_is_psd(moments)
+    moments[3] = moments[1] ** 2 - Fraction(1, 10**6)  # beta_4 just below beta_2^2
+    assert not moment_matrix_is_psd(moments)
 
 
 def test_moment_matrix_rejects_impossible_sequence():
     # beta_4 < beta_2^2 violates Cauchy-Schwarz, so no law has these moments
-    assert not moment_matrix_is_psd([0.0, 1.0, 0.0, 0.5])
+    assert not moment_matrix_is_psd([0, 1, 0, Fraction(1, 2)])
+    # a singular but valid matrix: the two-point law on +-1
+    assert moment_matrix_is_psd([0, 1, 0, 1, 0, 1])

@@ -2,17 +2,29 @@
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from schurlsd.circuits import count_pi_star, count_pi_star_joint
+from schurlsd.cli import main
 from schurlsd.ensemble import ProductSpec, product_realization
 from schurlsd.linkfn import value_table
 from schurlsd.spectral import eigenvalues
 
 MODULES = ("linkfn", "words", "ensemble", "spectral", "circuits", "oracle", "cli")
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look up their module here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("short", MODULES)
@@ -22,12 +34,21 @@ def test_every_exported_name_exists(short):
     assert missing == []
 
 
+@pytest.mark.parametrize(
+    "short,name",
+    [("circuits", "estimate_p"), ("circuits", "PEstimate"), ("circuits", "default_ladder"),
+     ("circuits", "_joint_ladder"), ("cli", "cfg_ladder"), ("cli", "_pestimate_json"),
+     ("cli", "_pw_ladder"), ("spectral", "mc_moments"), ("spectral", "moment_from_trace"),
+     ("oracle", "moment_matrix_is_psd")],
+)
+def test_ladder_and_test_only_code_is_gone(short, name):
+    assert not hasattr(importlib.import_module(f"schurlsd.{short}"), name)
+
+
 def test_benchmark_tracer_reads_the_current_api():
     """The benchmark's traced run annotates spans from these results and reads
     ``value_table``'s cache counters; an API change that breaks it fails here."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(TRACER, "perfbench_tracer")
     assert tracer.MODULES == MODULES
     spectrum_spec = ProductSpec("wigner", "toeplitz", "rademacher", "rademacher", 8, 1, 1)
     results = {
@@ -46,3 +67,20 @@ def test_benchmark_tracer_reads_the_current_api():
     assert "value_table" in importlib.import_module("schurlsd.linkfn").__all__
     info = value_table.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def test_benchmark_relation_workload_matches_its_reference(tmp_path):
+    """The four ``relations_joint`` check runs of the benchmark, in process:
+    their gate names and verdicts must be the ones its reference records."""
+    bench = _load(PERFBENCH / "run.py", "perfbench_run")
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["relations_joint"]
+    gates = []
+    for inv in bench.WORKLOADS["relations_joint"].invocations:
+        config = tmp_path / f"{inv.tag}.json"
+        config.write_text(json.dumps(inv.config))
+        out = tmp_path / inv.tag
+        assert main([inv.command, "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
+        for check in json.loads((out / "manifest.json").read_text())["checks"]:
+            gates.append(check["name"])
+            assert check["pass"] is ref["verdicts"][check["name"]], check
+    assert gates == ref["gates"]
