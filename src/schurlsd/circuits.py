@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .linkfn import LinkFunction, link_name, parse_link, profile, value_table
+from .linkfn import LinkFunction, link_name, pair_codes, parse_link, value_table
 from .linkfn import Transform, compose, is_injective_on_range, transform_name
 from .words import Word, canonicalize, dihedral_images, enumerate_pair_matched, is_catalan
 from .words import is_pair_matched, orbit_key
@@ -171,7 +171,9 @@ class _LinkSystem:
                 f"per-row label index needs {n * (k + 1):.2g} cells at n={n}"
             )
         self.n = n
-        self.codes = codes
+        # Frontier entries hold codes and index ``indptr`` at code + 1, which
+        # would wrap in a compact dtype: the walk works on int64 codes.
+        self.codes = codes = codes.astype(np.int64)
         counts = np.bincount(
             (np.arange(n, dtype=np.int64)[:, None] * k + codes).ravel(),
             minlength=n * k,
@@ -650,7 +652,7 @@ def check_implies_wigner(link_x, link_y, n: int) -> bool:
     codes_x, _ = value_table(_as_link(link_x), n)
     codes_y, k_y = value_table(_as_link(link_y), n)
     _, first, cls = np.unique(
-        (codes_x * k_y + codes_y).ravel(), return_index=True, return_inverse=True
+        pair_codes(codes_x, codes_y, k_y).ravel(), return_index=True, return_inverse=True
     )
     i, j = np.divmod(np.arange(n * n), n)
     unordered = np.minimum(i, j) * n + np.maximum(i, j)

@@ -30,8 +30,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .circuits import (
+    SLOPE_LINK_KINDS,
     ExactLimit,
     InvarianceReport,
     RelationReport,
@@ -53,8 +54,9 @@ from .linkfn import (
     coprime_power,
     link_labels,
     link_name,
+    pair_codes,
     parse_link,
-    profile_product,
+    profile,
     square,
     table_transform,
     value_table,
@@ -67,8 +69,22 @@ from .oracle import (
     semicircle_cdf,
     semicircle_moments,
 )
-from .spectral import ESD, histogram, ks_distance, moments_from_spectra, trial_spectra
-from .words import Word, canonicalize, enumerate_pair_matched, generating_positions, is_catalan
+from .spectral import (
+    ESD,
+    histogram,
+    ks_distance,
+    moments_from_spectra,
+    trial_spectra,
+    usable_cpus,
+)
+from .words import (
+    Word,
+    canonicalize,
+    enumerate_pair_matched,
+    generating_positions,
+    is_catalan,
+    is_pair_matched,
+)
 
 __all__ = ["ConfigError", "TABLE2_ROWS", "config_hash", "main"]
 
@@ -90,7 +106,7 @@ def _label_map(x: str, y: str, n: int) -> Transform:
     link_x, link_y = parse_link(x), parse_link(y)
     codes_x, k_x = value_table(link_x, n)
     codes_y, k_y = value_table(link_y, n)
-    cx, cy = np.divmod(np.unique(codes_x * k_y + codes_y), k_y)
+    cx, cy = np.divmod(np.unique(pair_codes(codes_x, codes_y, k_y)), k_y)
     if len(cx) != k_x:
         raise ValueError(f"{y} labels are not a function of {x} labels at n={n}")
     labels_x, labels_y = link_labels(link_x, n), link_labels(link_y, n)
@@ -344,6 +360,9 @@ class RunContext:
     #: Size, proofs and wall time of each relation or invariance sweep, in
     #: run order; manifest only, like ``target_assembly``.
     relation_sweeps: list = field(default_factory=list)
+    #: Trials and wall time of each Monte Carlo product, in run order;
+    #: manifest only.
+    mc_products: list = field(default_factory=list)
 
     def header(self) -> dict:
         payload = {k: v for k, v in self.cfg.items() if k not in ("out", "threads")}
@@ -384,6 +403,17 @@ class RunContext:
             "wall_s": time.perf_counter() - start,
         })
         return rep
+
+    def spectra(self, spec: ProductSpec) -> list:
+        """``trial_spectra`` on the run's threads, with its wall time logged."""
+        start = time.perf_counter()
+        spectra = trial_spectra(spec, threads=self.threads)
+        self.mc_products.append({
+            "product": f"{spec.link_x}*{spec.link_y}",
+            "trials": spec.trials,
+            "wall_s": time.perf_counter() - start,
+        })
+        return spectra
 
 
 def _fmt(x: float) -> str:
@@ -587,7 +617,7 @@ def cmd_spectrum(ctx: RunContext) -> None:
             raise ConfigError(f"config key 'range': {raw!r} must satisfy lo < hi")
     reference = cfg_choice(cfg, "reference", ("semicircle", "none"), "semicircle")
 
-    spectra = trial_spectra(spec, threads=ctx.threads)
+    spectra = ctx.spectra(spec)
     esd = ESD.from_spectra(spectra)
     centers, density = histogram(esd, bins, lo, hi)
 
@@ -650,7 +680,7 @@ def cmd_moments(ctx: RunContext) -> None:
         raise ConfigError(f"config key 'h_max': {h_max!r} must be <= 8")
     want_targets = cfg_choice(cfg, "targets", ("auto", "none"), "auto")
 
-    moments = moments_from_spectra(trial_spectra(spec, threads=ctx.threads), h_max)
+    moments = moments_from_spectra(ctx.spectra(spec), h_max)
     limit = _limit_for_product(spec.link_x, spec.link_y) if want_targets == "auto" else None
     targets = _timed_targets(ctx, limit, h_max) if limit else {}
 
@@ -695,6 +725,11 @@ def cmd_pw(ctx: RunContext) -> None:
     link = cfg_link(cfg, "link") if not joint else None
     link_x = cfg_link(cfg, "link_x") if joint else None
     link_y = cfg_link(cfg, "link_y") if joint else None
+    if variant == "prime" and parse_link(link).kind not in SLOPE_LINK_KINDS:
+        raise ConfigError(
+            f"config key 'link': variant 'prime' needs one of {list(SLOPE_LINK_KINDS)}, "
+            f"got {link!r}"
+        )
 
     if "words" in cfg:
         raw_words = cfg_value(cfg, "words", "list")
@@ -708,6 +743,11 @@ def cmd_pw(ctx: RunContext) -> None:
                 jobs.append((cfg_word("words", item[0]), cfg_word("words", item[1])))
             else:
                 w = cfg_word("words", item)
+                if variant == "prime" and not is_pair_matched(w):
+                    raise ConfigError(
+                        f"config key 'words': variant 'prime' needs pair-matched words, "
+                        f"got {item!r}"
+                    )
                 jobs.append((w, w) if joint else (w, None))
         lengths = {w.h for job in jobs for w in job if w is not None}
         if len(lengths) != 1:
@@ -948,10 +988,12 @@ def cmd_verify_table2(ctx: RunContext) -> None:
                     link_x=x, link_y=y, dist_x=dist_x, dist_y=dist_y,
                     n=n, master_seed=seed, trials=trials,
                 )
-                spectra = trial_spectra(spec, threads=ctx.threads)
+                spectra = ctx.spectra(spec)
                 moments = moments_from_spectra(spectra, h_max)
                 by_h = {m.h: m for m in moments}
-                delta = profile_product(parse_link(x), parse_link(y), n).delta
+                # the product bound: a pair label repeats in a row no more
+                # often than either of its labels does
+                delta = min(profile(parse_link(link), n).delta for link in (x, y))
 
                 entry = {
                     "row": row, "link_x": x, "link_y": y, "seed": seed,
@@ -1053,6 +1095,21 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
+def _environment(threads: int) -> dict:
+    """What a run's floating-point results and speed depend on besides its
+    config: numpy, its BLAS, the BLAS thread variables and ``threads``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 can only print its build config
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_thread_vars": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "threads": threads,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schurlsd",
@@ -1066,7 +1123,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="master seed (overrides config)")
         sp.add_argument("--out", help="output directory (default: out)")
-        sp.add_argument("--threads", type=int, help="worker threads; never changes results")
+        sp.add_argument(
+            "--threads", type=int,
+            help="Monte Carlo worker threads (default: usable CPUs); never changes results",
+        )
         if name == "verify-table2":
             sp.add_argument("--rows", help="row selector: 'all' or comma list like '1,3'")
     return parser
@@ -1088,7 +1148,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed = cfg_value(cfg, "seed", "int")
         if not 0 <= seed < 2**64:
             raise ConfigError(f"config key 'seed': {seed!r} must be a 64-bit unsigned integer")
-        threads = cfg_posint(cfg, "threads", 1)
+        threads = cfg_posint(cfg, "threads", usable_cpus())
         out_dir = Path(cfg_value(cfg, "out", "str", "out"))
 
         ctx = RunContext(
@@ -1125,11 +1185,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "passed": all_pass,
         "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks],
         "files": inventory,
+        "environment": _environment(ctx.threads),
     }
     if ctx.target_assembly:
         manifest["target_assembly"] = ctx.target_assembly
     if ctx.relation_sweeps:
         manifest["relation_sweeps"] = ctx.relation_sweeps
+    if ctx.mc_products:
+        manifest["mc_products"] = ctx.mc_products
     _atomic_write(ctx.out_dir / "manifest.json", encode_json(manifest))
 
     for c in ctx.checks:

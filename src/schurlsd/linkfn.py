@@ -34,6 +34,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "BUILTIN_KINDS",
@@ -50,6 +51,7 @@ __all__ = [
     "is_injective_on_range",
     "link_labels",
     "link_name",
+    "pair_codes",
     "parse_link",
     "profile",
     "profile_product",
@@ -258,40 +260,60 @@ def eval_link(link: LinkFunction, i: int, j: int, n: int) -> LinkValue:
     return apply_transform(link.transform, eval_link(link.base, i, j, n))
 
 
+def _code_dtype(k: int) -> np.dtype:
+    """Smallest unsigned integer dtype that holds the codes 0..k-1."""
+    return np.min_scalar_type(k - 1)
+
+
 @lru_cache(maxsize=64)
 def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     """All cell labels at dimension n, as (codes, k).
 
-    ``codes`` is the n x n int array of label ranks: cells share a code
-    exactly when they share a label, and code t is the t-th smallest of the
-    k distinct labels in canonical order. The code matrix is all that
-    realization and circuit counting consume; ``link_labels`` gives the
-    label objects themselves.
+    ``codes`` is the n x n array of label ranks: cells share a code exactly
+    when they share a label, and code t is the t-th smallest of the k
+    distinct labels in canonical order. It is stored in the smallest
+    unsigned dtype that holds k - 1 (uint32 for wigner and uint16 for the
+    other built-in links at n = 1000), so arithmetic that can exceed k must
+    widen first (``pair_codes``). The code matrix is all that realization
+    and circuit counting consume; ``link_labels`` gives the label objects
+    themselves.
 
     Results are cached (Monte Carlo runs request the same table once per
     trial) and the code matrix is returned read-only for that reason.
     """
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    I, J = idx[:, None], idx[None, :]
     kind = link.kind
     if kind == "wigner":
-        a = np.minimum(I, J)
-        b = np.maximum(I, J)
-        codes = (a - 1) * (n + 1) - (a - 1) * a // 2 + (b - a)
-    elif kind == "toeplitz":
-        codes = np.abs(I - J)
-    elif kind == "hankel":
-        codes = I + J - 2
-    elif kind == "symcirc":
-        d = np.abs(I - J)
-        codes = np.minimum(d, n - d)
-    elif kind == "revcirc":
-        codes = (I + J) % n
-    elif kind == "dsymhankel":
-        m = (I + J) % n
-        codes = np.minimum(m, n - m)
+        # Row a (0-based) holds the labels (a, b), b >= a, in ascending order;
+        # filling it and its mirror column needs no n x n temporary.
+        k = n * (n + 1) // 2
+        codes = np.empty((n, n), dtype=_code_dtype(k))
+        start = 0
+        for a in range(n):
+            row = np.arange(start, start + n - a, dtype=codes.dtype)
+            codes[a, a:] = row
+            codes[a:, a] = row
+            start += n - a
+    elif kind in BUILTIN_KINDS:
+        # The label depends on i - j or on i + j only: tabulate it on one line
+        # of 2n - 1 values and read the rows as windows of that line.
+        t = np.arange(2 * n - 1)
+        if kind in ("toeplitz", "symcirc"):
+            d = np.abs(t - (n - 1))  # |i - j| of row i sits in window n - 1 - i
+            line = d if kind == "toeplitz" else np.minimum(d, n - d)
+            windows = sliding_window_view(line, n)[::-1]
+        else:
+            s = t + 2  # i + j of row i sits in window i - 1 (1-based)
+            if kind == "hankel":
+                line = s - 2
+            elif kind == "revcirc":
+                line = s % n
+            else:
+                line = np.minimum(s % n, n - s % n)
+            windows = sliding_window_view(line, n)
+        k = int(line.max()) + 1
+        codes = windows.astype(_code_dtype(k), order="C")
     else:
         base_codes, _ = value_table(link.base, n)
         keys = [
@@ -299,9 +321,20 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
             for v in link_labels(link.base, n)
         ]
         rank = {key: t for t, key in enumerate(sorted(set(keys)))}
-        codes = np.array([rank[key] for key in keys], dtype=np.int64)[base_codes]
+        k = len(rank)
+        codes = np.array([rank[key] for key in keys], dtype=_code_dtype(k))[base_codes]
     codes.setflags(write=False)
-    return codes, int(codes.max()) + 1
+    return codes, k
+
+
+def pair_codes(codes_x: np.ndarray, codes_y: np.ndarray, k_y: int) -> np.ndarray:
+    """Codes of the cell label pairs (L_X, L_Y), as int64 ``x * k_y + y``.
+
+    They rank the pairs lexicographically. Compact codes are widened first,
+    since the product would wrap in their own dtype (k_y^2 is about 2.5e11
+    for wigner at n = 1000).
+    """
+    return codes_x.astype(np.int64) * k_y + codes_y
 
 
 def link_labels(link: LinkFunction, n: int) -> list:
@@ -363,8 +396,7 @@ def profile_product(linkX: LinkFunction, linkY: LinkFunction, n: int) -> LinkPro
     """
     codes_x, _ = value_table(linkX, n)
     codes_y, k_y = value_table(linkY, n)
-    pair = codes_x * k_y + codes_y
-    _, counts = np.unique(pair, return_counts=True)
+    _, counts = np.unique(pair_codes(codes_x, codes_y, k_y), return_counts=True)
     delta = min(_row_delta(codes_x), _row_delta(codes_y))
     return LinkProfile(n=n, delta=delta, kn=len(counts), alphan=int(counts.max()))
 

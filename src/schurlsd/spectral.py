@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "moment_from_spectrum",
     "moments_from_spectra",
     "trial_spectra",
+    "usable_cpus",
 ]
 
 #: Monte Carlo moment orders are capped here; higher orders are too noisy at
@@ -89,17 +92,38 @@ def moment_from_spectrum(spectrum: Spectrum, h: int) -> float:
     return float(np.mean(spectrum.eigenvalues**h))
 
 
-def trial_spectra(spec: ProductSpec, threads: int = 1) -> list[Spectrum]:
-    """Spectra of all trials, in trial order regardless of thread count."""
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def trial_spectra(spec: ProductSpec, threads: Optional[int] = None) -> list[Spectrum]:
+    """Spectra of all trials, in trial order regardless of thread count.
+
+    ``threads`` worker threads (default ``usable_cpus()``) take whole trials.
+    Each fills one n x n buffer, reused for all its trials, and solves it on
+    the single BLAS thread the package pins at import.
+    """
     # Build both code tables before the first draw: a table first built inside
     # a trial pins the heap holes that trial's transient n x n arrays leave.
     for link in (spec.link_x, spec.link_y):
         value_table(parse_link(link), spec.n)
+    local = threading.local()
+
+    def work(t: int) -> Spectrum:
+        buf = getattr(local, "buf", None)
+        if buf is None:
+            buf = local.buf = np.empty((spec.n, spec.n))
+        return eigenvalues(product_realization(spec, t, out=buf))
+
     trials = range(spec.trials)
-    work = lambda t: eigenvalues(product_realization(spec, t))
-    if threads <= 1:
+    workers = min(usable_cpus() if threads is None else threads, spec.trials)
+    if workers <= 1:
         return [work(t) for t in trials]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, trials))
 
 

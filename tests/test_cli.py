@@ -4,12 +4,15 @@ manifests, determinism, and config validation."""
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import schurlsd.cli as cli
+from schurlsd import BLAS_THREAD_VARS
 from schurlsd.circuits import joint_limit
 from schurlsd.cli import _label_map, main
 from schurlsd.linkfn import eval_link, parse_link, table_transform
@@ -125,6 +128,65 @@ def test_manifest_inventory_hashes_files(tmp_path):
         data = (out / entry["path"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
         assert len(data) == entry["bytes"]
+
+
+def test_threads_default_to_usable_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cfg = {"link_x": "wigner", "link_y": "toeplitz", "n": 40, "trials": 4}
+    _, default = run_cli(tmp_path, "moments", cfg, out="default")
+    _, one = run_cli(tmp_path, "moments", cfg, out="one", extra=["--threads", "1"])
+    manifests = [read_json(out, "manifest.json") for out in (default, one)]
+    assert [m["environment"]["threads"] for m in manifests] == [3, 1]
+    assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+    reports = [(out / "moments_report.json").read_bytes() for out in (default, one)]
+    assert reports[0] == reports[1]
+
+
+def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
+    cfg = {"rows": [1], "n": 60, "trials": 3, "invariance_ns": [8]}
+    _, out = run_cli(tmp_path, "verify-table2", cfg, extra=["--threads", "2"])
+    manifest = read_json(out, "manifest.json")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["environment"] == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas_thread_vars": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "threads": 2,
+    }
+    products = manifest["mc_products"]
+    assert [(p["product"], p["trials"]) for p in products] == [
+        (f"wigner*{y}", 3) for y in ("toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
+    ]
+    assert all(p["wall_s"] > 0 for p in products)
+    report = (out / "verify_table2_report.json").read_text()
+    for key in ("environment", "mc_products", "wall_s", "blas"):
+        assert key not in report
+    _, words = run_cli(tmp_path, "words", {"two_k": 4}, out="words")
+    manifest = read_json(words, "manifest.json")
+    assert "environment" in manifest and "mc_products" not in manifest
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_variable(tmp_path):
+    """At n = 300 the last bits of an eigensolve change with OpenBLAS's thread
+    count, which defaults to the core count; the package pins it to one."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"rows": [1], "n": 300, "trials": 2, "invariance_ns": [8]}))
+    blobs = []
+    for value in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        out = tmp_path / f"blas_{value}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurlsd.cli", "verify-table2", "--config", str(cfg_path),
+             "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        thread_vars = read_json(out, "manifest.json")["environment"]["blas_thread_vars"]
+        assert thread_vars["OPENBLAS_NUM_THREADS"] == "1"
+        blobs.append((out / "verify_table2_report.json").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_config_hash_excludes_out_and_threads(tmp_path):
@@ -312,6 +374,22 @@ def test_pw_rejects_orders_above_six(tmp_path):
     ):
         code, _ = run_cli(tmp_path, "pw", cfg)
         assert code == 2
+
+
+def test_pw_prime_rejects_a_link_without_slope_counts(tmp_path, capsys):
+    cfg = {"link": "hankel", "variant": "prime", "two_k": 4}
+    code, _ = run_cli(tmp_path, "pw", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'link'" in err and "hankel" in err
+
+
+def test_pw_prime_rejects_a_word_that_is_not_pair_matched(tmp_path, capsys):
+    cfg = {"link": "toeplitz", "variant": "prime", "words": ["aaaa"]}
+    code, _ = run_cli(tmp_path, "pw", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'words'" in err and "aaaa" in err
 
 
 def test_pw_rejects_prime_for_joint(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schurlsd.ensemble import (
+    BLOCK_ROWS,
     INPUT_DISTRIBUTIONS,
     ProductSpec,
     child_seed,
@@ -152,6 +153,32 @@ def test_pair_streams_are_independent_of_each_other():
         y = realize(link_y, spec.dist_y, spec.n, child_seed(3, "Y", 1))
         m = product_realization(_spec(link_y=link_y), trial=1)
         assert np.array_equal(m, x * y * spec.n ** -0.5)
+
+
+@pytest.mark.parametrize("link_x", ALL_LINKS)
+def test_product_realization_into_a_reused_buffer_is_bitwise_fresh(link_x):
+    """Row blocks written into a reused buffer give the bits of the whole-matrix
+    steps: X, times Y, times n ** -0.5."""
+    n = 2 * BLOCK_ROWS + 22  # two full row blocks and a partial one
+    link_y = ALL_LINKS[(ALL_LINKS.index(link_x) + 1) % len(ALL_LINKS)]
+    spec = _spec(link_x=link_x, link_y=link_y, dist_x="gaussian", dist_y="uniform", n=n)
+    buf = np.full((n, n), np.nan)
+    for trial in (0, 1):
+        got = product_realization(spec, trial, out=buf)
+        assert got is buf
+        x = realize(link_x, "gaussian", n, child_seed(spec.master_seed, "X", trial))
+        x *= realize(link_y, "uniform", n, child_seed(spec.master_seed, "Y", trial))
+        x *= n ** -0.5
+        assert got.tobytes() == x.tobytes()
+        assert product_realization(spec, trial).tobytes() == x.tobytes()
+
+
+def test_product_realization_rejects_a_mismatched_buffer():
+    spec = _spec(n=10)
+    for buf in (np.empty((10, 11)), np.empty((10, 10), dtype=np.float32),
+                np.empty((10, 10), order="F")):
+        with pytest.raises(ValueError, match="out must be"):
+            product_realization(spec, 0, out=buf)
 
 
 def test_rademacher_product_entries_have_unit_square():

@@ -18,6 +18,7 @@ from schurlsd.linkfn import (
     is_injective_on_range,
     link_labels,
     link_name,
+    pair_codes,
     parse_link,
     profile,
     profile_product,
@@ -318,7 +319,7 @@ def test_value_table_consistent_with_eval(kind):
 
 
 def test_wigner_value_table_holds_no_label_objects():
-    # the code matrix (8 MB) is all a Monte Carlo run needs; building the
+    # the code matrix (4 MB) is all a Monte Carlo run needs; building the
     # 500,500 label tuples as well took about 52 MB at n = 1000
     value_table.cache_clear()
     tracemalloc.start()
@@ -330,3 +331,39 @@ def test_wigner_value_table_holds_no_label_objects():
         value_table.cache_clear()
     assert k == 500_500
     assert held < 16 * 2**20
+
+
+def test_value_table_codes_use_the_smallest_unsigned_dtype():
+    wide = {kind: value_table(parse_link(kind), 1000) for kind in ALL_LINKS}
+    for kind, (codes, k) in wide.items():
+        assert codes.dtype == (np.uint32 if kind == "wigner" else np.uint16), kind
+        assert int(codes.max()) == k - 1
+    assert sum(codes.nbytes for codes, _ in wide.values()) == (4 + 5 * 2) * 10**6
+    assert value_table(parse_link("toeplitz"), 7)[0].dtype == np.uint8
+    assert value_table(parse_link("toeplitz"), 256)[0].dtype == np.uint8
+    assert value_table(parse_link("toeplitz"), 257)[0].dtype == np.uint16
+
+
+def test_wigner_value_table_build_peak_stays_small():
+    # the uint32 code matrix is 4 MB at n = 1000; the build makes no n x n
+    # int64 temporaries (the old one peaked at several 8 MB arrays)
+    value_table.cache_clear()
+    tracemalloc.start()
+    try:
+        value_table(parse_link("wigner"), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        value_table.cache_clear()
+    assert peak < 16 * 2**20
+
+
+def test_pair_codes_do_not_wrap_on_wigner_pairs_at_n_1000():
+    wigner = parse_link("wigner")
+    codes, k = value_table(wigner, 1000)
+    pairs = pair_codes(codes, codes, k)
+    assert pairs.dtype == np.int64
+    # k^2 - 1 is about 2.5e11, past the range of the uint32 codes
+    assert int(pairs.max()) == k * k - 1 > np.iinfo(codes.dtype).max
+    assert np.array_equal(pairs, codes.astype(np.int64) * (k + 1))
+    assert profile_product(wigner, wigner, 1000).kn == k

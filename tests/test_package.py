@@ -3,11 +3,14 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from schurlsd import BLAS_THREAD_VARS
 from schurlsd.circuits import count_pi_star, count_pi_star_joint
 from schurlsd.cli import main
 from schurlsd.ensemble import ProductSpec, product_realization
@@ -84,3 +87,16 @@ def test_benchmark_relation_workload_matches_its_reference(tmp_path):
             gates.append(check["name"])
             assert check["pass"] is ref["verdicts"][check["name"]], check
     assert gates == ref["gates"]
+
+
+def test_importing_the_package_pins_blas_before_numpy_loads():
+    """The pin must run before numpy loads OpenBLAS, and must keep a value the
+    caller set."""
+    code = ("import os, sys, schurlsd; "
+            "print('numpy' in sys.modules, [os.environ.get(v) for v in schurlsd.BLAS_THREAD_VARS])")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    for extra, expected in (({}, "['1', '1', '1']"),
+                            ({"OPENBLAS_NUM_THREADS": "3"}, "['3', '1', '1']")):
+        proc = subprocess.run([sys.executable, "-c", code], env={**base, **extra},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == f"False {expected}"

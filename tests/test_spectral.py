@@ -1,8 +1,13 @@
 """Tests for spectra, moment estimation, ESD, KS distance, and histograms."""
 
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import schurlsd.spectral as spectral
 from schurlsd.ensemble import ProductSpec, product_realization
 from schurlsd.oracle import semicircle_cdf
 from schurlsd.spectral import (
@@ -13,6 +18,7 @@ from schurlsd.spectral import (
     moment_from_spectrum,
     moments_from_spectra,
     trial_spectra,
+    usable_cpus,
 )
 
 
@@ -120,6 +126,46 @@ def test_trial_spectra_order_independent_of_threads():
     par = trial_spectra(spec, threads=4)
     for a, b in zip(seq, par):
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_parallel_trials_never_share_a_realization_buffer():
+    """More workers than cores, switching threads as often as the interpreter
+    allows: a buffer written by two trials at once would change a spectrum."""
+    spec = _spec(link_x="wigner", dist_x="gaussian", n=150, trials=8)
+    seq = trial_spectra(spec, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = trial_spectra(spec, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(seq, par, strict=True):
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+
+def test_trial_spectra_default_to_usable_cpus(monkeypatch):
+    spec = _spec(trials=3)
+    seq = trial_spectra(spec, threads=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert usable_cpus() == 3
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", recording_pool)
+    for a, b in zip(seq, trial_spectra(spec)):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert pools == [3]
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
 
 
 # --- ESD --------------------------------------------------------------------------------
