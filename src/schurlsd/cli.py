@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -451,6 +452,13 @@ def _relation_json(rep: RelationReport) -> dict:
     }
 
 
+def _relation_detail(rep: RelationReport) -> str:
+    """How many entries of a relation sweep pass: word pairs for
+    ``compatible``, words for ``leadsto``."""
+    unit = "word pairs" if rep.kind == "compatible" else "words"
+    return f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} {unit} pass"
+
+
 def _invariance_json(rep: InvarianceReport) -> dict:
     return {
         "link": rep.link,
@@ -834,11 +842,7 @@ def cmd_check(ctx: RunContext) -> None:
         fn = check_compatible if relation == "compatible" else check_leadsto_wigner
         rep = ctx.sweep(relation, [link_x, link_y], lambda: fn(link_x, link_y, two_k))
         report["report"] = _relation_json(rep)
-        ctx.check(
-            f"{relation}:{link_x}*{link_y}",
-            rep.all_pass,
-            f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} word pairs pass",
-        )
+        ctx.check(f"{relation}:{link_x}*{link_y}", rep.all_pass, _relation_detail(rep))
     else:
         link = cfg_link(cfg, "link")
         transform = cfg_transform(cfg, "transform")
@@ -933,6 +937,9 @@ def cmd_verify_table2(ctx: RunContext) -> None:
     # so a subset run sees the same seeds as a full run.
     all_products = [pair for record in TABLE2_ROWS.values() for pair in record.products]
     target_cache: dict[str, dict] = {}
+    # Each link's delta at n, for the product bound min(delta_X, delta_Y): a
+    # pair label repeats in a row no more often than either of its labels.
+    link_delta: dict[str, int] = {}
 
     def targets_for(limit: str) -> dict:
         if limit not in target_cache:
@@ -968,12 +975,7 @@ def cmd_verify_table2(ctx: RunContext) -> None:
                 relation = check_compatible if kind == "compatible" else check_leadsto_wigner
                 rep = ctx.sweep(kind, [x, y], lambda: relation(x, y, relation_two_k))
                 row_report["relations"].append(_relation_json(rep))
-                unit = "word pairs" if kind == "compatible" else "words"
-                ctx.check(
-                    f"{tag}:{kind}",
-                    rep.all_pass,
-                    f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} {unit} pass",
-                )
+                ctx.check(f"{tag}:{kind}", rep.all_pass, _relation_detail(rep))
             if record.implies_wigner:
                 row_report.setdefault("implies_wigner", {})[f"{x}*{y}"] = check_implies_wigner(
                     x, y, 20
@@ -991,9 +993,10 @@ def cmd_verify_table2(ctx: RunContext) -> None:
                 spectra = ctx.spectra(spec)
                 moments = moments_from_spectra(spectra, h_max)
                 by_h = {m.h: m for m in moments}
-                # the product bound: a pair label repeats in a row no more
-                # often than either of its labels does
-                delta = min(profile(parse_link(link), n).delta for link in (x, y))
+                for link in (x, y):
+                    if link not in link_delta:
+                        link_delta[link] = profile(parse_link(link), n).delta
+                delta = min(link_delta[x], link_delta[y])
 
                 entry = {
                     "row": row, "link_x": x, "link_y": y, "seed": seed,
@@ -1110,6 +1113,13 @@ def _environment(threads: int) -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process so far, in MiB (``ru_maxrss``
+    counts KiB on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schurlsd",
@@ -1182,6 +1192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
         "command": ctx.command,
         "wall_time_s": wall,
+        "peak_rss_mb": _peak_rss_mb(),
         "passed": all_pass,
         "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks],
         "files": inventory,

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linkfn import LinkFunction, parse_link, value_table
+from .linkfn import BLOCK_ROWS, LinkFunction, parse_link, value_table
 
 __all__ = [
     "INPUT_DISTRIBUTIONS",
@@ -149,11 +149,6 @@ class ProductSpec:
             raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
 
 
-#: Rows gathered per step of ``product_realization``. ``np.take`` copies the
-#: codes it is given to intp, so a block bounds that copy to this many rows.
-BLOCK_ROWS = 64
-
-
 def product_realization(
     spec: ProductSpec, trial: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -176,8 +171,10 @@ def product_realization(
     for lo in range(0, n, BLOCK_ROWS):
         block = out[lo : lo + BLOCK_ROWS]
         y_block = y[: block.shape[0]]
-        # Codes are below k by construction, so "clip" never clips; unlike
-        # the default mode it writes into ``out`` without a buffer.
+        # ``np.take`` copies the codes it is given (a view, for line links)
+        # to intp, one block at a time. Codes are below k by construction, so
+        # "clip" never clips; unlike the default mode it writes into ``out``
+        # without a buffer.
         np.take(draws_x, codes_x[lo : lo + BLOCK_ROWS], out=block, mode="clip")
         np.take(draws_y, codes_y[lo : lo + BLOCK_ROWS], out=y_block, mode="clip")
         block *= y_block

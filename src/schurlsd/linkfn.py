@@ -54,7 +54,6 @@ __all__ = [
     "pair_codes",
     "parse_link",
     "profile",
-    "profile_product",
     "square",
     "table_transform",
     "value_sort_key",
@@ -62,6 +61,11 @@ __all__ = [
 ]
 
 BUILTIN_KINDS = ("wigner", "toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
+
+#: Rows per step of a scan over a code table (``profile``, and the gathers of
+#: ``ensemble.product_realization``): a step's temporaries are this many rows
+#: long, never n.
+BLOCK_ROWS = 64
 
 
 class TransformError(ValueError):
@@ -265,6 +269,52 @@ def _code_dtype(k: int) -> np.dtype:
     return np.min_scalar_type(k - 1)
 
 
+#: Labels of these built-in kinds depend on i - j only, of the others but
+#: wigner on i + j only.
+_DIFFERENCE_KINDS = ("toeplitz", "symcirc")
+
+
+def _base_kind(link: LinkFunction) -> str:
+    while link.kind == "composed":
+        link = link.base
+    return link.kind
+
+
+def _transform_ranks(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
+    """Code of the composed ``link`` for each code of its base, and k."""
+    keys = [
+        value_sort_key(apply_transform(link.transform, v))
+        for v in link_labels(link.base, n)
+    ]
+    rank = {key: t for t, key in enumerate(sorted(set(keys)))}
+    k = len(rank)
+    return np.array([rank[key] for key in keys], dtype=_code_dtype(k)), k
+
+
+def _code_line(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
+    """Codes of a link not built on wigner along its line of 2n - 1 cells.
+
+    Position p of the line holds the code of the cells with j - i = p - n + 1
+    (toeplitz, symcirc) or with i + j = p + 2 (hankel, revcirc, dsymhankel),
+    1-based.
+    """
+    if link.kind == "composed":
+        base_line, _ = _code_line(link.base, n)
+        ranks, k = _transform_ranks(link, n)
+        return ranks[base_line], k
+    t = np.arange(2 * n - 1)
+    if link.kind in _DIFFERENCE_KINDS:
+        line = np.abs(t - (n - 1))
+        if link.kind == "symcirc":
+            line = np.minimum(line, n - line)
+    else:
+        line = t if link.kind == "hankel" else (t + 2) % n
+        if link.kind == "dsymhankel":
+            line = np.minimum(line, n - line)
+    k = int(line.max()) + 1
+    return line.astype(_code_dtype(k)), k
+
+
 @lru_cache(maxsize=64)
 def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     """All cell labels at dimension n, as (codes, k).
@@ -278,13 +328,24 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     and circuit counting consume; ``link_labels`` gives the label objects
     themselves.
 
+    A link not built on wigner labels a cell by i - j or by i + j alone, so
+    its table is a strided view of one line of 2n - 1 codes: row i is a
+    window of the line, and the table takes O(n) memory. Only tables built
+    on wigner are dense n x n arrays.
+
     Results are cached (Monte Carlo runs request the same table once per
     trial) and the code matrix is returned read-only for that reason.
     """
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
-    kind = link.kind
-    if kind == "wigner":
+    kind = _base_kind(link)
+    if kind != "wigner":
+        line, k = _code_line(link, n)
+        codes = sliding_window_view(line, n)  # read-only; row i is window i
+        if kind in _DIFFERENCE_KINDS:
+            codes = codes[::-1]  # row i is window n - 1 - i
+        return codes, k
+    if link.kind == "wigner":
         # Row a (0-based) holds the labels (a, b), b >= a, in ascending order;
         # filling it and its mirror column needs no n x n temporary.
         k = n * (n + 1) // 2
@@ -295,34 +356,10 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
             codes[a, a:] = row
             codes[a:, a] = row
             start += n - a
-    elif kind in BUILTIN_KINDS:
-        # The label depends on i - j or on i + j only: tabulate it on one line
-        # of 2n - 1 values and read the rows as windows of that line.
-        t = np.arange(2 * n - 1)
-        if kind in ("toeplitz", "symcirc"):
-            d = np.abs(t - (n - 1))  # |i - j| of row i sits in window n - 1 - i
-            line = d if kind == "toeplitz" else np.minimum(d, n - d)
-            windows = sliding_window_view(line, n)[::-1]
-        else:
-            s = t + 2  # i + j of row i sits in window i - 1 (1-based)
-            if kind == "hankel":
-                line = s - 2
-            elif kind == "revcirc":
-                line = s % n
-            else:
-                line = np.minimum(s % n, n - s % n)
-            windows = sliding_window_view(line, n)
-        k = int(line.max()) + 1
-        codes = windows.astype(_code_dtype(k), order="C")
     else:
         base_codes, _ = value_table(link.base, n)
-        keys = [
-            value_sort_key(apply_transform(link.transform, v))
-            for v in link_labels(link.base, n)
-        ]
-        rank = {key: t for t, key in enumerate(sorted(set(keys)))}
-        k = len(rank)
-        codes = np.array([rank[key] for key in keys], dtype=_code_dtype(k))[base_codes]
+        ranks, k = _transform_ranks(link, n)
+        codes = ranks[base_codes]
     codes.setflags(write=False)
     return codes, k
 
@@ -344,8 +381,12 @@ def link_labels(link: LinkFunction, n: int) -> list:
     ``value_table(link, n)``, read off one such cell with ``eval_link``.
     """
     codes, _ = value_table(link, n)
-    _, first = np.unique(codes, return_index=True)
+    wigner = _base_kind(link) == "wigner"
+    # The first and last rows of a line table hold every window position.
+    _, first = np.unique(codes if wigner else codes[[0, -1]], return_index=True)
     rows, cols = np.divmod(first, n)
+    if not wigner:
+        rows *= n - 1
     return [eval_link(link, i + 1, j + 1, n) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
@@ -354,11 +395,12 @@ def link_labels(link: LinkFunction, n: int) -> list:
 
 @dataclass(frozen=True)
 class LinkProfile:
-    """Finite-n combinatorial profile of a link (or product of links).
+    """Finite-n combinatorial profile of a link.
 
-    ``delta``: most repeats of one label within a row (for a product, the
-    documented cross bound min(delta_x, delta_y), not a row scan);
-    ``kn``: number of distinct labels; ``alphan``: most cells sharing one label.
+    ``delta``: most repeats of one label within a row; ``kn``: number of
+    distinct labels; ``alphan``: most cells sharing one label. A pair label
+    (L_X, L_Y) repeats in a row no more often than either label does, so
+    min(delta_X, delta_Y) bounds the delta of a product.
     """
 
     n: int
@@ -367,38 +409,21 @@ class LinkProfile:
     alphan: int
 
 
-def _row_delta(codes: np.ndarray) -> int:
-    """Most repeats of one label in any row.
-
-    Rows are sorted once; a label repeated r times then fills r adjacent
-    cells, so column j equals column j + r - 1. Testing r = 2, 3, ... on all
-    rows at once takes at most delta whole-array comparisons.
-    """
-    ordered = np.sort(codes, axis=1)
-    delta = 1
-    while delta < ordered.shape[1] and (ordered[:, delta:] == ordered[:, :-delta]).any():
-        delta += 1
-    return delta
-
-
 def profile(link: LinkFunction, n: int) -> LinkProfile:
+    """The profile of ``link`` at n, scanned ``BLOCK_ROWS`` rows of its code
+    table at a time, so that no n x n temporary is made."""
     codes, k = value_table(link, n)
-    counts = np.bincount(codes.ravel(), minlength=k)
-    return LinkProfile(n=n, delta=_row_delta(codes), kn=k, alphan=int(counts.max()))
-
-
-def profile_product(linkX: LinkFunction, linkY: LinkFunction, n: int) -> LinkProfile:
-    """Profile of the label-pair map (i, j) -> (L_X(i, j), L_Y(i, j)).
-
-    ``kn``/``alphan`` are exact scans of the pair labels. ``delta`` is the
-    product bound min(delta_X, delta_Y): a pair label repeats in a row no
-    more often than either coordinate does.
-    """
-    codes_x, _ = value_table(linkX, n)
-    codes_y, k_y = value_table(linkY, n)
-    _, counts = np.unique(pair_codes(codes_x, codes_y, k_y), return_counts=True)
-    delta = min(_row_delta(codes_x), _row_delta(codes_y))
-    return LinkProfile(n=n, delta=delta, kn=len(counts), alphan=int(counts.max()))
+    counts = np.zeros(k, dtype=np.min_scalar_type(n * n))
+    delta = 1
+    for lo in range(0, n, BLOCK_ROWS):
+        block = codes[lo : lo + BLOCK_ROWS]
+        np.add.at(counts, block, 1)  # no k-long temporary per block
+        # A label repeated r times in a sorted row fills r adjacent cells, so
+        # column j equals column j + r - 1: test r = delta + 1, delta + 2, ...
+        ordered = np.sort(block, axis=1)
+        while delta < n and (ordered[:, delta:] == ordered[:, :-delta]).any():
+            delta += 1
+    return LinkProfile(n=n, delta=delta, kn=k, alphan=int(counts.max()))
 
 
 def is_injective_on_range(transform: Transform, base: LinkFunction, n: int) -> bool:

@@ -80,7 +80,9 @@ class ESD:
 
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """Spectrum of a symmetric matrix, such as a scaled product realization."""
-    if not np.all(np.isfinite(a)):
+    # NaN and +-inf propagate through min and max, so two reductions test
+    # every entry without an n x n mask.
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix has non-finite entries")
     return Spectrum(eigenvalues=np.linalg.eigvalsh(a), n=a.shape[0])
 
@@ -107,8 +109,10 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None) -> list[Spec
     Each fills one n x n buffer, reused for all its trials, and solves it on
     the single BLAS thread the package pins at import.
     """
-    # Build both code tables before the first draw: a table first built inside
-    # a trial pins the heap holes that trial's transient n x n arrays leave.
+    # Build both code tables before the first draw. A line link's table is a
+    # view of 2n - 1 codes, but a wigner table is a dense n x n array, and one
+    # first built inside a trial would pin the heap holes around that trial's
+    # buffer.
     for link in (spec.link_x, spec.link_y):
         value_table(parse_link(link), spec.n)
     local = threading.local()

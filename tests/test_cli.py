@@ -166,6 +166,27 @@ def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
     assert "environment" in manifest and "mc_products" not in manifest
 
 
+def test_manifest_logs_peak_rss_outside_the_report(tmp_path):
+    code, out = run_cli(tmp_path, "spectrum", {"link_x": "toeplitz", "link_y": "hankel",
+                                               "n": 40, "trials": 2})
+    assert code == 0
+    peak = read_json(out, "manifest.json")["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0
+    for path in out.iterdir():
+        if path.name != "manifest.json":
+            assert "peak_rss" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("relation,unit", [("compatible", "word pairs"), ("leadsto", "words")])
+def test_check_detail_counts_the_units_of_its_relation(tmp_path, relation, unit):
+    cfg = {"relation": relation, "link_x": "toeplitz", "link_y": "hankel", "two_k": 4}
+    code, out = run_cli(tmp_path, "check", cfg)
+    assert code == 0
+    (check,) = read_json(out, "manifest.json")["checks"]
+    entries = len(read_json(out, "check_report.json")["report"]["entries"])
+    assert check["detail"] == f"{entries}/{entries} {unit} pass"
+
+
 def test_report_bytes_do_not_depend_on_the_blas_thread_variable(tmp_path):
     """At n = 300 the last bits of an eigensolve change with OpenBLAS's thread
     count, which defaults to the core count; the package pins it to one."""

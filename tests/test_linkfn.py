@@ -8,6 +8,7 @@ import pytest
 
 from schurlsd.linkfn import (
     BUILTIN_KINDS,
+    LinkProfile,
     PowerValue,
     TransformError,
     apply_transform,
@@ -21,7 +22,6 @@ from schurlsd.linkfn import (
     pair_codes,
     parse_link,
     profile,
-    profile_product,
     square,
     table_transform,
     value_sort_key,
@@ -31,6 +31,11 @@ from schurlsd.linkfn import (
 from bruteforce import RAW_LINKS
 
 ALL_LINKS = sorted(BUILTIN_KINDS)
+
+try:  # numpy >= 2.0
+    from numpy.lib.array_utils import byte_bounds
+except ImportError:
+    byte_bounds = np.byte_bounds
 
 
 # --- evaluation ------------------------------------------------------------------
@@ -140,13 +145,17 @@ def test_profile_growth(kind):
         last_kn = p.kn
 
 
+def _test_link(name: str, n: int):
+    if name == "toeplitz//3":  # merged labels give row runs of up to 6
+        return compose(table_transform({d: d // 3 for d in range(n)}), builtin_link("toeplitz"))
+    return parse_link(name)
+
+
 @pytest.mark.parametrize("kind", ALL_LINKS + ["toeplitz//3"])
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 63, 64, 65, 129])
 def test_delta_equals_per_row_unique_scan(kind, n):
-    if kind == "toeplitz//3":  # merged labels give row runs of up to 6
-        link = compose(table_transform({d: d // 3 for d in range(n)}), builtin_link("toeplitz"))
-    else:
-        link = parse_link(kind)
+    # n = 63, 64, 65 and 129 end the table inside, at and just past a 64-row block of profile
+    link = _test_link(kind, n)
     codes, _ = value_table(link, n)
     per_row = max(int(np.unique(row, return_counts=True)[1].max()) for row in codes)
     assert profile(link, n).delta == per_row
@@ -159,6 +168,20 @@ def test_delta_ladder_stable():
 
 
 # --- product profiles --------------------------------------------------------------
+
+
+def profile_product(link_x, link_y, n: int) -> LinkProfile:
+    """Profile of the label-pair map (i, j) -> (L_X(i, j), L_Y(i, j)).
+
+    ``kn`` and ``alphan`` are exact scans of the pair labels; ``delta`` is
+    the product bound min(delta_X, delta_Y) that ``verify-table2`` gates
+    the moment bound with, and the tests below hold it to the scans.
+    """
+    codes_x, _ = value_table(link_x, n)
+    codes_y, k_y = value_table(link_y, n)
+    _, counts = np.unique(pair_codes(codes_x, codes_y, k_y), return_counts=True)
+    delta = min(profile(link_x, n).delta, profile(link_y, n).delta)
+    return LinkProfile(n=n, delta=delta, kn=len(counts), alphan=int(counts.max()))
 
 
 FROZEN_PRODUCT_PROFILES = {
@@ -184,6 +207,9 @@ def test_profile_product_bounds(x, y, n):
     assert pz.alphan <= min(px.alphan, py.alphan)
     assert pz.delta == min(px.delta, py.delta)
     assert pz.kn * pz.alphan >= n * n
+    pairs = pair_codes(value_table(parse_link(x), n)[0], value_table(parse_link(y), n)[0],
+                       py.kn)
+    assert max(int(np.unique(row, return_counts=True)[1].max()) for row in pairs) <= pz.delta
 
 
 def test_profile_product_wigner_factor_pins_alphan():
@@ -316,6 +342,32 @@ def test_value_table_consistent_with_eval(kind):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert labels[codes[i - 1, j - 1]] == eval_link(link, i, j, n)
+
+
+LINE_KINDS = [kind for kind in ALL_LINKS if kind != "wigner"]
+TABLE_LINKS = [*ALL_LINKS, "toeplitz//3", *(f"square({kind})" for kind in LINE_KINDS)]
+
+
+@pytest.mark.parametrize("name", TABLE_LINKS)
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65])
+def test_value_table_is_the_ranked_dense_table(name, n):
+    link = _test_link(name, n)
+    codes, k = value_table(link, n)
+    cells = [[value_sort_key(eval_link(link, i, j, n)) for j in range(1, n + 1)]
+             for i in range(1, n + 1)]
+    keys = sorted({key for row in cells for key in row})
+    rank = {key: t for t, key in enumerate(keys)}
+    assert k == len(keys)
+    assert np.array_equal(codes, [[rank[key] for key in row] for row in cells])
+    assert [value_sort_key(v) for v in link_labels(link, n)] == keys
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0, 0] = 0
+    smallest = next(t for t in (np.uint8, np.uint16, np.uint32) if k - 1 <= np.iinfo(t).max)
+    assert codes.dtype == smallest
+    if name != "wigner":  # a window view of one line of 2n - 1 codes
+        lo, hi = byte_bounds(codes)
+        assert hi - lo <= (2 * n - 1) * codes.itemsize
 
 
 def test_wigner_value_table_holds_no_label_objects():

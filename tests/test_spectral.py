@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import schurlsd.spectral as spectral
 from schurlsd.ensemble import ProductSpec, product_realization
+from schurlsd.linkfn import value_table
 from schurlsd.oracle import semicircle_cdf
 from schurlsd.spectral import (
     ESD,
@@ -58,10 +60,44 @@ def test_eigenvalues_of_diagonal_matrix():
     assert s.n == 3
 
 
-def test_eigenvalues_rejects_non_finite():
-    bad = _diag([1.0, np.nan])
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", [0, 5 * 12 + 7, 12 * 12 - 1])
+def test_eigenvalues_rejects_non_finite(value, cell):
+    bad = np.eye(12)
+    bad.flat[cell] = value
+    with pytest.raises(ValueError, match="non-finite"):
         eigenvalues(bad)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_eigenvalues_make_no_n_by_n_mask():
+    # an n x n bool mask alone would take 0.95 MB at n = 1000
+    a = np.random.default_rng(3).standard_normal((1000, 1000))
+    a += a.T
+    assert _traced_peak(lambda: eigenvalues(a)) < 0.5 * 2**20
+
+
+def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
+    # The reused 8 MB realization buffer is the only n x n array numpy
+    # allocates: line tables are views of 2n - 1 codes, the gathers and the
+    # finite check work on 64-row blocks or reductions. LAPACK's own copy of
+    # the matrix is not a numpy allocation.
+    spec = _spec(n=1000, trials=2)
+    value_table.cache_clear()
+    try:
+        peak = _traced_peak(lambda: trial_spectra(spec, threads=1))
+    finally:
+        value_table.cache_clear()
+    assert peak < 11 * 2**20
 
 
 # --- moments: two independent routes ---------------------------------------------------
