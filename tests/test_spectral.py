@@ -60,9 +60,15 @@ def test_eigenvalues_of_diagonal_matrix():
     assert s.n == 3
 
 
+def test_eigenvalues_rejects_non_finite():
+    bad = _diag([1.0, np.nan])
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenvalues(bad)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cell", [0, 5 * 12 + 7, 12 * 12 - 1])
-def test_eigenvalues_rejects_non_finite(value, cell):
+def test_eigenvalues_rejects_non_finite_in_any_cell(value, cell):
     bad = np.eye(12)
     bad.flat[cell] = value
     with pytest.raises(ValueError, match="non-finite"):
