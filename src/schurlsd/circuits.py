@@ -115,16 +115,14 @@ class SearchBudgetError(RuntimeError):
 class CircuitClassCount:
     """Exact size of one matched circuit class.
 
-    ``normalizer_exponent`` is 1 + h/2; count / n**exponent is the finite-n
-    ratio whose n -> infinity limit is the word's contribution to a moment.
+    count / n**(1 + h/2) is the finite-n ratio whose n -> infinity limit is
+    the word's contribution to a moment.
     """
 
     link: str
     word: Word
     n: int
     count: int
-    normalizer_exponent: int
-    variant: str = "star"
     link2: Optional[str] = None
     word2: Optional[Word] = None
 
@@ -390,7 +388,6 @@ def count_pi_star(link, word, n: int, max_rows: int = MAX_FRONTIER_ROWS) -> Circ
         word=w,
         n=n,
         count=count,
-        normalizer_exponent=w.h // 2 + 1,
     )
 
 
@@ -416,8 +413,6 @@ def count_pi_prime(link, word, n: int, max_rows: int = MAX_FRONTIER_ROWS) -> Cir
         word=w,
         n=n,
         count=count,
-        normalizer_exponent=w.h // 2 + 1,
-        variant="prime",
     )
 
 
@@ -442,7 +437,6 @@ def count_pi_star_joint(
         word=wx,
         n=n,
         count=count,
-        normalizer_exponent=wx.h // 2 + 1,
         link2=link_name(ly),
         word2=wy,
     )

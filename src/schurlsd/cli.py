@@ -57,7 +57,7 @@ from .linkfn import (
     link_name,
     pair_codes,
     parse_link,
-    profile,
+    row_delta,
     square,
     table_transform,
     value_table,
@@ -68,7 +68,6 @@ from .oracle import (
     moment_bound,
     pair_matched_count,
     semicircle_cdf,
-    semicircle_moments,
 )
 from .spectral import (
     ESD,
@@ -268,6 +267,14 @@ def cfg_posint(cfg: Mapping, key: str, default=_MISSING, minimum: int = 1) -> in
     if v < minimum:
         raise ConfigError(f"config key {key!r}: {v!r} must be >= {minimum}")
     return v
+
+
+def cfg_threshold(cfg: Mapping, key: str) -> float:
+    """A gate threshold: a finite number > 0."""
+    v = cfg_value(cfg, key, "number")
+    if not 0 < v <= sys.float_info.max:
+        raise ConfigError(f"config key {key!r}: {v!r} must be a finite number > 0")
+    return float(v)
 
 
 def cfg_link(cfg: Mapping, key: str, default=_MISSING) -> str:
@@ -536,12 +543,10 @@ def _limit_targets(limit: str, h_max: int) -> dict[int, dict]:
     link's exact per-word limits. ``period`` is the common period of the
     word fits and ``n_range`` the span of n their windows cover.
     """
-    targets: dict[int, dict] = {}
     if limit == "semicircle":
-        ms = semicircle_moments(h_max)
-        for two_k in range(2, h_max + 1, 2):
-            targets[two_k] = {"value": ms.moment(two_k), "source": "semicircle"}
-        return targets
+        return {two_k: {"value": float(catalan_number(two_k // 2)), "source": "semicircle"}
+                for two_k in range(2, h_max + 1, 2)}
+    targets: dict[int, dict] = {}
     for two_k in range(2, min(h_max, 6) + 1, 2):
         table = p_table(limit, two_k)
         exact = assemble_moments({w: f.p for w, f in table.items()}, two_k)
@@ -621,9 +626,11 @@ def cmd_spectrum(ctx: RunContext) -> None:
         ):
             raise ConfigError(f"config key 'range': {raw!r} must be [lo, hi]")
         lo, hi = float(raw[0]), float(raw[1])
-        if not lo < hi:
-            raise ConfigError(f"config key 'range': {raw!r} must satisfy lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"config key 'range': {raw!r} must be finite with lo < hi")
     reference = cfg_choice(cfg, "reference", ("semicircle", "none"), "semicircle")
+    ks_max = cfg_threshold(cfg, "ks_max") if "ks_max" in cfg else None
+    eigenvalues_csv = cfg_value(cfg, "eigenvalues_csv", "bool", False)
 
     spectra = ctx.spectra(spec)
     esd = ESD.from_spectra(spectra)
@@ -645,14 +652,13 @@ def cmd_spectrum(ctx: RunContext) -> None:
     if reference == "semicircle":
         ks = ks_distance(esd, semicircle_cdf)
         report["ks_semicircle"] = ks
-        if "ks_max" in cfg:
-            ks_max = float(cfg_value(cfg, "ks_max", "number"))
+        if ks_max is not None:
             ctx.check(
                 "spectrum:ks",
                 ks <= ks_max,
                 f"KS {_fmt(ks)} vs max {_fmt(ks_max)}",
             )
-    if cfg_value(cfg, "eigenvalues_csv", "bool", False):
+    if eigenvalues_csv:
         rows = np.concatenate(
             [
                 np.column_stack([np.full(s.eigenvalues.size, t), s.eigenvalues])
@@ -687,6 +693,7 @@ def cmd_moments(ctx: RunContext) -> None:
     if h_max > 8:
         raise ConfigError(f"config key 'h_max': {h_max!r} must be <= 8")
     want_targets = cfg_choice(cfg, "targets", ("auto", "none"), "auto")
+    z_max = cfg_threshold(cfg, "z_max") if "z_max" in cfg else None
 
     moments = moments_from_spectra(ctx.spectra(spec), h_max)
     limit = _limit_for_product(spec.link_x, spec.link_y) if want_targets == "auto" else None
@@ -696,25 +703,19 @@ def cmd_moments(ctx: RunContext) -> None:
     for m in moments:
         target = targets[m.h]["value"] if m.h in targets else (0.0 if m.h % 2 else None)
         entries.append(_moment_json(m, target))
-
-    report = dict(ctx.header())
-    report["limit"] = limit
-    report["targets"] = {str(k): v for k, v in targets.items()}
-    report["moments"] = entries
-    ctx.emit_json("moments_report.json", report)
-
-    if "z_max" in cfg:
-        z_max = float(cfg_value(cfg, "z_max", "number"))
-        for m in moments:
-            target = targets[m.h]["value"] if m.h in targets else (0.0 if m.h % 2 else None)
-            if target is None:
-                continue
+        if z_max is not None and target is not None:
             band = z_max * m.stderr + BAND_EPS
             ctx.check(
                 f"moments:h{m.h}",
                 abs(m.mean - target) <= band,
                 f"estimate {_fmt(m.mean)}, target {_fmt(target)}, band {_fmt(band)}",
             )
+
+    report = dict(ctx.header())
+    report["limit"] = limit
+    report["targets"] = {str(k): v for k, v in targets.items()}
+    report["moments"] = entries
+    ctx.emit_json("moments_report.json", report)
     for m in moments:
         print(f"h={m.h}: {_fmt(m.mean)} (stderr {_fmt(m.stderr)})")
 
@@ -810,6 +811,8 @@ def cmd_check(ctx: RunContext) -> None:
          "expected", "require_equal"},
     )
     relation = cfg_choice(cfg, "relation", ("implies", "compatible", "leadsto", "invariance"))
+    expected = cfg_value(cfg, "expected", "bool", None)
+    require_equal = cfg_value(cfg, "require_equal", "bool", False)
     report = dict(ctx.header())
     report["relation"] = relation
 
@@ -825,8 +828,7 @@ def cmd_check(ctx: RunContext) -> None:
                 raise ConfigError(f"config key 'ns': {n!r} must be an integer in 1..64")
             results[n] = check_implies_wigner(link_x, link_y, n)
         report["results"] = {str(n): v for n, v in results.items()}
-        if "expected" in cfg:
-            expected = cfg_value(cfg, "expected", "bool")
+        if expected is not None:
             for n, got in results.items():
                 ctx.check(
                     f"implies:{link_x}*{link_y}@n={n}",
@@ -861,7 +863,7 @@ def cmd_check(ctx: RunContext) -> None:
             rep.all_subset,
             f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained",
         )
-        if cfg_value(cfg, "require_equal", "bool", False):
+        if require_equal:
             ctx.check(
                 f"invariance:{rep.transform}:equal",
                 rep.all_equal,
@@ -898,9 +900,7 @@ def _tols_from_cfg(cfg: Mapping) -> dict:
         for k, v in overrides.items():
             if k not in DEFAULT_TOLS:
                 raise ConfigError(f"config key 'tol': unknown tolerance {k!r} (value {v!r})")
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                raise ConfigError(f"config key 'tol': {k!r} must be a positive number, got {v!r}")
-            tols[k] = float(v)
+            tols[k] = cfg_threshold(overrides, k)
     return tols
 
 
@@ -995,7 +995,7 @@ def cmd_verify_table2(ctx: RunContext) -> None:
                 by_h = {m.h: m for m in moments}
                 for link in (x, y):
                     if link not in link_delta:
-                        link_delta[link] = profile(parse_link(link), n).delta
+                        link_delta[link] = row_delta(parse_link(link), n)
                 delta = min(link_delta[x], link_delta[y])
 
                 entry = {

@@ -1,8 +1,8 @@
 """Seeded realizations of patterned matrices and their entrywise products.
 
-Realizations are plain float64 arrays: ``realize`` returns the unscaled
-patterned matrix and ``product_realization`` the Schur product of one trial's
-two factors, scaled by n^(-1/2), which is what the eigensolver takes.
+Realizations are plain float64 arrays: ``product_realization`` returns the
+Schur product of one trial's two patterned factors, scaled by n^(-1/2), which
+is what the eigensolver takes.
 
 Determinism contract: a realization is a pure function of (link, input
 distribution, n, seed). One value is drawn per distinct link label, in
@@ -19,14 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .linkfn import BLOCK_ROWS, LinkFunction, parse_link, value_table
+from .linkfn import BLOCK_ROWS, parse_link, value_table
 
 __all__ = [
     "INPUT_DISTRIBUTIONS",
     "ProductSpec",
     "child_seed",
     "product_realization",
-    "realize",
     "sample_inputs",
     "splitmix64",
     "stream_seed",
@@ -94,29 +93,11 @@ def sample_inputs(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown input distribution {dist!r}")
 
 
-def _as_link(link) -> LinkFunction:
-    return parse_link(link) if isinstance(link, str) else link
-
-
-def _draws(link, dist: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _draws(link: str, dist: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The label code matrix of ``link`` at n and one draw per code."""
-    if dist not in INPUT_DISTRIBUTIONS:
-        raise ValueError(f"unknown input distribution {dist!r}")
-    codes, k = value_table(_as_link(link), n)
+    codes, k = value_table(parse_link(link), n)
     rng = np.random.Generator(np.random.PCG64(seed))
     return codes, sample_inputs(dist, k, rng)
-
-
-def realize(link, dist: str, n: int, seed: int) -> np.ndarray:
-    """Draw one unscaled patterned matrix as an n x n float64 array.
-
-    Draws exactly one value per distinct label (k_n draws, e.g. 3 for a
-    3 x 3 toeplitz pattern), assigned in ascending label order, then
-    scatters them through the label code matrix. The result is exactly
-    symmetric: equal labels share a draw and the label map is symmetric.
-    """
-    codes, draws = _draws(link, dist, n, seed)
-    return draws[codes]
 
 
 @dataclass(frozen=True)

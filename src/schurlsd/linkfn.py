@@ -4,7 +4,7 @@ A link function maps a 1-based index pair (i, j) of an n x n symmetric
 matrix to the label of the input variable occupying that cell; cells with
 equal labels share one random draw. Everything downstream (matrix
 realization, repeat bounds, exact circuit counting) consumes links through
-``eval_link`` / ``value_table`` / ``link_labels`` / ``profile``.
+``eval_link`` / ``value_table`` / ``link_labels`` / ``row_delta``.
 
 Built-in links and their label formulas, with d = |i - j| and m = (i + j) mod n:
 
@@ -39,7 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "BUILTIN_KINDS",
     "LinkFunction",
-    "LinkProfile",
     "PowerValue",
     "Transform",
     "TransformError",
@@ -53,7 +52,7 @@ __all__ = [
     "link_name",
     "pair_codes",
     "parse_link",
-    "profile",
+    "row_delta",
     "square",
     "table_transform",
     "value_sort_key",
@@ -62,7 +61,7 @@ __all__ = [
 
 BUILTIN_KINDS = ("wigner", "toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
 
-#: Rows per step of a scan over a code table (``profile``, and the gathers of
+#: Rows per step of a scan over a code table (``row_delta``, and the gathers of
 #: ``ensemble.product_realization``): a step's temporaries are this many rows
 #: long, never n.
 BLOCK_ROWS = 64
@@ -110,13 +109,12 @@ def value_sort_key(value: LinkValue):
 
 @dataclass(frozen=True)
 class Transform:
-    """A map on link labels. ``injective`` is a claim, verified per range via
-    ``is_injective_on_range`` rather than trusted."""
+    """A map on link labels. Whether it is injective on the labels of a link
+    is checked per range, by ``is_injective_on_range``."""
 
     kind: str
     bases: Optional[tuple[int, int]] = None
     table: Optional[tuple[tuple, ...]] = None
-    injective: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("square", "coprimepower", "usertable"):
@@ -144,12 +142,11 @@ def coprime_power(a: int, b: int) -> Transform:
 
 
 def table_transform(mapping: Mapping) -> Transform:
-    """Explicit label map. Injectivity is read off the table values."""
+    """Explicit label map."""
     if not mapping:
         raise ValueError("table_transform needs a non-empty mapping")
     items = tuple(sorted(mapping.items(), key=lambda kv: value_sort_key(kv[0])))
-    injective = len({value_sort_key(v) for _, v in items}) == len(items)
-    return Transform("usertable", table=items, injective=injective)
+    return Transform("usertable", table=items)
 
 
 def apply_transform(transform: Transform, value: LinkValue) -> LinkValue:
@@ -390,40 +387,23 @@ def link_labels(link: LinkFunction, n: int) -> list:
     return [eval_link(link, i + 1, j + 1, n) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
-# --- profiles ---------------------------------------------------------------
+def row_delta(link: LinkFunction, n: int) -> int:
+    """Most repeats of one label within a row of ``link`` at n, the paper's
+    Delta. A pair label (L_X, L_Y) repeats in a row no more often than
+    either label does, so min(delta_X, delta_Y) bounds the delta of a product.
 
-
-@dataclass(frozen=True)
-class LinkProfile:
-    """Finite-n combinatorial profile of a link.
-
-    ``delta``: most repeats of one label within a row; ``kn``: number of
-    distinct labels; ``alphan``: most cells sharing one label. A pair label
-    (L_X, L_Y) repeats in a row no more often than either label does, so
-    min(delta_X, delta_Y) bounds the delta of a product.
+    The code table is scanned ``BLOCK_ROWS`` rows at a time, so that no
+    n x n temporary is made.
     """
-
-    n: int
-    delta: int
-    kn: int
-    alphan: int
-
-
-def profile(link: LinkFunction, n: int) -> LinkProfile:
-    """The profile of ``link`` at n, scanned ``BLOCK_ROWS`` rows of its code
-    table at a time, so that no n x n temporary is made."""
-    codes, k = value_table(link, n)
-    counts = np.zeros(k, dtype=np.min_scalar_type(n * n))
+    codes, _ = value_table(link, n)
     delta = 1
     for lo in range(0, n, BLOCK_ROWS):
-        block = codes[lo : lo + BLOCK_ROWS]
-        np.add.at(counts, block, 1)  # no k-long temporary per block
         # A label repeated r times in a sorted row fills r adjacent cells, so
         # column j equals column j + r - 1: test r = delta + 1, delta + 2, ...
-        ordered = np.sort(block, axis=1)
+        ordered = np.sort(codes[lo : lo + BLOCK_ROWS], axis=1)
         while delta < n and (ordered[:, delta:] == ordered[:, :-delta]).any():
             delta += 1
-    return LinkProfile(n=n, delta=delta, kn=k, alphan=int(counts.max()))
+    return delta
 
 
 def is_injective_on_range(transform: Transform, base: LinkFunction, n: int) -> bool:

@@ -1,15 +1,15 @@
-"""Reference moment targets: semicircle values, assembled per-word limits, bounds.
+"""Reference moment targets: Catalan numbers, assembled per-word limits, bounds.
 
 The Monte Carlo channel is judged against the targets produced here. For the
-semicircle the even moments are Catalan numbers and the CDF has a closed
-form; for the other limit laws no closed-form density is used anywhere, and
-targets are assembled by summing per-word limits over all pair-matched words.
+semicircle the even moments are Catalan numbers (``catalan_number``) and the
+CDF has a closed form; for the other limit laws no closed-form density is
+used anywhere, and targets are assembled by summing per-word limits over all
+pair-matched words.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -17,16 +17,12 @@ import numpy as np
 from .words import enumerate_pair_matched
 
 __all__ = [
-    "MomentSequence",
     "assemble_moments",
     "catalan_number",
     "moment_bound",
     "pair_matched_count",
     "semicircle_cdf",
-    "semicircle_moments",
 ]
-
-MAX_MOMENT_ORDER = 30
 
 
 def catalan_number(k: int) -> int:
@@ -41,34 +37,6 @@ def pair_matched_count(two_k: int) -> int:
         raise ValueError(f"need a positive even length, got {two_k}")
     k = two_k // 2
     return math.factorial(two_k) // (2**k * math.factorial(k))
-
-
-@dataclass(frozen=True)
-class MomentSequence:
-    """Moments beta_1..beta_{h_max} of a limit law, with a short provenance tag."""
-
-    values: tuple[float, ...]
-    source: str
-
-    @property
-    def h_max(self) -> int:
-        return len(self.values)
-
-    def moment(self, h: int) -> float:
-        if not 1 <= h <= self.h_max:
-            raise ValueError(f"moment order {h} outside 1..{self.h_max}")
-        return self.values[h - 1]
-
-
-def semicircle_moments(h_max: int) -> MomentSequence:
-    """Standard semicircle moments: odd orders 0, order 2k the k-th Catalan number."""
-    if not 1 <= h_max <= MAX_MOMENT_ORDER:
-        raise ValueError(f"h_max must be in 1..{MAX_MOMENT_ORDER}, got {h_max}")
-    vals = tuple(
-        float(catalan_number(h // 2)) if h % 2 == 0 else 0.0
-        for h in range(1, h_max + 1)
-    )
-    return MomentSequence(vals, "semicircle")
 
 
 def assemble_moments(p_table: Mapping, two_k: int):

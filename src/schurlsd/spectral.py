@@ -20,7 +20,6 @@ __all__ = [
     "eigenvalues",
     "histogram",
     "ks_distance",
-    "moment_from_spectrum",
     "moments_from_spectra",
     "trial_spectra",
     "usable_cpus",
@@ -56,7 +55,8 @@ class MomentEstimate:
 
 
 class ESD:
-    """Empirical spectral distribution: a right-continuous step CDF."""
+    """Empirical spectral distribution: the pooled eigenvalues, sorted, which
+    ``ks_distance`` reads as a right-continuous step CDF."""
 
     def __init__(self, points: Sequence[float]):
         arr = np.sort(np.asarray(points, dtype=float))
@@ -72,11 +72,6 @@ class ESD:
     def n_points(self) -> int:
         return int(self.points.size)
 
-    def cdf(self, x):
-        pos = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
-        out = pos / self.points.size
-        return float(out) if np.isscalar(x) else out
-
 
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """Spectrum of a symmetric matrix, such as a scaled product realization."""
@@ -85,13 +80,6 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix has non-finite entries")
     return Spectrum(eigenvalues=np.linalg.eigvalsh(a), n=a.shape[0])
-
-
-def moment_from_spectrum(spectrum: Spectrum, h: int) -> float:
-    """(1/n) sum of eigenvalue h-th powers."""
-    if h < 1:
-        raise ValueError(f"moment order must be >= 1, got {h}")
-    return float(np.mean(spectrum.eigenvalues**h))
 
 
 def usable_cpus() -> int:
@@ -134,6 +122,7 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None) -> list[Spec
 def moments_from_spectra(spectra: Sequence[Spectrum], h_max: int) -> list[MomentEstimate]:
     """Across-trial moment estimates for h = 1..h_max from drawn spectra.
 
+    A trial's h-th moment is (1/n) sum of its eigenvalues' h-th powers.
     Aggregation is a fixed left-to-right sum in trial order, so results are
     bitwise identical for any thread count used to produce the spectra.
     """
@@ -144,7 +133,7 @@ def moments_from_spectra(spectra: Sequence[Spectrum], h_max: int) -> list[Moment
     trials = len(spectra)
     n = spectra[0].n
     per_trial = [
-        [moment_from_spectrum(s, h) for h in range(1, h_max + 1)] for s in spectra
+        [float(np.mean(s.eigenvalues**h)) for h in range(1, h_max + 1)] for s in spectra
     ]
     out = []
     for h in range(1, h_max + 1):

@@ -35,7 +35,7 @@ from schurlsd.linkfn import (
     coprime_power,
     eval_link,
     parse_link,
-    profile,
+    row_delta,
     square,
     table_transform,
     value_table,
@@ -140,7 +140,7 @@ def test_wigner_exactness_band(n):
             if not is_catalan(word):
                 continue
             c = count_pi_star("wigner", word, n)
-            ratio = c.count / n**c.normalizer_exponent
+            ratio = c.count / n ** (k + 1)
             assert 1 - (k + 1) ** 2 / n <= ratio <= 1
 
 
@@ -161,7 +161,7 @@ def test_identical_link_reduction(kind):
 @pytest.mark.parametrize("kind", ALL_LINKS)
 @pytest.mark.parametrize("n", [5, 8, 13])
 def test_property_b_count_bound(kind, n):
-    delta = profile(parse_link(kind), n).delta
+    delta = row_delta(parse_link(kind), n)
     for word in enumerate_pair_matched(4):
         count = count_pi_star(kind, word, n).count
         assert count <= n ** (word.num_letters + 1) * delta ** (word.h - word.num_letters)

@@ -97,6 +97,47 @@ def test_removed_ladder_and_tolerance_keys_exit_two(tmp_path, capsys, command, c
     assert "unknown" in capsys.readouterr().err
 
 
+# --- bad config values are rejected before any work ----------------------------------------
+
+
+def _exits_two_with_no_report(tmp_path, command, cfg):
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("z_max", [-1, 0, float("nan"), float("inf"), "3"])
+def test_moments_bad_z_max_exits_two_and_writes_no_report(tmp_path, z_max):
+    cfg = {"link_x": "toeplitz", "link_y": "hankel", "n": 20, "trials": 2, "z_max": z_max}
+    _exits_two_with_no_report(tmp_path, "moments", cfg)
+
+
+@pytest.mark.parametrize("ks_max", [-0.5, float("nan")])
+def test_spectrum_bad_ks_max_exits_two_and_writes_no_report(tmp_path, ks_max):
+    cfg = {"link_x": "wigner", "link_y": "toeplitz", "n": 20, "trials": 2, "ks_max": ks_max}
+    _exits_two_with_no_report(tmp_path, "spectrum", cfg)
+
+
+@pytest.mark.parametrize("tol", [{"z_max": float("nan")}, {"ks_max": -0.5},
+                                 {"beta2_abs": float("inf")}])
+def test_verify_bad_tolerance_exits_two_and_writes_no_report(tmp_path, tol):
+    _exits_two_with_no_report(tmp_path, "verify-table2", dict(ROW5_CFG, tol=tol))
+
+
+@pytest.mark.parametrize("bad", [[float("-inf"), 3], [-3, float("inf")], [float("nan"), 3]])
+def test_spectrum_range_must_be_finite(tmp_path, bad):
+    cfg = {"link_x": "wigner", "link_y": "toeplitz", "n": 20, "trials": 2, "range": bad}
+    _exits_two_with_no_report(tmp_path, "spectrum", cfg)
+
+
+def test_check_reads_require_equal_before_counting(tmp_path):
+    # the order-6 count at n = 1000 would exceed its budget (exit 3), so
+    # exit 2 shows the bad value was read first
+    cfg = {"relation": "invariance", "link": "toeplitz", "transform": {"kind": "square"},
+           "two_k": 6, "n": 1000, "require_equal": "yes"}
+    _exits_two_with_no_report(tmp_path, "check", cfg)
+
+
 # --- words ------------------------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ from schurlsd.ensemble import (
     ProductSpec,
     child_seed,
     product_realization,
-    realize,
     sample_inputs,
     splitmix64,
     stream_seed,
@@ -17,6 +16,17 @@ from schurlsd.ensemble import (
 from schurlsd.linkfn import eval_link, parse_link, value_table
 
 ALL_LINKS = ("wigner", "toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
+
+
+def realize(link: str, dist: str, n: int, seed: int) -> np.ndarray:
+    """One unscaled patterned matrix as an n x n float64 array.
+
+    Draws exactly one value per distinct label (k_n draws, e.g. 3 for a
+    3 x 3 toeplitz pattern) from a PCG64 stream at ``seed``, assigned in
+    ascending label order, then scatters them through the label code matrix.
+    """
+    codes, k = value_table(parse_link(link), n)
+    return sample_inputs(dist, k, np.random.Generator(np.random.PCG64(seed)))[codes]
 
 
 # --- seed derivation ---------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Tests for link functions, transforms, and structural profiles."""
+"""Tests for link functions, transforms, and structural profiles.
+
+A profile is (delta, k_n, alpha_n): ``row_delta``, and the number of distinct
+labels and the most cells sharing one, both counted here from ``value_table``.
+"""
 
 import itertools
 import tracemalloc
@@ -8,7 +12,6 @@ import pytest
 
 from schurlsd.linkfn import (
     BUILTIN_KINDS,
-    LinkProfile,
     PowerValue,
     TransformError,
     apply_transform,
@@ -21,7 +24,7 @@ from schurlsd.linkfn import (
     link_name,
     pair_codes,
     parse_link,
-    profile,
+    row_delta,
     square,
     table_transform,
     value_sort_key,
@@ -93,6 +96,13 @@ def test_symcirc_dsymhankel_scalar_values(n):
 # --- profiles ---------------------------------------------------------------------
 
 
+def profile(link, n: int) -> tuple[int, int, int]:
+    """(delta, k_n, alpha_n) of ``link`` at n."""
+    codes, k = value_table(link, n)
+    counts = np.bincount(np.ravel(codes), minlength=k)
+    return row_delta(link, n), k, int(counts.max())
+
+
 FROZEN_PROFILES = {
     # (kind, n) -> (delta, kn, alphan), each counted by hand / raw enumeration
     ("wigner", 4): (1, 10, 2),
@@ -111,9 +121,7 @@ FROZEN_PROFILES = {
 
 @pytest.mark.parametrize("kind,n", sorted(FROZEN_PROFILES))
 def test_profile_frozen_values(kind, n):
-    p = profile(parse_link(kind), n)
-    assert (p.delta, p.kn, p.alphan) == FROZEN_PROFILES[(kind, n)]
-    assert p.n == n
+    assert profile(parse_link(kind), n) == FROZEN_PROFILES[(kind, n)]
 
 
 EXPECTED_DELTA = {
@@ -129,7 +137,7 @@ EXPECTED_DELTA = {
 @pytest.mark.parametrize("kind", ALL_LINKS)
 @pytest.mark.parametrize("n", [4, 8, 16, 33, 64])
 def test_profile_delta_bounded_by_two(kind, n):
-    assert profile(parse_link(kind), n).delta == EXPECTED_DELTA[kind]
+    assert row_delta(parse_link(kind), n) == EXPECTED_DELTA[kind]
 
 
 @pytest.mark.parametrize("kind", ALL_LINKS)
@@ -137,12 +145,12 @@ def test_profile_growth(kind):
     link = parse_link(kind)
     last_kn = 0
     for n in range(2, 65):
-        p = profile(link, n)
-        assert p.kn >= last_kn
-        assert p.kn * p.alphan <= 4 * n * n
-        assert p.kn * p.alphan >= n * n
-        assert p.alphan <= n * p.delta
-        last_kn = p.kn
+        delta, kn, alphan = profile(link, n)
+        assert kn >= last_kn
+        assert kn * alphan <= 4 * n * n
+        assert kn * alphan >= n * n
+        assert alphan <= n * delta
+        last_kn = kn
 
 
 def _test_link(name: str, n: int):
@@ -154,34 +162,34 @@ def _test_link(name: str, n: int):
 @pytest.mark.parametrize("kind", ALL_LINKS + ["toeplitz//3"])
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 63, 64, 65, 129])
 def test_delta_equals_per_row_unique_scan(kind, n):
-    # n = 63, 64, 65 and 129 end the table inside, at and just past a 64-row block of profile
+    # n = 63, 64, 65 and 129 end the table inside, at and just past a 64-row block of row_delta
     link = _test_link(kind, n)
     codes, _ = value_table(link, n)
     per_row = max(int(np.unique(row, return_counts=True)[1].max()) for row in codes)
-    assert profile(link, n).delta == per_row
+    assert row_delta(link, n) == per_row
 
 
 def test_delta_ladder_stable():
     for kind in ALL_LINKS:
-        deltas = {profile(parse_link(kind), n).delta for n in (4, 8, 16, 32)}
+        deltas = {row_delta(parse_link(kind), n) for n in (4, 8, 16, 32)}
         assert deltas == {EXPECTED_DELTA[kind]}
 
 
 # --- product profiles --------------------------------------------------------------
 
 
-def profile_product(link_x, link_y, n: int) -> LinkProfile:
+def profile_product(link_x, link_y, n: int) -> tuple[int, int, int]:
     """Profile of the label-pair map (i, j) -> (L_X(i, j), L_Y(i, j)).
 
-    ``kn`` and ``alphan`` are exact scans of the pair labels; ``delta`` is
-    the product bound min(delta_X, delta_Y) that ``verify-table2`` gates
-    the moment bound with, and the tests below hold it to the scans.
+    k_n and alpha_n are exact scans of the pair labels; delta is the product
+    bound min(delta_X, delta_Y) that ``verify-table2`` gates the moment bound
+    with, and the tests below hold it to the scans.
     """
     codes_x, _ = value_table(link_x, n)
     codes_y, k_y = value_table(link_y, n)
     _, counts = np.unique(pair_codes(codes_x, codes_y, k_y), return_counts=True)
-    delta = min(profile(link_x, n).delta, profile(link_y, n).delta)
-    return LinkProfile(n=n, delta=delta, kn=len(counts), alphan=int(counts.max()))
+    delta = min(row_delta(link_x, n), row_delta(link_y, n))
+    return delta, len(counts), int(counts.max())
 
 
 FROZEN_PRODUCT_PROFILES = {
@@ -193,30 +201,30 @@ FROZEN_PRODUCT_PROFILES = {
 
 @pytest.mark.parametrize("x,y,n", sorted(FROZEN_PRODUCT_PROFILES))
 def test_profile_product_frozen_values(x, y, n):
-    p = profile_product(parse_link(x), parse_link(y), n)
-    assert (p.kn, p.alphan) == FROZEN_PRODUCT_PROFILES[(x, y, n)]
+    _, kn, alphan = profile_product(parse_link(x), parse_link(y), n)
+    assert (kn, alphan) == FROZEN_PRODUCT_PROFILES[(x, y, n)]
 
 
 @pytest.mark.parametrize("x,y", list(itertools.combinations_with_replacement(ALL_LINKS, 2)))
 @pytest.mark.parametrize("n", [2, 5, 8, 16, 32])
 def test_profile_product_bounds(x, y, n):
-    px = profile(parse_link(x), n)
-    py = profile(parse_link(y), n)
-    pz = profile_product(parse_link(x), parse_link(y), n)
-    assert max(px.kn, py.kn) <= pz.kn <= px.kn * py.kn
-    assert pz.alphan <= min(px.alphan, py.alphan)
-    assert pz.delta == min(px.delta, py.delta)
-    assert pz.kn * pz.alphan >= n * n
+    delta_x, kn_x, alphan_x = profile(parse_link(x), n)
+    delta_y, kn_y, alphan_y = profile(parse_link(y), n)
+    delta, kn, alphan = profile_product(parse_link(x), parse_link(y), n)
+    assert max(kn_x, kn_y) <= kn <= kn_x * kn_y
+    assert alphan <= min(alphan_x, alphan_y)
+    assert delta == min(delta_x, delta_y)
+    assert kn * alphan >= n * n
     pairs = pair_codes(value_table(parse_link(x), n)[0], value_table(parse_link(y), n)[0],
-                       py.kn)
-    assert max(int(np.unique(row, return_counts=True)[1].max()) for row in pairs) <= pz.delta
+                       kn_y)
+    assert max(int(np.unique(row, return_counts=True)[1].max()) for row in pairs) <= delta
 
 
 def test_profile_product_wigner_factor_pins_alphan():
     for other in ALL_LINKS:
-        p = profile_product(parse_link("wigner"), parse_link(other), 5)
-        assert p.kn == 15  # n(n+1)/2 distinct pairs
-        assert p.alphan == 2
+        _, kn, alphan = profile_product(parse_link("wigner"), parse_link(other), 5)
+        assert kn == 15  # n(n+1)/2 distinct pairs
+        assert alphan == 2
 
 
 # --- transforms --------------------------------------------------------------------
@@ -296,9 +304,7 @@ def test_injective_compose_preserves_profile(kind, n):
     else:
         transform = table_transform({v: (v, v) for v in link_labels(base, n)})
     assert is_injective_on_range(transform, base, n)
-    pb = profile(base, n)
-    pc = profile(compose(transform, base), n)
-    assert (pc.kn, pc.alphan, pc.delta) == (pb.kn, pb.alphan, pb.delta)
+    assert profile(compose(transform, base), n) == profile(base, n)
 
 
 # --- composed symmetry (spec invariant covers composed links too) -------------------
@@ -336,7 +342,7 @@ def test_value_table_consistent_with_eval(kind):
     codes, k = value_table(link, n)
     labels = link_labels(link, n)
     assert codes.shape == (n, n)
-    assert k == len(labels) == profile(link, n).kn
+    assert k == len(labels) == len(np.unique(codes))
     keys = [value_sort_key(v) for v in labels]
     assert keys == sorted(keys) and len(set(keys)) == k
     for i in range(1, n + 1):
@@ -418,4 +424,4 @@ def test_pair_codes_do_not_wrap_on_wigner_pairs_at_n_1000():
     # k^2 - 1 is about 2.5e11, past the range of the uint32 codes
     assert int(pairs.max()) == k * k - 1 > np.iinfo(codes.dtype).max
     assert np.array_equal(pairs, codes.astype(np.int64) * (k + 1))
-    assert profile_product(wigner, wigner, 1000).kn == k
+    assert profile_product(wigner, wigner, 1000)[1] == k

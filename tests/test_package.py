@@ -42,7 +42,9 @@ def test_every_exported_name_exists(short):
     [("circuits", "estimate_p"), ("circuits", "PEstimate"), ("circuits", "default_ladder"),
      ("circuits", "_joint_ladder"), ("cli", "cfg_ladder"), ("cli", "_pestimate_json"),
      ("cli", "_pw_ladder"), ("spectral", "mc_moments"), ("spectral", "moment_from_trace"),
-     ("oracle", "moment_matrix_is_psd")],
+     ("oracle", "moment_matrix_is_psd"), ("linkfn", "profile"), ("linkfn", "LinkProfile"),
+     ("oracle", "MomentSequence"), ("oracle", "semicircle_moments"),
+     ("spectral", "moment_from_spectrum"), ("ensemble", "realize")],
 )
 def test_ladder_and_test_only_code_is_gone(short, name):
     assert not hasattr(importlib.import_module(f"schurlsd.{short}"), name)

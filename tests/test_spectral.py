@@ -17,7 +17,6 @@ from schurlsd.spectral import (
     eigenvalues,
     histogram,
     ks_distance,
-    moment_from_spectrum,
     moments_from_spectra,
     trial_spectra,
     usable_cpus,
@@ -109,10 +108,14 @@ def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
 # --- moments: two independent routes ---------------------------------------------------
 
 
+def _spectrum_moments(s, h_max):
+    """Moments 1..h_max of one spectrum, read off a two-trial estimate of it."""
+    return [m.mean for m in moments_from_spectra([s, s], h_max)]
+
+
 def test_moment_hand_values():
     s = eigenvalues(_diag([1.0, 2.0, 3.0]))
-    assert moment_from_spectrum(s, 1) == pytest.approx(2.0)
-    assert moment_from_spectrum(s, 2) == pytest.approx(14.0 / 3.0)
+    assert _spectrum_moments(s, 2) == pytest.approx([2.0, 14.0 / 3.0])
     m = _diag([1.0, 2.0, 3.0])
     assert moment_from_trace(m, 2) == pytest.approx(14.0 / 3.0)
 
@@ -122,9 +125,7 @@ def test_moment_hand_values():
 def test_trace_and_spectrum_routes_agree(kind_pair, n):
     x, y = kind_pair
     m = product_realization(_spec(link_x=x, link_y=y, n=n), trial=0)
-    s = eigenvalues(m)
-    for h in range(1, 7):
-        via_spectrum = moment_from_spectrum(s, h)
+    for h, via_spectrum in enumerate(_spectrum_moments(eigenvalues(m), 6), start=1):
         via_trace = moment_from_trace(m, h)
         scale = max(abs(via_trace), 1.0)
         assert abs(via_spectrum - via_trace) <= 1e-8 * scale
@@ -133,7 +134,7 @@ def test_trace_and_spectrum_routes_agree(kind_pair, n):
 def test_moment_order_validation():
     s = eigenvalues(_diag([1.0, 2.0]))
     with pytest.raises(ValueError):
-        moment_from_spectrum(s, 0)
+        moments_from_spectra([s, s], 0)
 
 
 # --- across-trial aggregation -----------------------------------------------------------
@@ -214,20 +215,18 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
 
 
 def test_esd_is_a_cdf():
+    # sorted pooled points, read by ks_distance as a step CDF rising from 0 to 1
     esd = ESD([0.5, -1.0, 2.0, 0.5])
-    xs = np.linspace(-3, 3, 101)
-    vals = esd.cdf(xs)
-    assert np.all(np.diff(vals) >= 0)
-    assert esd.cdf(-5.0) == 0.0
-    assert esd.cdf(5.0) == 1.0
+    assert esd.points.tolist() == [-1.0, 0.5, 0.5, 2.0]
+    assert ks_distance(esd, lambda x: np.zeros_like(x)) == 1.0
+    assert ks_distance(esd, lambda x: np.ones_like(x)) == 1.0
 
 
 def test_esd_hand_values():
-    esd = ESD([1.0, 2.0, 3.0])
-    assert esd.cdf(0.5) == 0.0
-    assert esd.cdf(1.0) == pytest.approx(1 / 3)
-    assert esd.cdf(2.9) == pytest.approx(2 / 3)
-    assert esd.cdf(3.0) == 1.0
+    # against the uniform CDF x / 3 on [0, 3] the step CDF at 1, 2, 3 is
+    # 1/3 below it just left of each jump and equal to it at each jump
+    esd = ESD([3.0, 1.0, 2.0])
+    assert ks_distance(esd, lambda x: x / 3.0) == pytest.approx(1 / 3)
 
 
 def test_esd_from_spectra_pools_everything():
