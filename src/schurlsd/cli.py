@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, __version__
+from . import BLAS_THREAD_VARS, __version__, circuits, spectral, words
 from .circuits import (
     SLOPE_LINK_KINDS,
     ExactLimit,
@@ -60,6 +60,7 @@ from .linkfn import (
     row_delta,
     square,
     table_transform,
+    transform_name,
     value_table,
 )
 from .oracle import (
@@ -120,15 +121,15 @@ class Table2Row:
     ``limit`` is ``"semicircle"`` or the link whose single-pattern limit the
     products share (its moments are assembled from that link's per-word
     limits). ``relations`` lists the joint relation checks in gate order,
-    ``invariance`` builds the label transform of product (x, y) at dimension
-    n for the invariance check (None: no such check), and ``implies_wigner``
-    adds the report-only "labels force index pairs" verdict at n = 20.
+    ``invariance`` adds the invariance check of each product (x, y) under
+    ``_label_map(x, y, n)``, and ``implies_wigner`` adds the report-only
+    "labels force index pairs" verdict at n = 20.
     """
 
     products: tuple[tuple[str, str], ...]
     limit: str
     relations: tuple[str, ...] = ()
-    invariance: Optional[Callable[[str, str, int], Transform]] = None
+    invariance: bool = False
     implies_wigner: bool = False
 
 
@@ -139,7 +140,7 @@ TABLE2_ROWS: dict[int, Table2Row] = {
         tuple(("wigner", y) for y in ("toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")),
         "semicircle",
         relations=("leadsto",),
-        invariance=_label_map,
+        invariance=True,
     ),
     2: Table2Row(
         tuple((x, y) for x in ("toeplitz", "symcirc") for y in ("hankel", "revcirc", "dsymhankel")),
@@ -147,11 +148,11 @@ TABLE2_ROWS: dict[int, Table2Row] = {
         relations=("compatible", "leadsto"),
         implies_wigner=True,
     ),
-    3: Table2Row((("toeplitz", "symcirc"),), "toeplitz", invariance=_label_map),
+    3: Table2Row((("toeplitz", "symcirc"),), "toeplitz", invariance=True),
     4: Table2Row(
-        (("hankel", "revcirc"), ("hankel", "dsymhankel")), "hankel", invariance=_label_map
+        (("hankel", "revcirc"), ("hankel", "dsymhankel")), "hankel", invariance=True
     ),
-    5: Table2Row((("revcirc", "dsymhankel"),), "revcirc", invariance=_label_map),
+    5: Table2Row((("revcirc", "dsymhankel"),), "revcirc", invariance=True),
 }
 
 DEFAULT_TOLS = {
@@ -235,55 +236,126 @@ def config_hash(command: str, cfg: Mapping) -> str:
 
 _MISSING = object()
 
-
-def cfg_value(cfg: Mapping, key: str, expect: str, default=_MISSING):
-    if key not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    v = cfg[key]
-    checks = {
-        "int": lambda x: isinstance(x, int) and not isinstance(x, bool),
-        "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
-        "str": lambda x: isinstance(x, str),
-        "bool": lambda x: isinstance(x, bool),
-        "list": lambda x: isinstance(x, list),
-        "dict": lambda x: isinstance(x, dict),
-    }
-    if not checks[expect](v):
-        raise ConfigError(f"config key {key!r}: expected {expect}, got {v!r}")
-    return v
+_TYPES = {
+    "any": lambda x: True,
+    "int": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "str": lambda x: isinstance(x, str),
+    "bool": lambda x: isinstance(x, bool),
+    "list": lambda x: isinstance(x, list),
+    "dict": lambda x: isinstance(x, dict),
+}
 
 
-def cfg_choice(cfg: Mapping, key: str, choices: Sequence[str], default=_MISSING) -> str:
-    v = cfg_value(cfg, key, "str", default)
-    if v not in choices:
-        raise ConfigError(f"config key {key!r}: {v!r} is not one of {sorted(choices)}")
-    return v
+def _int_in(name: str, v, lo: int, hi: Optional[int] = None, even: bool = False) -> int:
+    """Every order, dimension and count of a config is checked here: ``v``
+    must be an integer in lo..hi (no upper bound when ``hi`` is None), even
+    when ``even``. ``name`` opens the error message."""
+    if _TYPES["int"](v) and lo <= v and (hi is None or v <= hi) and not (even and v % 2):
+        return v
+    span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+    raise ConfigError(f"{name}: {v!r} must be an {'even ' if even else ''}integer {span}")
 
 
-def cfg_posint(cfg: Mapping, key: str, default=_MISSING, minimum: int = 1) -> int:
-    v = cfg_value(cfg, key, "int", default)
-    if v < minimum:
-        raise ConfigError(f"config key {key!r}: {v!r} must be >= {minimum}")
-    return v
+class Config:
+    """A command's config, recording every key the command reads.
 
+    A command reads its keys through these accessors, all before any work;
+    ``close`` then rejects each key the command, with the relation, mode or
+    switches it was given, did not read. So a key that would change nothing,
+    such as a gate the run never evaluates, is a config error and never a
+    silent no-op. A read after ``close`` is a programming error.
+    """
 
-def cfg_threshold(cfg: Mapping, key: str) -> float:
-    """A gate threshold: a finite number > 0."""
-    v = cfg_value(cfg, key, "number")
-    if not 0 < v <= sys.float_info.max:
-        raise ConfigError(f"config key {key!r}: {v!r} must be a finite number > 0")
-    return float(v)
+    def __init__(self, command: str, data: dict, prefix: str = ""):
+        self.command = command
+        self.data = data
+        #: Prepended to key names in messages (``tol.`` for the ``tol`` map).
+        self.prefix = prefix
+        self._read: Optional[set] = set()
 
+    def __contains__(self, key: str) -> bool:
+        return key in self.data
 
-def cfg_link(cfg: Mapping, key: str, default=_MISSING) -> str:
-    text = cfg_value(cfg, key, "str", default)
-    try:
-        parse_link(text)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {text!r}: {exc}") from exc
-    return text
+    def _name(self, key: str) -> str:
+        return f"config key {self.prefix + key!r}"
+
+    def value(self, key: str, expect: str, default=_MISSING):
+        if self._read is None:
+            raise RuntimeError(f"{self._name(key)} read after the config was closed")
+        self._read.add(key)
+        if key not in self.data:
+            if default is _MISSING:
+                raise ConfigError(f"missing required {self._name(key)}")
+            return default
+        v = self.data[key]
+        if not _TYPES[expect](v):
+            raise ConfigError(f"{self._name(key)}: expected {expect}, got {v!r}")
+        return v
+
+    def close(self) -> None:
+        read, self._read = self._read, None
+        for k, v in self.data.items():
+            if k not in read:
+                raise ConfigError(
+                    f"unknown config key {self.prefix + k!r} (value {v!r}): command "
+                    f"{self.command!r} does not read it in this configuration"
+                )
+
+    def integer(self, key: str, default=_MISSING, lo: int = 1, hi: Optional[int] = None,
+                even: bool = False) -> int:
+        return _int_in(self._name(key), self.value(key, "any", default), lo, hi, even)
+
+    def integers(self, key: str, default, lo: int = 1, hi: Optional[int] = None) -> list:
+        """A non-empty list of distinct integers in lo..hi."""
+        vs = [_int_in(self._name(key), v, lo, hi) for v in self.value(key, "list", default)]
+        if not vs or len(set(vs)) != len(vs):
+            raise ConfigError(f"{self._name(key)}: {vs!r} must list distinct values, at least one")
+        return vs
+
+    def choice(self, key: str, choices: Sequence[str], default=_MISSING) -> str:
+        v = self.value(key, "str", default)
+        if v not in choices:
+            raise ConfigError(f"{self._name(key)}: {v!r} is not one of {sorted(choices)}")
+        return v
+
+    def threshold(self, key: str, default=_MISSING) -> Optional[float]:
+        """A gate threshold: a finite number > 0 (None when absent with that default)."""
+        v = self.value(key, "number", default)
+        if v is None:
+            return None
+        if not 0 < v <= sys.float_info.max:
+            raise ConfigError(f"{self._name(key)}: {v!r} must be a finite number > 0")
+        return float(v)
+
+    def link(self, key: str) -> str:
+        text = self.value(key, "str")
+        try:
+            parse_link(text)
+        except ValueError as exc:
+            raise ConfigError(f"{self._name(key)}: {text!r}: {exc}") from exc
+        return text
+
+    def transform(self, key: str) -> Transform:
+        spec = Config(self.command, self.value(key, "dict"), prefix=f"{self.prefix}{key}.")
+        kind = spec.choice("kind", ("square", "coprimepower", "usertable"))
+        if kind == "square":
+            transform = square()
+        elif kind == "coprimepower":
+            a, b = spec.value("a", "any", None), spec.value("b", "any", None)
+            try:
+                transform = coprime_power(a, b)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{self._name(key)}: {spec.data!r}: {exc}") from exc
+        else:
+            table = spec.value("table", "dict")
+            if not table:
+                raise ConfigError(f"{self._name(key)}: usertable needs a non-empty 'table'")
+            transform = table_transform({
+                _parse_table_value(key, k): _parse_table_value(key, v) for k, v in table.items()
+            })
+        spec.close()
+        return transform
 
 
 def cfg_word(key: str, text) -> Word:
@@ -308,40 +380,6 @@ def _parse_table_value(key: str, raw):
     raise ConfigError(f"config key {key!r}: bad table entry {raw!r}")
 
 
-def cfg_transform(cfg: Mapping, key: str) -> Transform:
-    spec = cfg_value(cfg, key, "dict")
-    kind = spec.get("kind")
-    if kind == "square":
-        return square()
-    if kind == "coprimepower":
-        a, b = spec.get("a"), spec.get("b")
-        try:
-            return coprime_power(a, b)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config key {key!r}: {spec!r}: {exc}") from exc
-    if kind == "usertable":
-        table = spec.get("table")
-        if not isinstance(table, dict) or not table:
-            raise ConfigError(f"config key {key!r}: usertable needs a non-empty 'table'")
-        mapping = {
-            _parse_table_value(key, k): _parse_table_value(key, v) for k, v in table.items()
-        }
-        return table_transform(mapping)
-    raise ConfigError(
-        f"config key {key!r}: transform kind {kind!r} is not one of "
-        "['square', 'coprimepower', 'usertable']"
-    )
-
-
-def _check_known_keys(cfg: Mapping, command: str, allowed: set) -> None:
-    allowed = allowed | {"seed", "out", "threads"}
-    for k in cfg:
-        if k not in allowed:
-            raise ConfigError(
-                f"unknown config key {k!r} (value {cfg[k]!r}) for command {command!r}"
-            )
-
-
 # --- run context ----------------------------------------------------------------
 
 
@@ -355,7 +393,7 @@ class CheckResult:
 @dataclass
 class RunContext:
     command: str
-    cfg: dict
+    cfg: Config
     out_dir: Path
     threads: int
     seed: int
@@ -373,7 +411,7 @@ class RunContext:
     mc_products: list = field(default_factory=list)
 
     def header(self) -> dict:
-        payload = {k: v for k, v in self.cfg.items() if k not in ("out", "threads")}
+        payload = {k: v for k, v in self.cfg.data.items() if k not in ("out", "threads")}
         return {
             "command": self.command,
             "version": __version__,
@@ -459,13 +497,6 @@ def _relation_json(rep: RelationReport) -> dict:
     }
 
 
-def _relation_detail(rep: RelationReport) -> str:
-    """How many entries of a relation sweep pass: word pairs for
-    ``compatible``, words for ``leadsto``."""
-    unit = "word pairs" if rep.kind == "compatible" else "words"
-    return f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} {unit} pass"
-
-
 def _invariance_json(rep: InvarianceReport) -> dict:
     return {
         "link": rep.link,
@@ -489,10 +520,6 @@ def _invariance_json(rep: InvarianceReport) -> dict:
     }
 
 
-def _composed_name(link: str, transform: Transform) -> str:
-    return link_name(compose(transform, parse_link(link)))
-
-
 def _moment_json(m, target: Optional[float]) -> dict:
     entry = {
         "h": m.h,
@@ -508,24 +535,70 @@ def _moment_json(m, target: Optional[float]) -> dict:
     return entry
 
 
+# --- gates shared by the commands -----------------------------------------------------
+
+
+def _moment_target(targets: dict, h: int) -> Optional[float]:
+    """The target of moment h: the limit's even moment from ``targets``, 0
+    for odd h, None for an even h without a target."""
+    return targets[h]["value"] if h in targets else (0.0 if h % 2 else None)
+
+
+def _target_gate(ctx: RunContext, name: str, m, target: float, z_max: float) -> None:
+    """Gate a moment estimate on a z_max-standard-error band around its target."""
+    band = z_max * m.stderr + BAND_EPS
+    ctx.check(
+        name,
+        abs(m.mean - target) <= band,
+        f"estimate {_fmt(m.mean)}, target {_fmt(target)}, band {_fmt(band)}",
+    )
+
+
+def _relation_gate(ctx: RunContext, name: str, kind: str, link_x: str, link_y: str,
+                   two_k: int) -> dict:
+    """Sweep relation ``kind`` on a link pair, gate ``name`` on every entry
+    passing, and return the sweep's report. The detail counts the passing
+    entries: word pairs for ``compatible``, words for ``leadsto``."""
+    relation = check_compatible if kind == "compatible" else check_leadsto_wigner
+    rep = ctx.sweep(kind, [link_x, link_y], lambda: relation(link_x, link_y, two_k))
+    unit = "word pairs" if kind == "compatible" else "words"
+    ctx.check(name, rep.all_pass,
+              f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} {unit} pass")
+    return _relation_json(rep)
+
+
+def _invariance_gate(ctx: RunContext, name: str, link: str, transform: Transform,
+                     two_k: int, n: int) -> dict:
+    """Sweep the invariance check of ``link`` under ``transform``, gate
+    ``name`` on every word's class being contained, and return the sweep's
+    report."""
+    composed = link_name(compose(transform, parse_link(link)))
+    rep = ctx.sweep("invariance", [link, composed],
+                    lambda: check_invariance_containment(link, transform, two_k, n))
+    ctx.check(name, rep.all_subset,
+              f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained")
+    return _invariance_json(rep)
+
+
+def _read_sweep_order(cfg: Config, key: str) -> int:
+    """The order of a relation or invariance sweep. At order 2 the only word
+    is ``aa``, so a sweep there compares nothing; hence the floor of 4."""
+    return cfg.integer(key, 4, lo=4, hi=circuits.MAX_SWEEP_ORDER, even=True)
+
+
 # --- product spec from config -------------------------------------------------------
 
 
-def _product_from_cfg(cfg: Mapping, seed: int, default_trials: int) -> ProductSpec:
-    link_x = cfg_link(cfg, "link_x")
-    link_y = cfg_link(cfg, "link_y")
-    dist_x = cfg_choice(cfg, "dist_x", INPUT_DISTRIBUTIONS, "rademacher")
-    dist_y = cfg_choice(cfg, "dist_y", INPUT_DISTRIBUTIONS, "rademacher")
-    n = cfg_posint(cfg, "n")
-    trials = cfg_posint(cfg, "trials", default_trials)
+def _product_from_cfg(ctx: RunContext, default_trials: int, min_trials: int = 1) -> ProductSpec:
+    cfg = ctx.cfg
     return ProductSpec(
-        link_x=link_x,
-        link_y=link_y,
-        dist_x=dist_x,
-        dist_y=dist_y,
-        n=n,
-        master_seed=seed,
-        trials=trials,
+        link_x=cfg.link("link_x"),
+        link_y=cfg.link("link_y"),
+        dist_x=cfg.choice("dist_x", INPUT_DISTRIBUTIONS, "rademacher"),
+        dist_y=cfg.choice("dist_y", INPUT_DISTRIBUTIONS, "rademacher"),
+        n=cfg.integer("n"),
+        master_seed=ctx.seed,
+        trials=cfg.integer("trials", default_trials, lo=min_trials),
     )
 
 
@@ -540,14 +613,15 @@ def _limit_targets(limit: str, h_max: int) -> dict[int, dict]:
     """Even-moment targets of a Table 2 limit law, with provenance.
 
     The semicircle has exact Catalan moments; single-pattern limits sum that
-    link's exact per-word limits. ``period`` is the common period of the
-    word fits and ``n_range`` the span of n their windows cover.
+    link's exact per-word limits, which are fitted up to the order cap of
+    every exact fit, ``MAX_SWEEP_ORDER``. ``period`` is the common period of
+    the word fits and ``n_range`` the span of n their windows cover.
     """
     if limit == "semicircle":
         return {two_k: {"value": float(catalan_number(two_k // 2)), "source": "semicircle"}
                 for two_k in range(2, h_max + 1, 2)}
     targets: dict[int, dict] = {}
-    for two_k in range(2, min(h_max, 6) + 1, 2):
+    for two_k in range(2, min(h_max, circuits.MAX_SWEEP_ORDER) + 1, 2):
         table = p_table(limit, two_k)
         exact = assemble_moments({w: f.p for w, f in table.items()}, two_k)
         fits = table.values()
@@ -577,163 +651,138 @@ def _timed_targets(ctx: RunContext, limit: str, h_max: int) -> dict[int, dict]:
 
 
 # --- commands -----------------------------------------------------------------------
+#
+# A command reads its whole config from ``ctx.cfg`` and returns the function
+# that does its work; ``main`` closes the config in between, so every key is
+# read, and every unread key rejected, before any work starts.
 
 
-def cmd_words(ctx: RunContext) -> None:
-    cfg = ctx.cfg
-    _check_known_keys(cfg, "words", {"two_k", "mode"})
-    two_k = cfg_value(cfg, "two_k", "int")
-    if two_k % 2 != 0 or not 2 <= two_k <= 16:
-        raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..16")
-    mode = cfg_choice(cfg, "mode", ("list", "count"), "list")
-    if mode == "list" and two_k > 10:
-        raise ConfigError(f"config key 'two_k': {two_k!r} is too large for mode 'list' (max 10)")
-
-    k = two_k // 2
-    report = dict(ctx.header())
-    report["two_k"] = two_k
-    report["total"] = pair_matched_count(two_k)
-    report["catalan"] = catalan_number(k)
-    if mode == "list":
-        words = enumerate_pair_matched(two_k)
-        report["words"] = [
-            {
-                "word": str(w),
-                "catalan": is_catalan(w),
-                "generating_positions": sorted(generating_positions(w)),
-            }
-            for w in words
-        ]
-    ctx.emit_json("words_report.json", report)
-    print(f"{report['total']} pair-matched words of length {two_k}, {report['catalan']} Catalan")
-
-
-def cmd_spectrum(ctx: RunContext) -> None:
-    cfg = ctx.cfg
-    _check_known_keys(
-        cfg,
-        "spectrum",
-        {"link_x", "link_y", "dist_x", "dist_y", "n", "trials", "bins", "range",
-         "reference", "ks_max", "eigenvalues_csv"},
+def cmd_words(ctx: RunContext) -> Callable[[], None]:
+    mode = ctx.cfg.choice("mode", ("list", "count"), "list")
+    # listing stops at length 10 (945 words); counting runs to the enumeration cap
+    two_k = ctx.cfg.integer(
+        "two_k", lo=2, hi=words.MAX_ENUM_LENGTH if mode == "count" else 10, even=True
     )
-    spec = _product_from_cfg(cfg, ctx.seed, default_trials=1)
-    bins = cfg_posint(cfg, "bins", 60)
-    lo, hi = -3.0, 3.0
-    if "range" in cfg:
-        raw = cfg_value(cfg, "range", "list")
-        if len(raw) != 2 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-        ):
-            raise ConfigError(f"config key 'range': {raw!r} must be [lo, hi]")
-        lo, hi = float(raw[0]), float(raw[1])
-        if not -math.inf < lo < hi < math.inf:
-            raise ConfigError(f"config key 'range': {raw!r} must be finite with lo < hi")
-    reference = cfg_choice(cfg, "reference", ("semicircle", "none"), "semicircle")
-    ks_max = cfg_threshold(cfg, "ks_max") if "ks_max" in cfg else None
-    eigenvalues_csv = cfg_value(cfg, "eigenvalues_csv", "bool", False)
 
-    spectra = ctx.spectra(spec)
-    esd = ESD.from_spectra(spectra)
-    centers, density = histogram(esd, bins, lo, hi)
-
-    report = dict(ctx.header())
-    report["n"] = spec.n
-    report["trials"] = spec.trials
-    report["n_eigenvalues"] = esd.n_points
-    report["lambda_min"] = float(esd.points[0])
-    report["lambda_max"] = float(esd.points[-1])
-    report["histogram"] = {
-        "bins": bins,
-        "lo": lo,
-        "hi": hi,
-        "centers": centers,
-        "density": density,
-    }
-    if reference == "semicircle":
-        ks = ks_distance(esd, semicircle_cdf)
-        report["ks_semicircle"] = ks
-        if ks_max is not None:
-            ctx.check(
-                "spectrum:ks",
-                ks <= ks_max,
-                f"KS {_fmt(ks)} vs max {_fmt(ks_max)}",
-            )
-    if eigenvalues_csv:
-        rows = np.concatenate(
-            [
-                np.column_stack([np.full(s.eigenvalues.size, t), s.eigenvalues])
-                for t, s in enumerate(spectra)
+    def run() -> None:
+        report = dict(ctx.header())
+        report["two_k"] = two_k
+        report["total"] = pair_matched_count(two_k)
+        report["catalan"] = catalan_number(two_k // 2)
+        if mode == "list":
+            report["words"] = [
+                {
+                    "word": str(w),
+                    "catalan": is_catalan(w),
+                    "generating_positions": sorted(generating_positions(w)),
+                }
+                for w in enumerate_pair_matched(two_k)
             ]
-        )
-        buf = io.StringIO()
-        np.savetxt(
-            buf, rows, fmt=["%d", "%.17g"], delimiter=",",
-            header="trial,eigenvalue", comments="",
-        )
-        ctx.emit_text("eigenvalues.csv", buf.getvalue())
-    ctx.emit_json("spectrum_report.json", report)
-    print(
-        f"{esd.n_points} eigenvalues in [{_fmt(report['lambda_min'])}, "
-        f"{_fmt(report['lambda_max'])}]"
-    )
+        ctx.emit_json("words_report.json", report)
+        print(f"{report['total']} pair-matched words of length {two_k}, "
+              f"{report['catalan']} Catalan")
+
+    return run
 
 
-def cmd_moments(ctx: RunContext) -> None:
+def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
     cfg = ctx.cfg
-    _check_known_keys(
-        cfg,
-        "moments",
-        {"link_x", "link_y", "dist_x", "dist_y", "n", "trials", "h_max", "z_max",
-         "targets"},
-    )
-    spec = _product_from_cfg(cfg, ctx.seed, default_trials=10)
-    if spec.trials < 2:
-        raise ConfigError(f"config key 'trials': {spec.trials!r} must be >= 2 for moments")
-    h_max = cfg_posint(cfg, "h_max", 6)
-    if h_max > 8:
-        raise ConfigError(f"config key 'h_max': {h_max!r} must be <= 8")
-    want_targets = cfg_choice(cfg, "targets", ("auto", "none"), "auto")
-    z_max = cfg_threshold(cfg, "z_max") if "z_max" in cfg else None
+    spec = _product_from_cfg(ctx, default_trials=1)
+    bins = cfg.integer("bins", 60)
+    raw = cfg.value("range", "list", [-3.0, 3.0])
+    if len(raw) != 2 or not all(_TYPES["number"](v) for v in raw):
+        raise ConfigError(f"config key 'range': {raw!r} must be [lo, hi]")
+    lo, hi = float(raw[0]), float(raw[1])
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"config key 'range': {raw!r} must be finite with lo < hi")
+    reference = cfg.choice("reference", ("semicircle", "none"), "semicircle")
+    ks_max = cfg.threshold("ks_max", None) if reference == "semicircle" else None
+    eigenvalues_csv = cfg.value("eigenvalues_csv", "bool", False)
 
-    moments = moments_from_spectra(ctx.spectra(spec), h_max)
-    limit = _limit_for_product(spec.link_x, spec.link_y) if want_targets == "auto" else None
-    targets = _timed_targets(ctx, limit, h_max) if limit else {}
+    def run() -> None:
+        spectra = ctx.spectra(spec)
+        esd = ESD.from_spectra(spectra)
+        centers, density = histogram(esd, bins, lo, hi)
 
-    entries = []
-    for m in moments:
-        target = targets[m.h]["value"] if m.h in targets else (0.0 if m.h % 2 else None)
-        entries.append(_moment_json(m, target))
-        if z_max is not None and target is not None:
-            band = z_max * m.stderr + BAND_EPS
-            ctx.check(
-                f"moments:h{m.h}",
-                abs(m.mean - target) <= band,
-                f"estimate {_fmt(m.mean)}, target {_fmt(target)}, band {_fmt(band)}",
+        report = dict(ctx.header())
+        report["n"] = spec.n
+        report["trials"] = spec.trials
+        report["n_eigenvalues"] = esd.n_points
+        report["lambda_min"] = float(esd.points[0])
+        report["lambda_max"] = float(esd.points[-1])
+        report["histogram"] = {
+            "bins": bins,
+            "lo": lo,
+            "hi": hi,
+            "centers": centers,
+            "density": density,
+        }
+        if reference == "semicircle":
+            ks = ks_distance(esd, semicircle_cdf)
+            report["ks_semicircle"] = ks
+            if ks_max is not None:
+                ctx.check("spectrum:ks", ks <= ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
+        if eigenvalues_csv:
+            rows = np.concatenate(
+                [
+                    np.column_stack([np.full(s.eigenvalues.size, t), s.eigenvalues])
+                    for t, s in enumerate(spectra)
+                ]
             )
+            buf = io.StringIO()
+            np.savetxt(
+                buf, rows, fmt=["%d", "%.17g"], delimiter=",",
+                header="trial,eigenvalue", comments="",
+            )
+            ctx.emit_text("eigenvalues.csv", buf.getvalue())
+        ctx.emit_json("spectrum_report.json", report)
+        print(
+            f"{esd.n_points} eigenvalues in [{_fmt(report['lambda_min'])}, "
+            f"{_fmt(report['lambda_max'])}]"
+        )
 
-    report = dict(ctx.header())
-    report["limit"] = limit
-    report["targets"] = {str(k): v for k, v in targets.items()}
-    report["moments"] = entries
-    ctx.emit_json("moments_report.json", report)
-    for m in moments:
-        print(f"h={m.h}: {_fmt(m.mean)} (stderr {_fmt(m.stderr)})")
+    return run
 
 
-def cmd_pw(ctx: RunContext) -> None:
+def cmd_moments(ctx: RunContext) -> Callable[[], None]:
     cfg = ctx.cfg
-    _check_known_keys(
-        cfg, "pw", {"link", "link_x", "link_y", "variant", "words", "two_k", "pairs"}
-    )
+    spec = _product_from_cfg(ctx, default_trials=10, min_trials=2)
+    h_max = cfg.integer("h_max", 6, hi=spectral.MAX_MC_ORDER)
+    want_targets = cfg.choice("targets", ("auto", "none"), "auto")
+    z_max = cfg.threshold("z_max", None)
+
+    def run() -> None:
+        moments = moments_from_spectra(ctx.spectra(spec), h_max)
+        limit = _limit_for_product(spec.link_x, spec.link_y) if want_targets == "auto" else None
+        targets = _timed_targets(ctx, limit, h_max) if limit else {}
+
+        entries = []
+        for m in moments:
+            target = _moment_target(targets, m.h)
+            entries.append(_moment_json(m, target))
+            if z_max is not None and target is not None:
+                _target_gate(ctx, f"moments:h{m.h}", m, target, z_max)
+
+        report = dict(ctx.header())
+        report["limit"] = limit
+        report["targets"] = {str(k): v for k, v in targets.items()}
+        report["moments"] = entries
+        ctx.emit_json("moments_report.json", report)
+        for m in moments:
+            print(f"h={m.h}: {_fmt(m.mean)} (stderr {_fmt(m.stderr)})")
+
+    return run
+
+
+def cmd_pw(ctx: RunContext) -> Callable[[], None]:
+    cfg = ctx.cfg
     joint = "link_x" in cfg or "link_y" in cfg
-    if joint and "link" in cfg:
-        raise ConfigError("config key 'link': give either 'link' or 'link_x'/'link_y', not both")
-    variant = cfg_choice(cfg, "variant", ("star", "prime"), "star")
+    variant = cfg.choice("variant", ("star", "prime"), "star")
     if joint and variant == "prime":
         raise ConfigError("config key 'variant': 'prime' applies to a single link only")
-    link = cfg_link(cfg, "link") if not joint else None
-    link_x = cfg_link(cfg, "link_x") if joint else None
-    link_y = cfg_link(cfg, "link_y") if joint else None
+    link = cfg.link("link") if not joint else None
+    link_x = cfg.link("link_x") if joint else None
+    link_y = cfg.link("link_y") if joint else None
     if variant == "prime" and parse_link(link).kind not in SLOPE_LINK_KINDS:
         raise ConfigError(
             f"config key 'link': variant 'prime' needs one of {list(SLOPE_LINK_KINDS)}, "
@@ -741,7 +790,7 @@ def cmd_pw(ctx: RunContext) -> None:
         )
 
     if "words" in cfg:
-        raw_words = cfg_value(cfg, "words", "list")
+        raw_words = cfg.value("words", "list")
         if not raw_words:
             raise ConfigError(f"config key 'words': {raw_words!r} is empty")
         jobs = []
@@ -761,317 +810,260 @@ def cmd_pw(ctx: RunContext) -> None:
         lengths = {w.h for job in jobs for w in job if w is not None}
         if len(lengths) != 1:
             raise ConfigError(f"config key 'words': mixed word lengths {sorted(lengths)}")
-        if lengths.pop() > 6:
-            raise ConfigError("config key 'words': words longer than 6 letters are not supported")
+        _int_in("config key 'words': the word length", lengths.pop(), 1,
+                circuits.MAX_SWEEP_ORDER)
     else:
-        two_k = cfg_value(cfg, "two_k", "int")
-        if two_k % 2 != 0 or not 2 <= two_k <= 6:
-            raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..6")
-        words = enumerate_pair_matched(two_k)
-        if joint:
-            pairs = cfg_choice(cfg, "pairs", ("diagonal", "all"), "diagonal")
-            jobs = (
-                [(w, w) for w in words]
-                if pairs == "diagonal"
-                else [(w, w2) for w in words for w2 in words]
-            )
+        two_k = cfg.integer("two_k", lo=2, hi=circuits.MAX_SWEEP_ORDER, even=True)
+        sweep = enumerate_pair_matched(two_k)
+        if joint and cfg.choice("pairs", ("diagonal", "all"), "diagonal") == "all":
+            jobs = [(w, w2) for w in sweep for w2 in sweep]
         else:
-            jobs = [(w, None) for w in words]
+            jobs = [(w, w) if joint else (w, None) for w in sweep]
 
     def limit(w, w2=None):
         if joint:
             return joint_limit(link_x, link_y, w, w2)
         return exact_limit(link, w, variant=variant)
 
-    seen: dict = {}
-    entries = []
-    for w, w2 in jobs:
-        entry = {"word": str(w)}
-        if w2 is not None:
-            entry["word2"] = str(w2)
-        words = (w,) if w2 is None else (w, w2)
-        entry.update(_limit_json(per_orbit(seen, limit, *words)))
-        entries.append(entry)
+    def run() -> None:
+        seen: dict = {}
+        entries = []
+        for w, w2 in jobs:
+            entry = {"word": str(w)}
+            if w2 is not None:
+                entry["word2"] = str(w2)
+            job = (w,) if w2 is None else (w, w2)
+            entry.update(_limit_json(per_orbit(seen, limit, *job)))
+            entries.append(entry)
 
-    report = dict(ctx.header())
-    report["variant"] = variant
-    report["entries"] = entries
-    ctx.emit_json("pw_report.json", report)
-    for e in entries:
-        label = e["word"] + ("," + e["word2"] if "word2" in e else "")
-        print(f"p({label}) = {e['p']} ({e['proof']})")
+        report = dict(ctx.header())
+        report["variant"] = variant
+        report["entries"] = entries
+        ctx.emit_json("pw_report.json", report)
+        for e in entries:
+            label = e["word"] + ("," + e["word2"] if "word2" in e else "")
+            print(f"p({label}) = {e['p']} ({e['proof']})")
+
+    return run
 
 
-def cmd_check(ctx: RunContext) -> None:
+def cmd_check(ctx: RunContext) -> Callable[[], None]:
     cfg = ctx.cfg
-    _check_known_keys(
-        cfg,
-        "check",
-        {"relation", "link", "link_x", "link_y", "two_k", "n", "ns", "transform",
-         "expected", "require_equal"},
-    )
-    relation = cfg_choice(cfg, "relation", ("implies", "compatible", "leadsto", "invariance"))
-    expected = cfg_value(cfg, "expected", "bool", None)
-    require_equal = cfg_value(cfg, "require_equal", "bool", False)
-    report = dict(ctx.header())
-    report["relation"] = relation
+    relation = cfg.choice("relation", ("implies", "compatible", "leadsto", "invariance"))
 
     if relation == "implies":
-        link_x = cfg_link(cfg, "link_x")
-        link_y = cfg_link(cfg, "link_y")
-        raw_ns = cfg_value(cfg, "ns", "list", [10, 20, 50])
-        if not raw_ns:
-            raise ConfigError("config key 'ns': [] names no dimension to check")
-        results = {}
-        for n in raw_ns:
-            if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 64:
-                raise ConfigError(f"config key 'ns': {n!r} must be an integer in 1..64")
-            results[n] = check_implies_wigner(link_x, link_y, n)
-        report["results"] = {str(n): v for n, v in results.items()}
-        if expected is not None:
-            for n, got in results.items():
-                ctx.check(
-                    f"implies:{link_x}*{link_y}@n={n}",
-                    got == expected,
-                    f"got {got}, expected {expected}",
-                )
+        link_x, link_y = cfg.link("link_x"), cfg.link("link_y")
+        ns = cfg.integers("ns", [10, 20, 50], hi=circuits.MAX_IMPLIES_DIM)
+        expected = cfg.value("expected", "bool", None)
+
+        def gates() -> dict:
+            results = {n: check_implies_wigner(link_x, link_y, n) for n in ns}
+            if expected is not None:
+                for n, got in results.items():
+                    ctx.check(f"implies:{link_x}*{link_y}@n={n}", got == expected,
+                              f"got {got}, expected {expected}")
+            return {"results": {str(n): v for n, v in results.items()}}
     elif relation in ("compatible", "leadsto"):
-        link_x = cfg_link(cfg, "link_x")
-        link_y = cfg_link(cfg, "link_y")
-        two_k = cfg_value(cfg, "two_k", "int", 4)
-        if two_k % 2 != 0 or not 2 <= two_k <= 6:
-            raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..6")
-        fn = check_compatible if relation == "compatible" else check_leadsto_wigner
-        rep = ctx.sweep(relation, [link_x, link_y], lambda: fn(link_x, link_y, two_k))
-        report["report"] = _relation_json(rep)
-        ctx.check(f"{relation}:{link_x}*{link_y}", rep.all_pass, _relation_detail(rep))
+        link_x, link_y = cfg.link("link_x"), cfg.link("link_y")
+        two_k = _read_sweep_order(cfg, "two_k")
+
+        def gates() -> dict:
+            name = f"{relation}:{link_x}*{link_y}"
+            return {"report": _relation_gate(ctx, name, relation, link_x, link_y, two_k)}
     else:
-        link = cfg_link(cfg, "link")
-        transform = cfg_transform(cfg, "transform")
-        two_k = cfg_value(cfg, "two_k", "int", 4)
-        if two_k % 2 != 0 or not 2 <= two_k <= 6:
-            raise ConfigError(f"config key 'two_k': {two_k!r} must be an even integer in 2..6")
-        n = cfg_posint(cfg, "n", 10)
-        try:
-            rep = ctx.sweep("invariance", [link, _composed_name(link, transform)],
-                            lambda: check_invariance_containment(link, transform, two_k, n))
-        except TransformError as exc:
-            raise ConfigError(f"config key 'transform': {exc}") from exc
-        report["report"] = _invariance_json(rep)
-        ctx.check(
-            f"invariance:{rep.transform}:subset",
-            rep.all_subset,
-            f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained",
-        )
-        if require_equal:
-            ctx.check(
-                f"invariance:{rep.transform}:equal",
-                rep.all_equal,
-                f"injective={rep.injective}",
-            )
-    ctx.emit_json("check_report.json", report)
+        link = cfg.link("link")
+        transform = cfg.transform("transform")
+        two_k = _read_sweep_order(cfg, "two_k")
+        n = cfg.integer("n", 10)
+        require_equal = cfg.value("require_equal", "bool", False)
+
+        def gates() -> dict:
+            name = f"invariance:{transform_name(transform)}"
+            try:
+                rep = _invariance_gate(ctx, f"{name}:subset", link, transform, two_k, n)
+            except TransformError as exc:
+                raise ConfigError(f"config key 'transform': {exc}") from exc
+            if require_equal:
+                ctx.check(f"{name}:equal", rep["all_equal"], f"injective={rep['injective']}")
+            return {"report": rep}
+
+    def run() -> None:
+        report = dict(ctx.header())
+        report["relation"] = relation
+        report.update(gates())
+        ctx.emit_json("check_report.json", report)
+
+    return run
 
 
-def _parse_rows(cfg: Mapping) -> list[int]:
-    raw = cfg.get("rows", "all")
+def _parse_rows(cfg: Config) -> list[int]:
+    raw = cfg.value("rows", "any", "all")
+    if raw == "all":
+        return list(TABLE2_ROWS)
     if isinstance(raw, str):
-        if raw == "all":
-            return list(TABLE2_ROWS)
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
         try:
-            raw = [int(p) for p in parts]
+            raw = [int(p) for p in raw.split(",") if p.strip()]
         except ValueError:
             raise ConfigError(f"config key 'rows': {raw!r} is not 'all' or row numbers")
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"config key 'rows': {raw!r} is not 'all' or row numbers")
-    rows = []
     for r in raw:
-        if not isinstance(r, int) or isinstance(r, bool) or r not in TABLE2_ROWS:
+        if not _TYPES["int"](r) or r not in TABLE2_ROWS:
             raise ConfigError(f"config key 'rows': {r!r} is not a row in {list(TABLE2_ROWS)}")
-        if r not in rows:
-            rows.append(r)
-    return sorted(rows)
+    return sorted(set(raw))
 
 
-def _tols_from_cfg(cfg: Mapping) -> dict:
-    tols = dict(DEFAULT_TOLS)
-    if "tol" in cfg:
-        overrides = cfg_value(cfg, "tol", "dict")
-        for k, v in overrides.items():
-            if k not in DEFAULT_TOLS:
-                raise ConfigError(f"config key 'tol': unknown tolerance {k!r} (value {v!r})")
-            tols[k] = cfg_threshold(overrides, k)
+def _tols_from_cfg(cfg: Config) -> dict:
+    """``DEFAULT_TOLS`` with the overrides of the ``tol`` map."""
+    overrides = Config(cfg.command, cfg.value("tol", "dict", {}), prefix="tol.")
+    tols = {k: overrides.threshold(k, v) for k, v in DEFAULT_TOLS.items()}
+    overrides.close()
     return tols
 
 
-def cmd_verify_table2(ctx: RunContext) -> None:
+def _table2_monte_carlo(ctx: RunContext, h_max: int) -> Callable[[int, str, str, str, dict], dict]:
+    """Read the Monte Carlo keys of ``verify-table2`` and return the function
+    that samples one product of a row and gates its moments."""
     cfg = ctx.cfg
-    _check_known_keys(
-        cfg,
-        "verify-table2",
-        {"rows", "n", "trials", "dist", "dist_x", "dist_y", "h_max", "tol",
-         "relation_two_k", "invariance_ns", "mc"},
-    )
-    rows = _parse_rows(cfg)
-    n = cfg_posint(cfg, "n", 1000, minimum=2)
-    trials = cfg_posint(cfg, "trials", 20, minimum=2)
-    dist = cfg_choice(cfg, "dist", INPUT_DISTRIBUTIONS, "rademacher")
-    dist_x = cfg_choice(cfg, "dist_x", INPUT_DISTRIBUTIONS, dist)
-    dist_y = cfg_choice(cfg, "dist_y", INPUT_DISTRIBUTIONS, dist)
-    h_max = cfg_posint(cfg, "h_max", 8, minimum=6)
-    if h_max > 8:
-        raise ConfigError(f"config key 'h_max': {h_max!r} must be <= 8")
-    run_mc = cfg_value(cfg, "mc", "bool", True)
+    n = cfg.integer("n", 1000, lo=2)
+    trials = cfg.integer("trials", 20, lo=2)
+    dist = cfg.choice("dist", INPUT_DISTRIBUTIONS, "rademacher")
+    dist_x = cfg.choice("dist_x", INPUT_DISTRIBUTIONS, dist)
+    dist_y = cfg.choice("dist_y", INPUT_DISTRIBUTIONS, dist)
     tols = _tols_from_cfg(cfg)
-    relation_two_k = cfg_value(cfg, "relation_two_k", "int", 4)
-    if relation_two_k % 2 != 0 or not 2 <= relation_two_k <= 6:
-        raise ConfigError(
-            f"config key 'relation_two_k': {relation_two_k!r} must be an even integer in 2..6"
-        )
-    invariance_ns = cfg_value(cfg, "invariance_ns", "list", [8, 16])
-    for v in invariance_ns:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 4:
-            raise ConfigError(f"config key 'invariance_ns': {v!r} must be an integer >= 4")
-
     # Seed stream index of each product: its position in the full registry,
     # so a subset run sees the same seeds as a full run.
     all_products = [pair for record in TABLE2_ROWS.values() for pair in record.products]
-    target_cache: dict[str, dict] = {}
     # Each link's delta at n, for the product bound min(delta_X, delta_Y): a
     # pair label repeats in a row no more often than either of its labels.
     link_delta: dict[str, int] = {}
 
-    def targets_for(limit: str) -> dict:
-        if limit not in target_cache:
-            target_cache[limit] = _timed_targets(ctx, limit, h_max)
-        return target_cache[limit]
+    def product(row: int, x: str, y: str, limit: str, targets: dict) -> dict:
+        tag = f"row{row}:{x}*{y}"
+        seed = stream_seed(ctx.seed, all_products.index((x, y)))
+        spec = ProductSpec(
+            link_x=x, link_y=y, dist_x=dist_x, dist_y=dist_y,
+            n=n, master_seed=seed, trials=trials,
+        )
+        spectra = ctx.spectra(spec)
+        moments = moments_from_spectra(spectra, h_max)
+        by_h = {m.h: m for m in moments}
+        for link in (x, y):
+            if link not in link_delta:
+                link_delta[link] = row_delta(parse_link(link), n)
+        delta = min(link_delta[x], link_delta[y])
 
-    row_reports = []
-    product_reports = []
-    for row in rows:
-        record = TABLE2_ROWS[row]
-        limit = record.limit
-        targets = targets_for(limit)
-        row_report = {"row": row, "limit": limit,
-                      "targets": {str(k): v for k, v in targets.items()},
-                      "relations": [], "invariance": []}
+        entry = {
+            "row": row, "link_x": x, "link_y": y, "seed": seed,
+            "n": n, "trials": trials, "delta": delta,
+            "moments": [_moment_json(m, _moment_target(targets, m.h)) for m in moments],
+        }
 
-        # combinatorial side of the row
-        for x, y in record.products:
-            tag = f"row{row}:{x}*{y}"
-            for inv_n in invariance_ns if record.invariance else ():
-                transform = record.invariance(x, y, inv_n)
-                rep = ctx.sweep(
-                    "invariance", [x, _composed_name(x, transform)],
-                    lambda: check_invariance_containment(x, transform, relation_two_k, inv_n),
-                )
-                row_report["invariance"].append(_invariance_json(rep))
+        if limit == "semicircle":
+            esd = ESD.from_spectra(spectra)
+            ks = ks_distance(esd, semicircle_cdf)
+            entry["ks_semicircle"] = ks
+            for two_k, tol_key in ((2, "beta2_abs"), (4, "beta4_abs"), (6, "beta6_abs")):
+                m = by_h[two_k]
+                t = _moment_target(targets, two_k)
                 ctx.check(
-                    f"{tag}:invariance@n={inv_n}",
-                    rep.all_subset,
-                    f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained",
+                    f"{tag}:beta{two_k}",
+                    abs(m.mean - t) <= tols[tol_key],
+                    f"estimate {_fmt(m.mean)}, target {_fmt(t)}, tol {tols[tol_key]}",
                 )
-            for kind in record.relations:
-                relation = check_compatible if kind == "compatible" else check_leadsto_wigner
-                rep = ctx.sweep(kind, [x, y], lambda: relation(x, y, relation_two_k))
-                row_report["relations"].append(_relation_json(rep))
-                ctx.check(f"{tag}:{kind}", rep.all_pass, _relation_detail(rep))
-            if record.implies_wigner:
-                row_report.setdefault("implies_wigner", {})[f"{x}*{y}"] = check_implies_wigner(
-                    x, y, 20
-                )
+            ctx.check(
+                f"{tag}:ks",
+                ks <= tols["ks_max"],
+                f"KS {_fmt(ks)} vs max {tols['ks_max']}",
+            )
+        else:
+            for two_k in (2, 4, 6):
+                _target_gate(ctx, f"{tag}:beta{two_k}", by_h[two_k],
+                             _moment_target(targets, two_k), tols["z_max"])
 
-        # Monte Carlo side of the row
-        if run_mc:
+        for h in (1, 3, 5):
+            m = by_h[h]
+            band = tols["z_max"] * m.stderr + BAND_EPS
+            ctx.check(
+                f"{tag}:odd{h}",
+                abs(m.mean) <= band,
+                f"estimate {_fmt(m.mean)}, band {_fmt(band)}",
+            )
+        for two_k in range(2, h_max + 1, 2):
+            m = by_h[two_k]
+            bound = moment_bound(two_k, delta)
+            ctx.check(
+                f"{tag}:bound{two_k}",
+                m.mean <= bound + tols["z_max"] * m.stderr + BAND_EPS,
+                f"estimate {_fmt(m.mean)} vs bound {bound} (delta {delta})",
+            )
+        return entry
+
+    return product
+
+
+def cmd_verify_table2(ctx: RunContext) -> Callable[[], None]:
+    cfg = ctx.cfg
+    rows = _parse_rows(cfg)
+    h_max = cfg.integer("h_max", spectral.MAX_MC_ORDER, lo=6, hi=spectral.MAX_MC_ORDER)
+    relation_two_k = _read_sweep_order(cfg, "relation_two_k")
+    invariance_ns = (cfg.integers("invariance_ns", [8, 16], lo=4)
+                     if any(TABLE2_ROWS[row].invariance for row in rows) else [])
+    monte_carlo = _table2_monte_carlo(ctx, h_max) if cfg.value("mc", "bool", True) else None
+
+    def run() -> None:
+        target_cache: dict[str, dict] = {}
+        row_reports = []
+        product_reports = []
+        for row in rows:
+            record = TABLE2_ROWS[row]
+            limit = record.limit
+            if limit not in target_cache:
+                target_cache[limit] = _timed_targets(ctx, limit, h_max)
+            targets = target_cache[limit]
+            row_report = {"row": row, "limit": limit,
+                          "targets": {str(k): v for k, v in targets.items()},
+                          "relations": [], "invariance": []}
+
+            # combinatorial side of the row
             for x, y in record.products:
                 tag = f"row{row}:{x}*{y}"
-                seed = stream_seed(ctx.seed, all_products.index((x, y)))
-                spec = ProductSpec(
-                    link_x=x, link_y=y, dist_x=dist_x, dist_y=dist_y,
-                    n=n, master_seed=seed, trials=trials,
-                )
-                spectra = ctx.spectra(spec)
-                moments = moments_from_spectra(spectra, h_max)
-                by_h = {m.h: m for m in moments}
-                for link in (x, y):
-                    if link not in link_delta:
-                        link_delta[link] = row_delta(parse_link(link), n)
-                delta = min(link_delta[x], link_delta[y])
-
-                entry = {
-                    "row": row, "link_x": x, "link_y": y, "seed": seed,
-                    "n": n, "trials": trials, "delta": delta,
-                    "moments": [
-                        _moment_json(
-                            m,
-                            targets[m.h]["value"] if m.h in targets
-                            else (0.0 if m.h % 2 else None),
-                        )
-                        for m in moments
-                    ],
-                }
-
-                if limit == "semicircle":
-                    esd = ESD.from_spectra(spectra)
-                    ks = ks_distance(esd, semicircle_cdf)
-                    entry["ks_semicircle"] = ks
-                    for two_k, tol_key in ((2, "beta2_abs"), (4, "beta4_abs"), (6, "beta6_abs")):
-                        m = by_h[two_k]
-                        t = targets[two_k]["value"]
-                        ctx.check(
-                            f"{tag}:beta{two_k}",
-                            abs(m.mean - t) <= tols[tol_key],
-                            f"estimate {_fmt(m.mean)}, target {_fmt(t)}, tol {tols[tol_key]}",
-                        )
-                    ctx.check(
-                        f"{tag}:ks",
-                        ks <= tols["ks_max"],
-                        f"KS {_fmt(ks)} vs max {tols['ks_max']}",
+                for inv_n in invariance_ns if record.invariance else ():
+                    row_report["invariance"].append(_invariance_gate(
+                        ctx, f"{tag}:invariance@n={inv_n}",
+                        x, _label_map(x, y, inv_n), relation_two_k, inv_n,
+                    ))
+                for kind in record.relations:
+                    row_report["relations"].append(
+                        _relation_gate(ctx, f"{tag}:{kind}", kind, x, y, relation_two_k)
                     )
-                else:
-                    for two_k in (2, 4, 6):
-                        m = by_h[two_k]
-                        t = targets[two_k]["value"]
-                        band = tols["z_max"] * m.stderr + BAND_EPS
-                        ctx.check(
-                            f"{tag}:beta{two_k}",
-                            abs(m.mean - t) <= band,
-                            f"estimate {_fmt(m.mean)}, target {_fmt(t)}, band {_fmt(band)}",
-                        )
-
-                for h in (1, 3, 5):
-                    m = by_h[h]
-                    band = tols["z_max"] * m.stderr + BAND_EPS
-                    ctx.check(
-                        f"{tag}:odd{h}",
-                        abs(m.mean) <= band,
-                        f"estimate {_fmt(m.mean)}, band {_fmt(band)}",
+                if record.implies_wigner:
+                    row_report.setdefault("implies_wigner", {})[f"{x}*{y}"] = (
+                        check_implies_wigner(x, y, 20)
                     )
-                for two_k in range(2, h_max + 1, 2):
-                    m = by_h[two_k]
-                    bound = moment_bound(two_k, delta)
-                    ctx.check(
-                        f"{tag}:bound{two_k}",
-                        m.mean <= bound + tols["z_max"] * m.stderr + BAND_EPS,
-                        f"estimate {_fmt(m.mean)} vs bound {bound} (delta {delta})",
-                    )
-                product_reports.append(entry)
-        row_reports.append(row_report)
 
-    report = dict(ctx.header())
-    report["rows"] = row_reports
-    report["products"] = product_reports
-    report["checks"] = [
-        {"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks
-    ]
-    report["all_pass"] = all(c.passed for c in ctx.checks)
-    ctx.emit_json("verify_table2_report.json", report)
+            # Monte Carlo side of the row
+            if monte_carlo is not None:
+                for x, y in record.products:
+                    product_reports.append(monte_carlo(row, x, y, limit, targets))
+            row_reports.append(row_report)
+
+        report = dict(ctx.header())
+        report["rows"] = row_reports
+        report["products"] = product_reports
+        report["checks"] = [
+            {"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks
+        ]
+        report["all_pass"] = all(c.passed for c in ctx.checks)
+        ctx.emit_json("verify_table2_report.json", report)
+
+    return run
 
 
 # --- entry point ---------------------------------------------------------------------
 
 
-COMMANDS = {
+COMMANDS: dict[str, Callable[[RunContext], Callable[[], None]]] = {
     "spectrum": cmd_spectrum,
     "moments": cmd_moments,
     "words": cmd_words,
@@ -1145,33 +1137,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config_file(args.config)
+        data = _load_config_file(args.config)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            data["seed"] = args.seed
         if args.out is not None:
-            cfg["out"] = args.out
+            data["out"] = args.out
         if args.threads is not None:
-            cfg["threads"] = args.threads
+            data["threads"] = args.threads
         if getattr(args, "rows", None) is not None:
-            cfg["rows"] = args.rows
+            data["rows"] = args.rows
 
-        seed = cfg_value(cfg, "seed", "int")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"config key 'seed': {seed!r} must be a 64-bit unsigned integer")
-        threads = cfg_posint(cfg, "threads", usable_cpus())
-        out_dir = Path(cfg_value(cfg, "out", "str", "out"))
-
+        cfg = Config(args.command, data)
         ctx = RunContext(
             command=args.command,
             cfg=cfg,
-            out_dir=out_dir,
-            threads=threads,
-            seed=seed,
-            hash=config_hash(args.command, cfg),
+            out_dir=Path(cfg.value("out", "str", "out")),
+            threads=cfg.integer("threads", usable_cpus()),
+            seed=cfg.integer("seed", lo=0, hi=2**64 - 1),
+            hash=config_hash(args.command, data),
         )
-        out_dir.mkdir(parents=True, exist_ok=True)
+        ctx.out_dir.mkdir(parents=True, exist_ok=True)
+        run = COMMANDS[args.command](ctx)
+        cfg.close()
         start = time.perf_counter()
-        COMMANDS[args.command](ctx)
+        run()
         wall = time.perf_counter() - start
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

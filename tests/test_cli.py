@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import schurlsd.circuits as circuits
 import schurlsd.cli as cli
 from schurlsd import BLAS_THREAD_VARS
 from schurlsd.circuits import joint_limit
@@ -136,6 +137,95 @@ def test_check_reads_require_equal_before_counting(tmp_path):
     cfg = {"relation": "invariance", "link": "toeplitz", "transform": {"kind": "square"},
            "two_k": 6, "n": 1000, "require_equal": "yes"}
     _exits_two_with_no_report(tmp_path, "check", cfg)
+
+
+@pytest.mark.parametrize(
+    "command,cfg,key",
+    [
+        ("check", {"relation": "compatible", "link_x": "toeplitz", "link_y": "revcirc",
+                   "expected": False, "require_equal": True, "n": 5, "ns": [3]}, "expected"),
+        ("check", {"relation": "implies", "link_x": "toeplitz", "link_y": "hankel",
+                   "two_k": 4}, "two_k"),
+        ("spectrum", {"link_x": "wigner", "link_y": "toeplitz", "n": 20, "trials": 2,
+                      "reference": "none", "ks_max": 0.1}, "ks_max"),
+        ("pw", {"link_x": "toeplitz", "link_y": "hankel", "words": ["abab"],
+                "pairs": "all"}, "pairs"),
+        ("pw", {"link": "toeplitz", "two_k": 4, "pairs": "all"}, "pairs"),
+        ("check", {"relation": "invariance", "link": "toeplitz",
+                   "transform": {"kind": "square", "a": 2}}, "transform.a"),
+        ("verify-table2", {"rows": [2], "mc": False, "invariance_ns": [8]}, "invariance_ns"),
+        ("verify-table2", {"rows": [5], "mc": False, "n": 30}, "n"),
+    ],
+    ids=["check.compatible_with_other_relation_keys", "check.implies_with_two_k",
+         "spectrum.ks_max_without_reference", "pw.words_with_pairs", "pw.single_link_with_pairs",
+         "check.transform_key_of_another_kind", "verify-table2.invariance_ns_without_invariance",
+         "verify-table2.n_without_monte_carlo"],
+)
+def test_a_key_the_run_does_not_read_exits_two(tmp_path, capsys, command, cfg, key):
+    _exits_two_with_no_report(tmp_path, command, cfg)
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("check", {"relation": "compatible", "link_x": "toeplitz", "link_y": "revcirc",
+                   "two_k": 2}),
+        ("check", {"relation": "leadsto", "link_x": "toeplitz", "link_y": "revcirc",
+                   "two_k": 2}),
+        ("check", {"relation": "invariance", "link": "toeplitz",
+                   "transform": {"kind": "square"}, "two_k": 2}),
+        ("verify-table2", {"rows": [2], "mc": False, "relation_two_k": 2}),
+    ],
+    ids=["compatible", "leadsto", "invariance", "verify-table2"],
+)
+def test_sweeps_at_order_two_exit_two(tmp_path, capsys, command, cfg):
+    # the only word of length 2 is aa: no word pair to compare, and every
+    # count is n^2, so a gate there would pass without testing anything
+    _exits_two_with_no_report(tmp_path, command, cfg)
+    assert "two_k': 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ns", [[], [8, 8]])
+def test_verify_invariance_dimensions_must_be_distinct_and_present(tmp_path, ns):
+    cfg = {"rows": [3], "mc": False, "invariance_ns": ns}
+    _exits_two_with_no_report(tmp_path, "verify-table2", cfg)
+
+
+@pytest.mark.parametrize("ns", [[10, 100], [10, 10]])
+def test_check_implies_validates_every_dimension_before_counting(tmp_path, monkeypatch, ns):
+    calls = []
+    monkeypatch.setattr(cli, "check_implies_wigner", lambda x, y, n: calls.append(n) or True)
+    cfg = {"relation": "implies", "link_x": "toeplitz", "link_y": "hankel", "ns": ns}
+    _exits_two_with_no_report(tmp_path, "check", cfg)
+    assert calls == []
+
+
+def test_config_rejects_reads_after_close():
+    cfg = cli.Config("words", {"two_k": 4, "mode": "list"})
+    assert cfg.integer("two_k", even=True) == 4
+    with pytest.raises(cli.ConfigError, match="unknown config key 'mode'"):
+        cfg.close()
+    with pytest.raises(RuntimeError, match="after the config was closed"):
+        cfg.value("mode", "str")
+
+
+def test_sweep_order_range_follows_the_library_cap(tmp_path, monkeypatch, reads_only):
+    cases = [
+        ("check", {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel"},
+         "two_k"),
+        ("pw", {"link": "toeplitz"}, "two_k"),
+        ("verify-table2", {"rows": [2], "mc": False}, "relation_two_k"),
+    ]
+    for cap in (4, 8):
+        monkeypatch.setattr(circuits, "MAX_SWEEP_ORDER", cap)
+        for command, cfg, key in cases:
+            for order in (4, 6, 8):
+                if order <= cap:
+                    with pytest.raises(reads_only):
+                        run_cli(tmp_path, command, {**cfg, key: order})
+                else:
+                    assert run_cli(tmp_path, command, {**cfg, key: order})[0] == 2
 
 
 # --- words ------------------------------------------------------------------------------
@@ -640,7 +730,7 @@ def test_invariance_label_maps_are_the_fold_maps(n):
 
 
 def test_verify_gate_order_and_row_keys_for_every_row(tmp_path):
-    cfg = {"mc": True, "n": 30, "trials": 2, "invariance_ns": [8], "relation_two_k": 2}
+    cfg = {"mc": True, "n": 30, "trials": 2, "invariance_ns": [8], "relation_two_k": 4}
     _, out = run_cli(tmp_path, "verify-table2", cfg, seed=7)
     report = read_json(out, "verify_table2_report.json")
     combinatorial = {1: ["invariance@n=8", "leadsto"], 2: ["compatible", "leadsto"],

@@ -91,6 +91,22 @@ def test_benchmark_relation_workload_matches_its_reference(tmp_path):
     assert gates == ref["gates"]
 
 
+def test_every_benchmark_config_passes_config_reading(tmp_path, reads_only):
+    """Every benchmark invocation must get past config reading, with and
+    without ``--threads``: a stricter reader must never turn a benchmark run
+    into a config error (exit 2)."""
+    bench = _load(PERFBENCH / "run.py", "perfbench_run")
+    for name, workload in bench.WORKLOADS.items():
+        for inv in workload.invocations:
+            config = tmp_path / f"{name}.{inv.tag}.json"
+            config.write_text(json.dumps(inv.config))
+            for extra in ([], ["--threads", "2"]):
+                argv = [inv.command, "--config", str(config), "--seed", "1",
+                        "--out", str(tmp_path / name / inv.tag), *extra]
+                with pytest.raises(reads_only):
+                    main(argv)
+
+
 def test_importing_the_package_pins_blas_before_numpy_loads():
     """The pin must run before numpy loads OpenBLAS, and must keep a value the
     caller set."""
