@@ -25,18 +25,18 @@ frontier work, and the sweeps (``p_table``, the relation and invariance
 checks) count one tuple per orbit (``per_orbit``): the 210 off-diagonal
 order-6 word pairs fall into 34 orbits, the 15 words into 5.
 
-A class count is a quasi-polynomial in n of degree k + 1 (h = 2k): it counts
-lattice points of polytopes whose facets move linearly with n (Ehrhart
-theory), so on each residue class of n mod some period it is a polynomial,
-and its leading coefficient is the word's limit. ``exact_limit`` recovers
-that coefficient as an exact rational from counts at small n.
-
-Joint limits (``joint_limit``, behind the relation checks) first try the
-dimension count by which compatibility is proved: each label equality is a
-finite union of affine equations in the h path vertices (``LABEL_BRANCHES``),
-and a choice of one branch per matched pair whose equations have rank >= k
+``limit`` gives the exact limit of the class of one word or of a word pair
+in two steps. First a dimension count, the discrete form of the volume
+argument by which Bryc, Dembo & Jiang show words have limit 0, and the one
+by which compatibility is proved: each label equality is a finite union of
+affine equations in the h path vertices (``LABEL_BRANCHES``), and a choice
+of one branch per matched pair whose equations have rank >= k (h = 2k)
 leaves at most n^(h - k) = n^k circuits, so if every choice does, the limit
-is 0. Otherwise the joint counts are fitted like single-link ones.
+is 0. Otherwise the class count is a
+quasi-polynomial in n of degree k + 1: it counts lattice points of polytopes
+whose facets move linearly with n (Ehrhart theory), so on each residue class
+of n mod some period it is a polynomial, and its leading coefficient, the
+limit, is recovered as an exact rational from counts at small n.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .linkfn import LinkFunction, link_name, pair_codes, parse_link, value_table
+from .linkfn import LinkFunction, link_name, pair_codes, parse_link, table_base, value_table
 from .linkfn import Transform, compose, is_injective_on_range, transform_name
 from .words import Word, canonicalize, dihedral_images, enumerate_pair_matched, is_catalan
 from .words import is_pair_matched, orbit_key
@@ -70,15 +70,17 @@ __all__ = [
     "count_pi_prime",
     "count_pi_star",
     "count_pi_star_joint",
-    "exact_limit",
     "fit_quasi_polynomial",
-    "joint_limit",
+    "limit",
     "p_table",
     "per_orbit",
 ]
 
 NODE_BUDGET = 1_000_000_000
 MAX_FRONTIER_ROWS = 2_000_000
+#: Orders of the relation and invariance sweeps: at order 2 the only word
+#: is ``aa``, so a sweep there would compare nothing.
+MIN_SWEEP_ORDER = 4
 MAX_SWEEP_ORDER = 6
 MAX_IMPLIES_DIM = 64
 #: Largest period of n tried when fitting class counts to a quasi-polynomial.
@@ -269,7 +271,7 @@ def _plan(words, systems, n: int):
     return work, acts_by_pos, bounds, last, free_positions
 
 
-def _count_constrained(words, systems, n: int, max_rows: int) -> int:
+def _count_constrained(words, systems, n: int) -> int:
     """Count circuits satisfying every system's constraints for its word.
 
     All words share length h. The count is the same for every dihedral image
@@ -281,11 +283,14 @@ def _count_constrained(words, systems, n: int, max_rows: int) -> int:
         dihedral_images(words),
         key=lambda ws: (_plan(ws, systems, n)[0], [w.letters for w in ws]),
     )
-    return _enumerate(cheapest, systems, n, max_rows)
+    return _enumerate(cheapest, systems, n)
 
 
-def _enumerate(words, systems, n: int, max_rows: int) -> int:
+def _enumerate(words, systems, n: int) -> int:
     """Count the circuits of one word tuple by walking its positions in order.
+
+    A frontier whose next expansion would exceed ``MAX_FRONTIER_ROWS`` rows is
+    split into chunks first.
 
     Vertices are 0-based internally; slopes are shift-invariant and label
     codes are indexed 0-based, so counts match the 1-based definition
@@ -351,8 +356,8 @@ def _enumerate(words, systems, n: int, max_rows: int) -> int:
         rows = hi - lo
         if rows == 0:
             continue
-        if pos < h and rows > 1 and rows * bounds[pos - 1] > max_rows:
-            parts = min(rows, math.ceil(rows * bounds[pos - 1] / max_rows))
+        if pos < h and rows > 1 and rows * bounds[pos - 1] > MAX_FRONTIER_ROWS:
+            parts = min(rows, math.ceil(rows * bounds[pos - 1] / MAX_FRONTIER_ROWS))
             size, extra = divmod(rows, parts)
             edges = [lo + p * size + min(p, extra) for p in range(parts + 1)]
             stack.extend((frontier, pos, edges[p], edges[p + 1]) for p in reversed(range(parts)))
@@ -376,99 +381,82 @@ def _as_word(word) -> Word:
     return word if isinstance(word, Word) else canonicalize(word)
 
 
-def count_pi_star(link, word, n: int, max_rows: int = MAX_FRONTIER_ROWS) -> CircuitClassCount:
-    """Exact size of the matched circuit class of ``word`` under ``link``."""
-    link_fn = _as_link(link)
-    w = _as_word(word)
+def _class(links, words) -> tuple[tuple[LinkFunction, ...], tuple[Word, ...]]:
+    """The links and words of one circuit class, parsed and checked."""
+    links = tuple(_as_link(link) for link in links)
+    words = tuple(_as_word(word) for word in words)
+    if len(links) != len(words):
+        raise ValueError(f"{len(links)} links for {len(words)} words")
+    if len({w.h for w in words}) > 1:
+        raise ValueError("word lengths differ: " + ", ".join(f"{w} has {w.h}" for w in words))
+    return links, words
+
+
+def _class_count(links, words, n: int, system: Callable) -> CircuitClassCount:
+    """Size of the class of ``words`` under ``links`` at dimension n, each
+    word constrained by ``system(link, n)`` of its link."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    count = _count_constrained([w], [_LinkSystem(link_fn, n)], n, max_rows)
-    return CircuitClassCount(
-        link=link_name(link_fn),
-        word=w,
-        n=n,
-        count=count,
-    )
+    count = _count_constrained(words, [system(link, n) for link in links], n)
+    names = [link_name(link) for link in links]
+    return CircuitClassCount(names[0], words[0], n, count, *names[1:], *words[1:])
 
 
-def count_pi_prime(link, word, n: int, max_rows: int = MAX_FRONTIER_ROWS) -> CircuitClassCount:
+def count_pi_star(link, word, n: int) -> CircuitClassCount:
+    """Exact size of the matched circuit class of ``word`` under ``link``."""
+    return _class_count(*_class([link], [word]), n, _LinkSystem)
+
+
+def count_pi_prime(link, word, n: int) -> CircuitClassCount:
     """Exact size of the slope-constrained circuit class (pair-matched words).
 
     Defined for the links whose label equality reduces to slope sums:
     ``toeplitz`` (s(i) + s(j) = 0) and ``symcirc`` (s(i) + s(j) in {0, +-n}).
     """
-    link_fn = _as_link(link)
-    if link_fn.kind not in SLOPE_LINK_KINDS:
+    links, words = _class([link], [word])
+    if links[0].kind not in SLOPE_LINK_KINDS:
         raise ValueError(
-            f"slope counting is defined for {SLOPE_LINK_KINDS}, got {link_name(link_fn)}"
+            f"slope counting is defined for {SLOPE_LINK_KINDS}, got {link_name(links[0])}"
         )
-    w = _as_word(word)
-    if not is_pair_matched(w):
-        raise ValueError(f"slope counting needs a pair-matched word, got {w}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    count = _count_constrained([w], [_SlopeSystem(link_fn.kind, n)], n, max_rows)
-    return CircuitClassCount(
-        link=link_name(link_fn),
-        word=w,
-        n=n,
-        count=count,
-    )
+    if not is_pair_matched(words[0]):
+        raise ValueError(f"slope counting needs a pair-matched word, got {words[0]}")
+    return _class_count(links, words, n, lambda fn, m: _SlopeSystem(fn.kind, m))
 
 
-def count_pi_star_joint(
-    link_x, link_y, word_x, word_y, n: int, max_rows: int = MAX_FRONTIER_ROWS
-) -> CircuitClassCount:
+def count_pi_star_joint(link_x, link_y, word_x, word_y, n: int) -> CircuitClassCount:
     """Exact size of the intersection of two matched circuit classes.
 
     At a position constrained by both words the expansion uses whichever
     link has the smaller row repeat bound and the other acts as a filter.
     """
-    lx, ly = _as_link(link_x), _as_link(link_y)
-    wx, wy = _as_word(word_x), _as_word(word_y)
-    if wx.h != wy.h:
-        raise ValueError(f"word lengths differ: {wx} has {wx.h}, {wy} has {wy.h}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    systems = [_LinkSystem(lx, n), _LinkSystem(ly, n)]
-    count = _count_constrained([wx, wy], systems, n, max_rows)
-    return CircuitClassCount(
-        link=link_name(lx),
-        word=wx,
-        n=n,
-        count=count,
-        link2=link_name(ly),
-        word2=wy,
-    )
+    return _class_count(*_class([link_x, link_y], [word_x, word_y]), n, _LinkSystem)
 
 
 # --- exact limits and relation checks ----------------------------------------------
 
 
-def fit_quasi_polynomial(
-    count: Callable[[int], int], degree: int, max_period: int = MAX_PERIOD
-) -> ExactLimit:
+def fit_quasi_polynomial(count: Callable[[int], int], degree: int) -> ExactLimit:
     """Leading coefficient of an exact count sequence that is a quasi-polynomial.
 
     Counts ``count(n)`` at n = 1, 2, ... and after each new n tries the
-    periods 1..``max_period`` on the latest window of ``degree`` + 1 +
+    periods 1..``MAX_PERIOD`` on the latest window of ``degree`` + 1 +
     ``HELD_OUT`` points per residue class. Sampled at n0, n0 + P, ..., a
     polynomial of degree d has constant d-th differences, equal to
     d! * P^d times its leading coefficient, so a class fits exactly when its
     d-th differences over the window are all equal (the first d + 1 points
     fix the polynomial, the held-out points must be reproduced). Earlier
     points may precede the quasi-polynomial regime and are not used. Raises
-    ``SearchBudgetError`` when nothing fits by n = 2 * max_period * (window
+    ``SearchBudgetError`` when nothing fits by n = 2 * MAX_PERIOD * (window
     size); there is no approximate fallback.
     """
     from fractions import Fraction  # kept off the import path of the CLI
 
     per_class = degree + 1 + HELD_OUT
-    n_cap = 2 * max_period * per_class
+    n_cap = 2 * MAX_PERIOD * per_class
     seen: list[int] = []
     for n in range(1, n_cap + 1):
         seen.append(int(count(n)))
-        for period in range(1, max_period + 1):
+        for period in range(1, MAX_PERIOD + 1):
             span = period * per_class
             if span > n:
                 break
@@ -486,33 +474,16 @@ def fit_quasi_polynomial(
                     return ExactLimit(p=lead, period=period, ns=(n - span + 1, n))
     raise SearchBudgetError(
         f"counts at n = 1..{n_cap} fit no quasi-polynomial of degree {degree} "
-        f"with period <= {max_period} on {HELD_OUT} held-out points per class"
+        f"with period <= {MAX_PERIOD} on {HELD_OUT} held-out points per class"
     )
 
 
-def exact_limit(link, word, max_period: int = MAX_PERIOD, variant: str = "star") -> ExactLimit:
-    """Exact limit of count_pi_star(link, word, n) / n^(k+1) as n -> infinity
-    (``count_pi_prime`` for ``variant`` "prime")."""
-    link_fn, w = _as_link(link), _as_word(word)
-    count = count_pi_prime if variant == "prime" else count_pi_star
-    try:
-        return fit_quasi_polynomial(lambda n: count(link_fn, w, n).count, w.h // 2 + 1, max_period)
-    except SearchBudgetError as exc:
-        raise SearchBudgetError(f"{link_name(link_fn)} word {w}: {exc}") from exc
-
-
 def _branch_kind(link: LinkFunction) -> Optional[str]:
-    """The built-in kind whose ``LABEL_BRANCHES`` give this link's label equality.
-
-    ``square`` (on integer labels) and ``coprimepower`` (on Wigner pairs) are
-    injective, so a link composed of them equates exactly the cells its base
-    does. None for any other link.
-    """
-    if link.kind != "composed":
-        return link.kind
-    base = _branch_kind(link.base)
-    injective = {"square": base not in (None, "wigner"), "coprimepower": link.base.kind == "wigner"}
-    return base if injective.get(link.transform.kind) else None
+    """The built-in kind whose ``LABEL_BRANCHES`` give this link's label
+    equality: that of its ``table_base``, which shares its label partition.
+    None when that is a composed link."""
+    kind = table_base(link).kind
+    return None if kind == "composed" else kind
 
 
 def _reduce(basis: list, v: list) -> Optional[tuple]:
@@ -582,31 +553,36 @@ def _rank_certificate(words, kinds) -> tuple[Optional[int], int]:
     return bound, nodes
 
 
-def joint_limit(link_x, link_y, word_x, word_y) -> ExactLimit:
-    """Exact limit of count_pi_star_joint(...) / n^(k+1) as n -> infinity.
+def limit(links, words, variant: str = "star") -> ExactLimit:
+    """Exact limit of a class count / n^(k+1) as n -> infinity.
 
-    Tries the rank certificate (``_rank_certificate``; proof "rank", p = 0)
-    when both links have label branches, then fits the joint counts (proof
-    "fit"). A pair that neither settles raises ``SearchBudgetError`` naming it.
+    ``links`` and ``words`` are equal-length tuples: one link and word count
+    with ``count_pi_star`` (``count_pi_prime`` for ``variant`` "prime"), two
+    with ``count_pi_star_joint``. A "star" class whose links all have label
+    branches first tries the rank certificate (``_rank_certificate``; proof
+    "rank", p = 0); any other class, and one the certificate leaves open, is
+    fitted (proof "fit"). A class that neither settles raises
+    ``SearchBudgetError`` naming it.
     """
     from fractions import Fraction  # kept off the import path of the CLI
 
-    lx, ly = _as_link(link_x), _as_link(link_y)
-    wx, wy = _as_word(word_x), _as_word(word_y)
-    if wx.h != wy.h:
-        raise ValueError(f"word lengths differ: {wx} has {wx.h}, {wy} has {wy.h}")
-    kinds = (_branch_kind(lx), _branch_kind(ly))
+    links, words = _class(links, words)
+    count = {("star", 1): count_pi_star, ("star", 2): count_pi_star_joint,
+             ("prime", 1): count_pi_prime}.get((variant, len(links)))
+    if count is None:
+        raise ValueError(f"no {variant!r} count for {len(links)} links")
+    kinds = tuple(_branch_kind(link) for link in links)
     nodes = 0
-    if None not in kinds:
-        bound, nodes = _rank_certificate((wx, wy), kinds)
+    if variant == "star" and None not in kinds:
+        bound, nodes = _rank_certificate(words, kinds)
         if bound is not None:
             return ExactLimit(Fraction(0), proof="rank", bound=bound, nodes=nodes)
     try:
-        fit = fit_quasi_polynomial(
-            lambda n: count_pi_star_joint(lx, ly, wx, wy, n).count, wx.h // 2 + 1
-        )
+        fit = fit_quasi_polynomial(lambda n: count(*links, *words, n).count, words[0].h // 2 + 1)
     except SearchBudgetError as exc:
-        raise SearchBudgetError(f"{link_name(lx)}*{link_name(ly)} words {wx}, {wy}: {exc}") from exc
+        name = "*".join(link_name(link) for link in links)
+        label = "word" if len(words) == 1 else "words"
+        raise SearchBudgetError(f"{name} {label} {', '.join(map(str, words))}: {exc}") from exc
     return ExactLimit(fit.p, fit.period, fit.ns, nodes=nodes)
 
 
@@ -626,11 +602,11 @@ def per_orbit(seen: dict, compute: Callable, *words):
 
 
 def p_table(link, two_k: int) -> dict:
-    """Exact per-word limits (``ExactLimit``) for all pair-matched words of length 2k,
-    fitted once per dihedral orbit of words."""
+    """Exact per-word limits (``ExactLimit``) for all pair-matched words of
+    length 2k, computed once per dihedral orbit of words."""
     seen: dict = {}
     return {
-        w: per_orbit(seen, lambda u: exact_limit(link, u), w)
+        w: per_orbit(seen, lambda u: limit((link,), (u,)), w)
         for w in enumerate_pair_matched(two_k)
     }
 
@@ -682,8 +658,8 @@ class RelationReport:
 
 
 def _sweep_order(two_k: int) -> None:
-    if two_k % 2 != 0 or not 2 <= two_k <= MAX_SWEEP_ORDER:
-        raise ValueError(f"relation sweeps cover even orders 2..{MAX_SWEEP_ORDER}, got {two_k}")
+    if two_k % 2 != 0 or not MIN_SWEEP_ORDER <= two_k <= MAX_SWEEP_ORDER:
+        raise ValueError(f"sweeps cover even orders {MIN_SWEEP_ORDER}..{MAX_SWEEP_ORDER}: {two_k}")
 
 
 def _relation(kind: str, link_x, link_y, two_k: int, cases) -> RelationReport:
@@ -692,7 +668,7 @@ def _relation(kind: str, link_x, link_y, two_k: int, cases) -> RelationReport:
     seen: dict = {}
     entries = []
     for wx, wy, expected in cases:
-        lim = per_orbit(seen, lambda u, v: joint_limit(link_x, link_y, u, v), wx, wy)
+        lim = per_orbit(seen, lambda u, v: limit((link_x, link_y), (u, v)), wx, wy)
         entries.append(RelationEntry(wx, wy, lim, expected, lim.p == expected))
     limits = seen.values()
     return RelationReport(

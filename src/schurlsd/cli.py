@@ -42,8 +42,6 @@ from .circuits import (
     check_implies_wigner,
     check_invariance_containment,
     check_leadsto_wigner,
-    exact_limit,
-    joint_limit,
     p_table,
     per_orbit,
 )
@@ -581,9 +579,9 @@ def _invariance_gate(ctx: RunContext, name: str, link: str, transform: Transform
 
 
 def _read_sweep_order(cfg: Config, key: str) -> int:
-    """The order of a relation or invariance sweep. At order 2 the only word
-    is ``aa``, so a sweep there compares nothing; hence the floor of 4."""
-    return cfg.integer(key, 4, lo=4, hi=circuits.MAX_SWEEP_ORDER, even=True)
+    """The order of a relation or invariance sweep, in the library's range."""
+    return cfg.integer(key, circuits.MIN_SWEEP_ORDER, lo=circuits.MIN_SWEEP_ORDER,
+                       hi=circuits.MAX_SWEEP_ORDER, even=True)
 
 
 # --- product spec from config -------------------------------------------------------
@@ -609,22 +607,25 @@ def _limit_for_product(link_x: str, link_y: str) -> Optional[str]:
     return None
 
 
-def _limit_targets(limit: str, h_max: int) -> dict[int, dict]:
-    """Even-moment targets of a Table 2 limit law, with provenance.
+def _limit_targets(limit: str, h_max: int) -> tuple[dict[int, dict], dict[int, dict]]:
+    """Even-moment targets of a Table 2 limit law, with provenance, and the
+    words per proof of each exact target.
 
     The semicircle has exact Catalan moments; single-pattern limits sum that
-    link's exact per-word limits, which are fitted up to the order cap of
-    every exact fit, ``MAX_SWEEP_ORDER``. ``period`` is the common period of
-    the word fits and ``n_range`` the span of n their windows cover.
+    link's exact per-word limits (``circuits.limit``) up to the order cap of
+    every exact limit, ``MAX_SWEEP_ORDER``. A word is proved 0 by rank or
+    fitted; ``period`` is the common period of the fitted words and
+    ``n_range`` the span of n their windows cover.
     """
     if limit == "semicircle":
         return {two_k: {"value": float(catalan_number(two_k // 2)), "source": "semicircle"}
-                for two_k in range(2, h_max + 1, 2)}
+                for two_k in range(2, h_max + 1, 2)}, {}
     targets: dict[int, dict] = {}
+    proofs: dict[int, dict] = {}
     for two_k in range(2, min(h_max, circuits.MAX_SWEEP_ORDER) + 1, 2):
         table = p_table(limit, two_k)
         exact = assemble_moments({w: f.p for w, f in table.items()}, two_k)
-        fits = table.values()
+        fits = [f for f in table.values() if f.proof == "fit"]
         targets[two_k] = {
             "value": float(exact),
             "exact": str(exact),
@@ -632,19 +633,21 @@ def _limit_targets(limit: str, h_max: int) -> dict[int, dict]:
             "period": math.lcm(*(f.period for f in fits)),
             "n_range": [min(f.ns[0] for f in fits), max(f.ns[1] for f in fits)],
         }
-    return targets
+        proofs[two_k] = {"rank": len(table) - len(fits), "fit": len(fits)}
+    return targets, proofs
 
 
 def _timed_targets(ctx: RunContext, limit: str, h_max: int) -> dict[int, dict]:
-    """``_limit_targets`` with its wall time and fits recorded for the manifest."""
+    """``_limit_targets`` with its wall time, fits and proofs recorded for the
+    manifest."""
     start = time.perf_counter()
-    targets = _limit_targets(limit, h_max)
+    targets, proofs = _limit_targets(limit, h_max)
     ctx.target_assembly[limit] = {
         "wall_s": time.perf_counter() - start,
         "orders": {
-            str(k): {"period": t["period"], "n_range": t["n_range"]}
+            str(k): {"period": t["period"], "n_range": t["n_range"], "proofs": proofs[k]}
             for k, t in targets.items()
-            if "period" in t
+            if k in proofs
         },
     }
     return targets
@@ -780,13 +783,11 @@ def cmd_pw(ctx: RunContext) -> Callable[[], None]:
     variant = cfg.choice("variant", ("star", "prime"), "star")
     if joint and variant == "prime":
         raise ConfigError("config key 'variant': 'prime' applies to a single link only")
-    link = cfg.link("link") if not joint else None
-    link_x = cfg.link("link_x") if joint else None
-    link_y = cfg.link("link_y") if joint else None
-    if variant == "prime" and parse_link(link).kind not in SLOPE_LINK_KINDS:
+    links = (cfg.link("link_x"), cfg.link("link_y")) if joint else (cfg.link("link"),)
+    if variant == "prime" and parse_link(links[0]).kind not in SLOPE_LINK_KINDS:
         raise ConfigError(
             f"config key 'link': variant 'prime' needs one of {list(SLOPE_LINK_KINDS)}, "
-            f"got {link!r}"
+            f"got {links[0]!r}"
         )
 
     if "words" in cfg:
@@ -798,7 +799,7 @@ def cmd_pw(ctx: RunContext) -> Callable[[], None]:
             if isinstance(item, list):
                 if not joint or len(item) != 2:
                     raise ConfigError(f"config key 'words': bad entry {item!r}")
-                jobs.append((cfg_word("words", item[0]), cfg_word("words", item[1])))
+                jobs.append(tuple(cfg_word("words", x) for x in item))
             else:
                 w = cfg_word("words", item)
                 if variant == "prime" and not is_pair_matched(w):
@@ -806,8 +807,8 @@ def cmd_pw(ctx: RunContext) -> Callable[[], None]:
                         f"config key 'words': variant 'prime' needs pair-matched words, "
                         f"got {item!r}"
                     )
-                jobs.append((w, w) if joint else (w, None))
-        lengths = {w.h for job in jobs for w in job if w is not None}
+                jobs.append((w,) * len(links))
+        lengths = {w.h for job in jobs for w in job}
         if len(lengths) != 1:
             raise ConfigError(f"config key 'words': mixed word lengths {sorted(lengths)}")
         _int_in("config key 'words': the word length", lengths.pop(), 1,
@@ -818,22 +819,16 @@ def cmd_pw(ctx: RunContext) -> Callable[[], None]:
         if joint and cfg.choice("pairs", ("diagonal", "all"), "diagonal") == "all":
             jobs = [(w, w2) for w in sweep for w2 in sweep]
         else:
-            jobs = [(w, w) if joint else (w, None) for w in sweep]
-
-    def limit(w, w2=None):
-        if joint:
-            return joint_limit(link_x, link_y, w, w2)
-        return exact_limit(link, w, variant=variant)
+            jobs = [(w,) * len(links) for w in sweep]
 
     def run() -> None:
         seen: dict = {}
         entries = []
-        for w, w2 in jobs:
-            entry = {"word": str(w)}
-            if w2 is not None:
-                entry["word2"] = str(w2)
-            job = (w,) if w2 is None else (w, w2)
-            entry.update(_limit_json(per_orbit(seen, limit, *job)))
+        for job in jobs:
+            entry = dict(zip(("word", "word2"), map(str, job)))
+            entry.update(_limit_json(
+                per_orbit(seen, lambda *ws: circuits.limit(links, ws, variant), *job)
+            ))
             entries.append(entry)
 
         report = dict(ctx.header())

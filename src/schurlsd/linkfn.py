@@ -23,7 +23,9 @@ integer arithmetic: the fold n/2 - |n/2 - t| equals min(t, n - t) exactly on
 
 Links compose with value transforms (``square``, ``coprime_power``,
 ``table_transform``); a transform changes labels, and only an injective one
-is guaranteed to preserve the label partition.
+is guaranteed to preserve the label partition. ``square`` on integer labels
+and ``coprime_power`` on wigner pairs also keep the label order, so such a
+link shares its base's code table (``table_base``).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "parse_link",
     "row_delta",
     "square",
+    "table_base",
     "table_transform",
     "value_sort_key",
     "value_table",
@@ -277,6 +280,25 @@ def _base_kind(link: LinkFunction) -> str:
     return link.kind
 
 
+def table_base(link: LinkFunction) -> LinkFunction:
+    """The link whose code table and label equalities ``link`` shares.
+
+    That is ``link`` itself, or, when its transform is injective and keeps
+    the order of its base's labels, its base's ``table_base``: ``square`` on
+    the non-negative integer labels of a built-in link other than wigner
+    (squared any number of times), and ``coprime_power`` on wigner pairs,
+    whose ``PowerValue`` labels sort as the pairs do.
+    """
+    if link.kind != "composed":
+        return link
+    base = table_base(link.base)
+    if link.transform.kind == "square":
+        keeps = base.kind not in ("composed", "wigner")
+    else:
+        keeps = link.transform.kind == "coprimepower" and link.base.kind == "wigner"
+    return base if keeps else link
+
+
 def _transform_ranks(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     """Code of the composed ``link`` for each code of its base, and k."""
     keys = [
@@ -331,10 +353,14 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     on wigner are dense n x n arrays.
 
     Results are cached (Monte Carlo runs request the same table once per
-    trial) and the code matrix is returned read-only for that reason.
+    trial) and the code matrix is returned read-only for that reason. A link
+    whose ``table_base`` is another link returns that link's cached table.
     """
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
+    base = table_base(link)
+    if base is not link:
+        return value_table(base, n)
     kind = _base_kind(link)
     if kind != "wigner":
         line, k = _code_line(link, n)

@@ -14,7 +14,6 @@ import pytest
 import schurlsd.circuits as circuits
 from schurlsd.circuits import (
     LABEL_BRANCHES,
-    MAX_FRONTIER_ROWS,
     SearchBudgetError,
     check_compatible,
     check_implies_wigner,
@@ -23,9 +22,8 @@ from schurlsd.circuits import (
     count_pi_prime,
     count_pi_star,
     count_pi_star_joint,
-    exact_limit,
     fit_quasi_polynomial,
-    joint_limit,
+    limit,
     p_table,
 )
 from schurlsd.cli import TABLE2_ROWS
@@ -175,24 +173,27 @@ def test_toeplitz_prime_close_to_star(n):
         assert abs(prime - star) / n**3 <= 4 / n
 
 
-def test_count_is_chunking_invariant():
+def test_count_is_chunking_invariant(monkeypatch):
     # forcing tiny frontier chunks must not change the exact count
     full = count_pi_star("toeplitz", "abab", 32).count
-    assert count_pi_star("toeplitz", "abab", 32, max_rows=7).count == full
     joint_full = count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 16).count
-    assert count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 16, max_rows=5).count == joint_full
+    monkeypatch.setattr(circuits, "MAX_FRONTIER_ROWS", 7)
+    assert count_pi_star("toeplitz", "abab", 32).count == full
+    monkeypatch.setattr(circuits, "MAX_FRONTIER_ROWS", 5)
+    assert count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 16).count == joint_full
 
 
-@pytest.mark.parametrize("max_rows", [MAX_FRONTIER_ROWS, 7])
-def test_counts_leave_no_cyclic_garbage(max_rows):
+@pytest.mark.parametrize("max_rows", [circuits.MAX_FRONTIER_ROWS, 7])
+def test_counts_leave_no_cyclic_garbage(monkeypatch, max_rows):
     # a count that left reference cycles would keep its per-row label
     # indexes alive until a full collection, so peak memory would follow gc timing
+    monkeypatch.setattr(circuits, "MAX_FRONTIER_ROWS", max_rows)
     gc.collect()
     gc.disable()
     try:
-        count_pi_star("toeplitz", "abcabc", 12, max_rows=max_rows)
+        count_pi_star("toeplitz", "abcabc", 12)
         assert gc.collect() == 0
-        count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 12, max_rows=max_rows)
+        count_pi_star_joint("toeplitz", "hankel", "abab", "abab", 12)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -233,7 +234,7 @@ def _words_up_to_6():
 
 def _assert_images_count_like(words, systems, n, want):
     for image in set(dihedral_images(words)):
-        got = circuits._enumerate(image, systems, n, MAX_FRONTIER_ROWS)
+        got = circuits._enumerate(image, systems, n)
         assert got == want, ([str(w) for w in words], [str(w) for w in image], n)
 
 
@@ -289,7 +290,7 @@ def test_budget_guard_applies_to_the_enumerated_image(monkeypatch):
     systems = [circuits._LinkSystem(parse_link(k), 8) for k in ("toeplitz", "hankel")]
     words = (canonicalize("abab"), canonicalize("abba"))
     with pytest.raises(SearchBudgetError):
-        circuits._enumerate(words, systems, 8, MAX_FRONTIER_ROWS)
+        circuits._enumerate(words, systems, 8)
 
 
 # --- argument and budget errors -------------------------------------------------------------
@@ -336,7 +337,7 @@ def test_interpolator_consumes_counts_equal_to_raw_enumeration(kind, word):
 
     fit = fit_quasi_polynomial(count, len(word) // 2 + 1)
     assert consumed == list(range(1, fit.ns[1] + 1))
-    assert fit == exact_limit(kind, word)
+    _assert_settles_like_the_fit(limit((kind,), (word,)), fit)
 
 
 @pytest.mark.parametrize(
@@ -360,10 +361,46 @@ def test_exact_limits_match_literature_moments(kind, moments):
 
 def test_exact_limit_periods():
     # Hankel counts are polynomials; Toeplitz aabb alternates with the parity of n
-    assert exact_limit("hankel", "abcabc").period == 1
-    fit = exact_limit("toeplitz", "aabb")
+    assert limit(("hankel",), ("abcabc",)).period == 1
+    fit = limit(("toeplitz",), ("aabb",))
     assert fit.period == 2 and fit.p == 1
     assert fit.ns == (1, 14)  # 2 classes x (4 fit + 3 held-out points)
+
+
+def _assert_settles_like_the_fit(lim, fit):
+    """A rank proof says p = 0, and the fit must agree; any other limit is the
+    fit itself: p, period and n range."""
+    if lim.proof == "rank":
+        assert fit.p == 0 and lim.bound >= 1 and lim.nodes >= 1, (lim, fit)
+    else:
+        assert (lim.p, lim.proof, lim.period, lim.ns) == (fit.p, "fit", fit.period, fit.ns)
+
+
+#: Every built-in link and the two composed links that share a built-in's branches.
+RANK_FIRST_LINKS = ALL_LINKS + ["square(toeplitz)", "coprimepower(2,3,wigner)"]
+
+
+@pytest.mark.parametrize("name", RANK_FIRST_LINKS)
+@pytest.mark.parametrize("two_k", [2, 4, 6])
+def test_rank_first_limits_agree_with_the_fit_on_every_word(name, two_k):
+    # on these links the certificate proves exactly the words whose limit is 0
+    for w in enumerate_pair_matched(two_k):
+        fit = fit_quasi_polynomial(lambda n: count_pi_star(name, w, n).count, two_k // 2 + 1)
+        lim = limit((name,), (w,))
+        _assert_settles_like_the_fit(lim, fit)
+        assert (lim.proof == "rank") == (fit.p == 0), (name, str(w), fit)
+
+
+def test_limit_takes_one_or_two_classes_and_prime_for_one_only():
+    # the certificate is for matched classes only: a slope class is fitted
+    prime = limit(("symcirc",), ("abab",), "prime")
+    assert (prime.p, prime.proof, prime.nodes) == (1, "fit", 0)
+    for links, words, variant in ((("toeplitz",), ("ab", "ab"), "star"),
+                                  (("toeplitz", "hankel"), ("aa", "aabb"), "star"),
+                                  (("toeplitz", "symcirc"), ("abab", "abab"), "prime"),
+                                  (("toeplitz",) * 3, ("aa",) * 3, "star")):
+        with pytest.raises(ValueError):
+            limit(links, words, variant)
 
 
 def test_interpolator_rejects_a_broken_held_out_point():
@@ -383,10 +420,12 @@ def test_interpolator_rejects_disagreeing_leading_coefficients():
         fit_quasi_polynomial(lambda n: (2 + n % 2) * n**2, 2)
 
 
-def test_period_cap_below_the_true_period_raises():
+def test_period_cap_below_the_true_period_raises(monkeypatch):
+    monkeypatch.setattr(circuits, "MAX_PERIOD", 1)
     with pytest.raises(SearchBudgetError, match="toeplitz word aabb"):
-        exact_limit("toeplitz", "aabb", max_period=1)
-    assert exact_limit("toeplitz", "aabb", max_period=2).p == 1
+        limit(("toeplitz",), ("aabb",))
+    monkeypatch.setattr(circuits, "MAX_PERIOD", 2)
+    assert limit(("toeplitz",), ("aabb",)).p == 1
 
 
 # --- relation checks --------------------------------------------------------------------------
@@ -460,13 +499,13 @@ def test_leadsto_wigner_catalan_pattern(x, y):
 
 def test_sweeps_count_each_dihedral_orbit_once(monkeypatch):
     calls = []
-    direct = circuits.joint_limit
+    direct = circuits.limit
 
     def counted(*args, **kwargs):
         calls.append(args)
         return direct(*args, **kwargs)
 
-    monkeypatch.setattr(circuits, "joint_limit", counted)
+    monkeypatch.setattr(circuits, "limit", counted)
     for check, orbits in ((check_compatible, 34), (check_leadsto_wigner, 5)):
         calls.clear()
         report = check("toeplitz", "hankel", 6)
@@ -474,7 +513,7 @@ def test_sweeps_count_each_dihedral_orbit_once(monkeypatch):
         assert report.classes == orbits == sum(report.proofs.values())
         for e in report.entries:
             # the certificate's size depends on the image walked, its verdict does not
-            want = direct("toeplitz", "hankel", e.word, e.word2)
+            want = direct(("toeplitz", "hankel"), (e.word, e.word2))
             assert (e.limit.p, e.limit.proof) == (want.p, want.proof), (str(e.word), str(e.word2))
 
 
@@ -493,8 +532,12 @@ def test_invariance_and_p_table_count_each_word_orbit_once(monkeypatch):
     for e in report.entries:
         assert e.count_base == direct("toeplitz", e.word, 8).count
     table = p_table("hankel", 6)
-    for w, fit in table.items():
-        assert fit == exact_limit("hankel", w)
+    for w, lim in table.items():
+        # only the certificate's size depends on which word of the orbit it walks
+        want = limit(("hankel",), (w,))
+        assert (lim.p, lim.proof) == (want.p, want.proof), str(w)
+        if lim.proof == "fit":
+            assert lim == want
 
 
 # --- rank certificates ------------------------------------------------------------------------
@@ -512,9 +555,8 @@ def _orbit_pairs(two_k):
 
 
 def _joint_fit(x, y, wx, wy):
-    # some off-diagonal dsymhankel classes of order 4 have period 8
     return fit_quasi_polynomial(
-        lambda n: count_pi_star_joint(x, y, wx, wy, n).count, wx.h // 2 + 1, max_period=8
+        lambda n: count_pi_star_joint(x, y, wx, wy, n).count, wx.h // 2 + 1
     )
 
 
@@ -554,9 +596,11 @@ def test_rank_certificates_bound_raw_counts(x, y):
 @pytest.mark.parametrize(
     "x,y,two_k", [(x, y, 4) for x, y in ROW12_PRODUCTS] + [("toeplitz", "hankel", 6)]
 )
-def test_verdicts_equal_the_fitters_on_every_orbit(x, y, two_k):
+def test_verdicts_equal_the_fitters_on_every_orbit(monkeypatch, x, y, two_k):
+    # some off-diagonal dsymhankel classes of order 4 have period 8
+    monkeypatch.setattr(circuits, "MAX_PERIOD", 8)
     for wx, wy in _orbit_pairs(two_k):
-        lim = joint_limit(x, y, wx, wy)
+        lim = limit((x, y), (wx, wy))
         assert lim.p == _joint_fit(x, y, wx, wy).p, (str(wx), str(wy), lim)
         assert lim.p == (wx == wy and is_catalan(wx))
 
@@ -582,14 +626,14 @@ def test_injective_composed_links_use_their_base_branches():
         assert circuits._branch_kind(parse_link(name)) == kind, name
     power = parse_link("coprimepower(2,3,wigner)")
     assert circuits._branch_kind(compose(square(), power)) is None
-    composed = joint_limit("square(toeplitz)", "coprimepower(2,3,wigner)", "abab", "abba")
-    assert composed == joint_limit("toeplitz", "wigner", "abab", "abba")
+    composed = limit(("square(toeplitz)", "coprimepower(2,3,wigner)"), ("abab", "abba"))
+    assert composed == limit(("toeplitz", "wigner"), ("abab", "abba"))
     assert composed.proof == "rank"
     # a table link, even one defined for every n the fit reaches, is only fitted
     wide = compose(table_transform({v: (1 if v == 2 else v) for v in range(64)}),
                    builtin_link("toeplitz"))
     assert circuits._branch_kind(wide) is None
-    merged = joint_limit(wide, "hankel", "aabb", "aabb")
+    merged = limit((wide, "hankel"), ("aabb", "aabb"))
     assert (merged.p, merged.proof, merged.nodes) == (1, "fit", 0)
 
 
@@ -599,8 +643,21 @@ def test_unsettled_pair_raises_naming_it(monkeypatch):
 
     monkeypatch.setattr(circuits, "fit_quasi_polynomial", nothing_fits)
     with pytest.raises(SearchBudgetError, match=r"toeplitz\*toeplitz words abab, abab: nothing"):
-        joint_limit("toeplitz", "toeplitz", "abab", "abab")
-    assert joint_limit("toeplitz", "hankel", "abab", "abba").proof == "rank"
+        limit(("toeplitz", "toeplitz"), ("abab", "abab"))
+    assert limit(("toeplitz", "hankel"), ("abab", "abba")).proof == "rank"
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda two_k: check_compatible("toeplitz", "hankel", two_k),
+    lambda two_k: check_leadsto_wigner("toeplitz", "hankel", two_k),
+    lambda two_k: check_invariance_containment("toeplitz", square(), two_k, 8),
+])
+def test_library_sweeps_cover_orders_four_to_the_cap(sweep):
+    # at order 2 the only word is aa: a sweep there would compare nothing
+    for two_k in (2, 3, circuits.MAX_SWEEP_ORDER + 2):
+        with pytest.raises(ValueError, match="even orders 4.."):
+            sweep(two_k)
+    assert sweep(circuits.MIN_SWEEP_ORDER).two_k == 4
 
 
 # --- invariance containment ---------------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 import schurlsd.circuits as circuits
 import schurlsd.cli as cli
 from schurlsd import BLAS_THREAD_VARS
-from schurlsd.circuits import joint_limit
 from schurlsd.cli import _label_map, main
 from schurlsd.linkfn import eval_link, parse_link, table_transform
 from schurlsd.words import canonicalize, orbit_key
@@ -228,6 +227,18 @@ def test_sweep_order_range_follows_the_library_cap(tmp_path, monkeypatch, reads_
                     assert run_cli(tmp_path, command, {**cfg, key: order})[0] == 2
 
 
+def test_sweep_order_floor_follows_the_library_floor(tmp_path, monkeypatch, reads_only):
+    monkeypatch.setattr(circuits, "MIN_SWEEP_ORDER", 6)
+    cfg = {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel"}
+    assert run_cli(tmp_path, "check", {**cfg, "two_k": 4})[0] == 2
+    assert run_cli(tmp_path, "verify-table2", {"rows": [2], "mc": False,
+                                               "relation_two_k": 4})[0] == 2
+    for command, config in (("check", {**cfg, "two_k": 6}), ("check", cfg),
+                            ("verify-table2", {"rows": [2], "mc": False})):
+        with pytest.raises(reads_only):
+            run_cli(tmp_path, command, config)
+
+
 # --- words ------------------------------------------------------------------------------
 
 
@@ -407,14 +418,18 @@ def test_moments_with_auto_targets(tmp_path):
     assert by_h[4]["target"] == 2.0
     assert by_h[6]["target"] == 6.0
     assert by_h[3]["target"] == 0.0
+    # 9 of the 15 words are proved 0 by rank; period and n range are the 6 fits'
     assert report["targets"]["6"] == {
-        "value": 6.0, "exact": "6", "source": "exact:revcirc", "period": 2, "n_range": [1, 16],
+        "value": 6.0, "exact": "6", "source": "exact:revcirc", "period": 1, "n_range": [1, 8],
     }
-    # the wall time of target assembly goes to the manifest, never to the report
+    # the wall time and proofs of target assembly go to the manifest, never to the report
     assembly = read_json(out, "manifest.json")["target_assembly"]["revcirc"]
     assert assembly["wall_s"] > 0
-    assert assembly["orders"]["6"] == {"period": 2, "n_range": [1, 16]}
-    assert "wall_s" not in json.dumps(report)
+    assert assembly["orders"]["4"]["proofs"] == {"rank": 1, "fit": 2}
+    assert assembly["orders"]["6"] == {
+        "period": 1, "n_range": [1, 8], "proofs": {"rank": 9, "fit": 6},
+    }
+    assert "wall_s" not in json.dumps(report) and "proofs" not in json.dumps(report)
 
 
 @pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
@@ -461,6 +476,18 @@ def test_pw_single_link_words(tmp_path, capsys):
     assert "p(abab) = 2/3 (fit)" in capsys.readouterr().out
 
 
+def test_pw_single_link_zero_word_is_proved_by_rank(tmp_path, capsys):
+    cfg = {"link": "hankel", "words": ["abab", "abba"]}
+    code, out = run_cli(tmp_path, "pw", cfg)
+    assert code == 0
+    entries = read_json(out, "pw_report.json")["entries"]
+    assert entries == [
+        {"word": "abab", "p": "0", "proof": "rank", "bound": 1},
+        {"word": "abba", "p": "1", "proof": "fit", "period": 1, "n_range": [1, 7]},
+    ]
+    assert "p(abab) = 0 (rank)" in capsys.readouterr().out
+
+
 def test_pw_prime_variant(tmp_path):
     cfg = {"link": "symcirc", "variant": "prime", "two_k": 4}
     code, out = run_cli(tmp_path, "pw", cfg)
@@ -483,12 +510,13 @@ def test_pw_joint_sweep(tmp_path):
 
 def test_pw_all_pairs_count_each_dihedral_orbit_once(tmp_path, monkeypatch):
     calls = []
+    direct = circuits.limit
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return joint_limit(*args, **kwargs)
+        return direct(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "joint_limit", counted)
+    monkeypatch.setattr(circuits, "limit", counted)
     cfg = {"link_x": "toeplitz", "link_y": "hankel", "two_k": 4, "pairs": "all"}
     code, out = run_cli(tmp_path, "pw", cfg)
     assert code == 0
@@ -498,8 +526,8 @@ def test_pw_all_pairs_count_each_dihedral_orbit_once(tmp_path, monkeypatch):
     orbits = {orbit_key((canonicalize(e["word"]), canonicalize(e["word2"]))) for e in entries}
     assert len(orbits) == 5 and len(calls) == 5
     for e in entries:
-        direct = joint_limit("toeplitz", "hankel", e["word"], e["word2"])
-        assert (e["p"], e["proof"]) == (str(direct.p), direct.proof)
+        want = direct(("toeplitz", "hankel"), (e["word"], e["word2"]))
+        assert (e["p"], e["proof"]) == (str(want.p), want.proof)
 
 
 def test_pw_rejects_conflicting_links(tmp_path):

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import schurlsd.linkfn as linkfn
 from schurlsd.linkfn import (
     BUILTIN_KINDS,
     PowerValue,
@@ -26,6 +27,7 @@ from schurlsd.linkfn import (
     parse_link,
     row_delta,
     square,
+    table_base,
     table_transform,
     value_sort_key,
     value_table,
@@ -374,6 +376,53 @@ def test_value_table_is_the_ranked_dense_table(name, n):
     if name != "wigner":  # a window view of one line of 2n - 1 codes
         lo, hi = byte_bounds(codes)
         assert hi - lo <= (2 * n - 1) * codes.itemsize
+
+
+#: Composed links that keep their base's label partition and order, and that base.
+SHARED_TABLES = [(f"square({kind})", kind) for kind in LINE_KINDS] + [
+    ("square(square(hankel))", "hankel"), ("coprimepower(2,3,wigner)", "wigner"),
+]
+
+
+@pytest.mark.parametrize("name,base", SHARED_TABLES)
+def test_order_keeping_composed_links_share_their_base_table(name, base):
+    link, base_link = parse_link(name), parse_link(base)
+    assert table_base(link) == base_link
+    for n in range(1, 13):
+        codes, k = value_table(link, n)
+        base_codes, base_k = value_table(base_link, n)
+        assert np.shares_memory(codes, base_codes) and k == base_k
+        # the codes the transformed labels get when ranked one by one
+        ranks, ranked_k = linkfn._transform_ranks(link, n)
+        assert ranked_k == k
+        assert np.array_equal(ranks[value_table(link.base, n)[0]], codes)
+
+
+def test_links_that_may_merge_or_reorder_labels_keep_their_own_table():
+    toeplitz = builtin_link("toeplitz")
+    merged = compose(table_transform({v: (1 if v == 2 else v) for v in range(8)}), toeplitz)
+    for link in (merged, compose(square(), merged)):
+        assert table_base(link) == link
+        assert value_table(link, 8)[1] == 7
+    power = parse_link("coprimepower(2,3,wigner)")
+    for link in (parse_link("square(wigner)"), parse_link("coprimepower(2,3,toeplitz)"),
+                 compose(coprime_power(2, 3), power), compose(square(), power)):
+        assert table_base(link) == link
+        with pytest.raises(TransformError):
+            value_table(link, 5)
+
+
+def test_coprime_power_wigner_table_is_a_cache_hit_at_n_1000():
+    # ranking its 500,500 labels one by one took 13.6 s and peaked at 131 MB
+    wigner = value_table(parse_link("wigner"), 1000)
+    tracemalloc.start()
+    try:
+        composed = value_table(parse_link("coprimepower(2,3,wigner)"), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert composed[0] is wigner[0] and composed[1] == wigner[1]
+    assert peak < 2**20
 
 
 def test_wigner_value_table_holds_no_label_objects():

@@ -43,7 +43,8 @@ def semicircle_moments(h_max: int) -> list[int]:
 
 def test_semicircle_moments_catalan_pattern():
     # the targets verify-table2 and moments gate rows 1-2 against, up to the top order 8
-    targets = _limit_targets("semicircle", 8)
+    targets, proofs = _limit_targets("semicircle", 8)
+    assert proofs == {}
     assert list(targets) == [2, 4, 6, 8]
     for two_k, target in targets.items():
         assert target == {"value": float(semicircle_moments(8)[two_k - 1]),
@@ -144,7 +145,7 @@ def test_moment_matrix_psd_for_semicircle():
 @pytest.mark.parametrize("limit", ["toeplitz", "hankel", "revcirc"])
 def test_exact_targets_of_rows_3_to_5_have_psd_moment_matrices(limit):
     # beta_0..beta_6 of the single-pattern limits, odd moments 0
-    targets = _limit_targets(limit, 6)
+    targets, _ = _limit_targets(limit, 6)
     moments = [Fraction(targets[h]["exact"]) if h % 2 == 0 else 0 for h in range(1, 7)]
     assert moment_matrix_is_psd(moments)
     moments[3] = moments[1] ** 2 - Fraction(1, 10**6)  # beta_4 just below beta_2^2
