@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .linkfn import (
     TransformError,
     compose,
     coprime_power,
+    eval_link,
     link_labels,
     link_name,
     pair_codes,
@@ -70,6 +71,7 @@ from .oracle import (
 )
 from .spectral import (
     ESD,
+    TrialStats,
     histogram,
     ks_distance,
     moments_from_spectra,
@@ -86,6 +88,8 @@ from .words import (
 )
 
 __all__ = ["ConfigError", "TABLE2_ROWS", "config_hash", "main"]
+
+T = TypeVar("T")
 
 
 class ConfigError(Exception):
@@ -329,8 +333,10 @@ class Config:
     def link(self, key: str) -> str:
         text = self.value(key, "str")
         try:
-            parse_link(text)
-        except ValueError as exc:
+            # The labels of a parsed link all have one type, so one cell shows
+            # whether each transform is defined on its base's labels.
+            eval_link(parse_link(text), 1, 1, 1)
+        except ValueError as exc:  # TransformError included
             raise ConfigError(f"{self._name(key)}: {text!r}: {exc}") from exc
         return text
 
@@ -404,8 +410,8 @@ class RunContext:
     #: Size, proofs and wall time of each relation or invariance sweep, in
     #: run order; manifest only, like ``target_assembly``.
     relation_sweeps: list = field(default_factory=list)
-    #: Trials and wall time of each Monte Carlo product, in run order;
-    #: manifest only.
+    #: Trials, worker threads and phase times of each Monte Carlo product, in
+    #: run order; manifest only.
     mc_products: list = field(default_factory=list)
 
     def header(self) -> dict:
@@ -448,16 +454,26 @@ class RunContext:
         })
         return rep
 
-    def spectra(self, spec: ProductSpec) -> list:
-        """``trial_spectra`` on the run's threads, with its wall time logged."""
+    def monte_carlo(self, spec: ProductSpec, reduce: Callable[[list], T]) -> T:
+        """``reduce`` of the spectra ``trial_spectra`` draws on at most the
+        run's threads. Logs the workers used, the wall time of the draw, its
+        realization and eigensolve seconds summed over trials, and the time
+        of ``reduce`` (moments, KS distance, histogram)."""
+        stats = TrialStats()
         start = time.perf_counter()
-        spectra = trial_spectra(spec, threads=self.threads)
+        spectra = trial_spectra(spec, threads=self.threads, stats=stats)
+        drawn = time.perf_counter()
+        result = reduce(spectra)
         self.mc_products.append({
             "product": f"{spec.link_x}*{spec.link_y}",
             "trials": spec.trials,
-            "wall_s": time.perf_counter() - start,
+            "workers": stats.workers,
+            "wall_s": drawn - start,
+            "realize_s": stats.realize_s,
+            "eigensolve_s": stats.eigensolve_s,
+            "reduce_s": time.perf_counter() - drawn,
         })
-        return spectra
+        return result
 
 
 def _fmt(x: float) -> str:
@@ -702,10 +718,13 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
     ks_max = cfg.threshold("ks_max", None) if reference == "semicircle" else None
     eigenvalues_csv = cfg.value("eigenvalues_csv", "bool", False)
 
-    def run() -> None:
-        spectra = ctx.spectra(spec)
+    def reduce(spectra: list):
         esd = ESD.from_spectra(spectra)
-        centers, density = histogram(esd, bins, lo, hi)
+        ks = ks_distance(esd, semicircle_cdf) if reference == "semicircle" else None
+        return spectra, esd, histogram(esd, bins, lo, hi), ks
+
+    def run() -> None:
+        spectra, esd, (centers, density), ks = ctx.monte_carlo(spec, reduce)
 
         report = dict(ctx.header())
         report["n"] = spec.n
@@ -721,7 +740,6 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
             "density": density,
         }
         if reference == "semicircle":
-            ks = ks_distance(esd, semicircle_cdf)
             report["ks_semicircle"] = ks
             if ks_max is not None:
                 ctx.check("spectrum:ks", ks <= ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
@@ -755,7 +773,7 @@ def cmd_moments(ctx: RunContext) -> Callable[[], None]:
     z_max = cfg.threshold("z_max", None)
 
     def run() -> None:
-        moments = moments_from_spectra(ctx.spectra(spec), h_max)
+        moments = ctx.monte_carlo(spec, lambda spectra: moments_from_spectra(spectra, h_max))
         limit = _limit_for_product(spec.link_x, spec.link_y) if want_targets == "auto" else None
         targets = _timed_targets(ctx, limit, h_max) if limit else {}
 
@@ -940,8 +958,13 @@ def _table2_monte_carlo(ctx: RunContext, h_max: int) -> Callable[[int, str, str,
             link_x=x, link_y=y, dist_x=dist_x, dist_y=dist_y,
             n=n, master_seed=seed, trials=trials,
         )
-        spectra = ctx.spectra(spec)
-        moments = moments_from_spectra(spectra, h_max)
+
+        def reduce(spectra: list):
+            ks = (ks_distance(ESD.from_spectra(spectra), semicircle_cdf)
+                  if limit == "semicircle" else None)
+            return moments_from_spectra(spectra, h_max), ks
+
+        moments, ks = ctx.monte_carlo(spec, reduce)
         by_h = {m.h: m for m in moments}
         for link in (x, y):
             if link not in link_delta:
@@ -955,8 +978,6 @@ def _table2_monte_carlo(ctx: RunContext, h_max: int) -> Callable[[int, str, str,
         }
 
         if limit == "semicircle":
-            esd = ESD.from_spectra(spectra)
-            ks = ks_distance(esd, semicircle_cdf)
             entry["ks_semicircle"] = ks
             for two_k, tol_key in ((2, "beta2_abs"), (4, "beta4_abs"), (6, "beta6_abs")):
                 m = by_h[two_k]
@@ -1122,7 +1143,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (default: out)")
         sp.add_argument(
             "--threads", type=int,
-            help="Monte Carlo worker threads (default: usable CPUs); never changes results",
+            help="most Monte Carlo worker threads (default: usable CPUs; one below "
+            f"n = {spectral.MIN_THREADED_N}); never changes results",
         )
         if name == "verify-table2":
             sp.add_argument("--rows", help="row selector: 'all' or comma list like '1,3'")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -17,6 +18,7 @@ __all__ = [
     "ESD",
     "MomentEstimate",
     "Spectrum",
+    "TrialStats",
     "eigenvalues",
     "histogram",
     "ks_distance",
@@ -29,6 +31,13 @@ __all__ = [
 #: the dimensions this tool runs to be worth reporting.
 MAX_MC_ORDER = 8
 
+#: Smallest n at which ``trial_spectra`` spreads trials over threads. Below it
+#: two threads solving at once ran no faster than one (0.90-1.00x at n = 400,
+#: 450 and 500 on 2 vCPUs, one BLAS thread each), against 1.76-1.90x at
+#: n = 550 and 600, while each extra thread still paid for its own malloc
+#: arena, realization buffer and eigensolver copy.
+MIN_THREADED_N = 550
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -36,6 +45,16 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     n: int
+
+
+@dataclass
+class TrialStats:
+    """Where one ``trial_spectra`` call spent its time: the worker threads it
+    ran, and the seconds of realization and of eigensolve summed over trials."""
+
+    workers: int = 0
+    realize_s: float = 0.0
+    eigensolve_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -90,12 +109,17 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def trial_spectra(spec: ProductSpec, threads: Optional[int] = None) -> list[Spectrum]:
+def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
+                  stats: Optional[TrialStats] = None) -> list[Spectrum]:
     """Spectra of all trials, in trial order regardless of thread count.
 
-    ``threads`` worker threads (default ``usable_cpus()``) take whole trials.
-    Each fills one n x n buffer, reused for all its trials, and solves it on
-    the single BLAS thread the package pins at import.
+    Below ``MIN_THREADED_N`` every trial runs on the calling thread. From it
+    on, ``min(threads, trials)`` worker threads take whole trials; ``threads``
+    is a cap that defaults to ``usable_cpus()``. Each worker fills one n x n
+    buffer, reused for all its trials, and solves it on the single BLAS
+    thread the package pins at import, so the spectra do not depend on the
+    number of workers. ``stats``, when given, receives the workers used and
+    the per-phase times.
     """
     # Build both code tables before the first draw. A line link's table is a
     # view of 2n - 1 codes, but a wigner table is a dense n x n array, and one
@@ -105,18 +129,31 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None) -> list[Spec
         value_table(parse_link(link), spec.n)
     local = threading.local()
 
-    def work(t: int) -> Spectrum:
+    def work(t: int) -> tuple[Spectrum, float, float]:
         buf = getattr(local, "buf", None)
         if buf is None:
             buf = local.buf = np.empty((spec.n, spec.n))
-        return eigenvalues(product_realization(spec, t, out=buf))
+        start = time.perf_counter()
+        a = product_realization(spec, t, out=buf)
+        solve = time.perf_counter()
+        spectrum = eigenvalues(a)
+        return spectrum, solve - start, time.perf_counter() - solve
 
     trials = range(spec.trials)
-    workers = min(usable_cpus() if threads is None else threads, spec.trials)
-    if workers <= 1:
-        return [work(t) for t in trials]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, trials))
+    workers = 1
+    if spec.n >= MIN_THREADED_N:
+        workers = max(1, min(usable_cpus() if threads is None else threads, spec.trials))
+    if workers == 1:
+        done = [work(t) for t in trials]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(work, trials))
+    spectra, realize_s, eigensolve_s = zip(*done)
+    if stats is not None:
+        stats.workers = workers
+        stats.realize_s = sum(realize_s)
+        stats.eigensolve_s = sum(eigensolve_s)
+    return list(spectra)
 
 
 def moments_from_spectra(spectra: Sequence[Spectrum], h_max: int) -> list[MomentEstimate]:

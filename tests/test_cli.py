@@ -13,6 +13,7 @@ import pytest
 
 import schurlsd.circuits as circuits
 import schurlsd.cli as cli
+import schurlsd.spectral as spectral
 from schurlsd import BLAS_THREAD_VARS
 from schurlsd.cli import _label_map, main
 from schurlsd.linkfn import eval_link, parse_link, table_transform
@@ -273,12 +274,15 @@ def test_manifest_inventory_hashes_files(tmp_path):
 
 
 def test_threads_default_to_usable_cpus(tmp_path, monkeypatch):
+    # pool the trials at this small n, so the default run really uses 3 workers
+    monkeypatch.setattr(spectral, "MIN_THREADED_N", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     cfg = {"link_x": "wigner", "link_y": "toeplitz", "n": 40, "trials": 4}
     _, default = run_cli(tmp_path, "moments", cfg, out="default")
     _, one = run_cli(tmp_path, "moments", cfg, out="one", extra=["--threads", "1"])
     manifests = [read_json(out, "manifest.json") for out in (default, one)]
     assert [m["environment"]["threads"] for m in manifests] == [3, 1]
+    assert [m["mc_products"][0]["workers"] for m in manifests] == [3, 1]
     assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
     reports = [(out / "moments_report.json").read_bytes() for out in (default, one)]
     assert reports[0] == reports[1]
@@ -299,9 +303,14 @@ def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
     assert [(p["product"], p["trials"]) for p in products] == [
         (f"wigner*{y}", 3) for y in ("toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
     ]
-    assert all(p["wall_s"] > 0 for p in products)
+    timings = ("wall_s", "realize_s", "eigensolve_s", "reduce_s")
+    for p in products:
+        assert set(p) == {"product", "trials", "workers", *timings}
+        assert all(p[key] > 0 for key in timings)
+        # n = 60 is below the crossover, so --threads 2 runs one worker
+        assert p["workers"] == 1
     report = (out / "verify_table2_report.json").read_text()
-    for key in ("environment", "mc_products", "wall_s", "blas"):
+    for key in ("environment", "mc_products", "blas", "workers", *timings):
         assert key not in report
     _, words = run_cli(tmp_path, "words", {"two_k": 4}, out="words")
     manifest = read_json(words, "manifest.json")
@@ -572,6 +581,21 @@ def test_pw_prime_rejects_a_word_that_is_not_pair_matched(tmp_path, capsys):
     assert "'words'" in err and "aaaa" in err
 
 
+LINKS_WITH_UNDEFINED_TRANSFORMS = {
+    "pw": {"link": "square(wigner)", "two_k": 4},
+    "spectrum": {"link_x": "square(wigner)", "link_y": "toeplitz", "n": 20},
+    "moments": {"link_x": "hankel", "link_y": "coprimepower(2,3,toeplitz)", "n": 20},
+}
+
+
+@pytest.mark.parametrize("command", sorted(LINKS_WITH_UNDEFINED_TRANSFORMS))
+def test_a_link_whose_transform_is_undefined_on_its_base_exits_two(tmp_path, capsys, command):
+    code, _ = run_cli(tmp_path, command, LINKS_WITH_UNDEFINED_TRANSFORMS[command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "undefined" in err
+
+
 def test_pw_rejects_prime_for_joint(tmp_path):
     cfg = {"link_x": "toeplitz", "link_y": "hankel", "variant": "prime", "two_k": 4}
     code, _ = run_cli(tmp_path, "pw", cfg)
@@ -673,7 +697,8 @@ def test_verify_row5_small_scale(tmp_path):
     assert product["link_y"] == "dsymhankel"
 
 
-def test_verify_reports_identical_across_threads_and_reruns(tmp_path):
+def test_verify_reports_identical_across_threads_and_reruns(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral, "MIN_THREADED_N", 1)
     run_cli(tmp_path, "verify-table2", ROW5_CFG, seed=3, out="t1", extra=["--threads", "1"])
     run_cli(tmp_path, "verify-table2", ROW5_CFG, seed=3, out="t3", extra=["--threads", "3"])
     run_cli(tmp_path, "verify-table2", ROW5_CFG, seed=3, out="again")

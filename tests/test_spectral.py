@@ -14,6 +14,7 @@ from schurlsd.linkfn import value_table
 from schurlsd.oracle import semicircle_cdf
 from schurlsd.spectral import (
     ESD,
+    TrialStats,
     eigenvalues,
     histogram,
     ks_distance,
@@ -154,7 +155,26 @@ def test_moments_from_spectra_needs_two_trials():
         moments_from_spectra([eigenvalues(_diag([1.0]))], 2)
 
 
-def test_mc_moments_deterministic_across_threads():
+@pytest.fixture
+def pooled(monkeypatch):
+    """Spread trials over threads at any n, so that the small dimensions of
+    these tests exercise the worker pool."""
+    monkeypatch.setattr(spectral, "MIN_THREADED_N", 1)
+
+
+def _recording_pool(monkeypatch) -> list:
+    """Replace the worker pool with one that logs its ``max_workers``."""
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", recording_pool)
+    return pools
+
+
+def test_mc_moments_deterministic_across_threads(pooled):
     spec = _spec(trials=6)
     one = moments_from_spectra(trial_spectra(spec, threads=1), 6)
     three = moments_from_spectra(trial_spectra(spec, threads=3), 6)
@@ -163,7 +183,7 @@ def test_mc_moments_deterministic_across_threads():
     assert [(m.mean, m.variance) for m in one] == [(m.mean, m.variance) for m in again]
 
 
-def test_trial_spectra_order_independent_of_threads():
+def test_trial_spectra_order_independent_of_threads(pooled):
     spec = _spec(trials=5)
     seq = trial_spectra(spec, threads=1)
     par = trial_spectra(spec, threads=4)
@@ -171,7 +191,7 @@ def test_trial_spectra_order_independent_of_threads():
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
-def test_parallel_trials_never_share_a_realization_buffer():
+def test_parallel_trials_never_share_a_realization_buffer(pooled):
     """More workers than cores, switching threads as often as the interpreter
     allows: a buffer written by two trials at once would change a spectrum."""
     spec = _spec(link_x="wigner", dist_x="gaussian", n=150, trials=8)
@@ -186,21 +206,32 @@ def test_parallel_trials_never_share_a_realization_buffer():
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
 
-def test_trial_spectra_default_to_usable_cpus(monkeypatch):
+def test_trial_spectra_default_to_usable_cpus(pooled, monkeypatch):
     spec = _spec(trials=3)
     seq = trial_spectra(spec, threads=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert usable_cpus() == 3
-    pools = []
-
-    def recording_pool(max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-    monkeypatch.setattr(spectral, "ThreadPoolExecutor", recording_pool)
-    for a, b in zip(seq, trial_spectra(spec)):
+    pools = _recording_pool(monkeypatch)
+    stats = TrialStats()
+    for a, b in zip(seq, trial_spectra(spec, stats=stats)):
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert pools == [3]
+    assert stats.workers == 3
+
+
+def test_trial_spectra_run_serially_below_the_crossover(monkeypatch):
+    spec = _spec(trials=4)
+    assert spec.n < spectral.MIN_THREADED_N
+    pools = _recording_pool(monkeypatch)
+    stats = TrialStats()
+    serial = trial_spectra(spec, threads=4, stats=stats)
+    assert pools == [] and stats.workers == 1
+    assert stats.realize_s > 0 and stats.eigensolve_s > 0
+    monkeypatch.setattr(spectral, "MIN_THREADED_N", spec.n)
+    threaded = trial_spectra(spec, threads=4)
+    assert pools == [4]
+    for a, b in zip(serial, threaded, strict=True):
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
