@@ -48,7 +48,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .linkfn import LinkFunction, link_name, pair_codes, parse_link, table_base, value_table
+from .linkfn import DIFFERENCE_KINDS, LinkFunction, link_name, pair_codes, parse_link
+from .linkfn import table_base, value_table
 from .linkfn import Transform, compose, is_injective_on_range, transform_name
 from .words import Word, canonicalize, dihedral_images, enumerate_pair_matched, is_catalan
 from .words import is_pair_matched, orbit_key
@@ -93,8 +94,6 @@ MAX_PERIOD = 4
 #: Points per residue class, beyond the fit, that the fitted polynomial must
 #: reproduce exactly before its leading coefficient is accepted.
 HELD_OUT = 3
-
-SLOPE_LINK_KINDS = ("toeplitz", "symcirc")
 
 #: L(a, b) = L(c, d) for a built-in link kind, as a union of branches. A
 #: branch is a tuple of equations (coefficients of (a, b, c, d), values): the
@@ -418,9 +417,9 @@ def count_pi_prime(link, word, n: int) -> CircuitClassCount:
     ``toeplitz`` (s(i) + s(j) = 0) and ``symcirc`` (s(i) + s(j) in {0, +-n}).
     """
     links, words = _class([link], [word])
-    if links[0].kind not in SLOPE_LINK_KINDS:
+    if links[0].kind not in DIFFERENCE_KINDS:
         raise ValueError(
-            f"slope counting is defined for {SLOPE_LINK_KINDS}, got {link_name(links[0])}"
+            f"slope counting is defined for {DIFFERENCE_KINDS}, got {link_name(links[0])}"
         )
     if not is_pair_matched(words[0]):
         raise ValueError(f"slope counting needs a pair-matched word, got {words[0]}")

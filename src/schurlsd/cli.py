@@ -1,17 +1,16 @@
 """Command line driver: seeded experiment runs with JSON/CSV artifacts.
 
 Commands: ``spectrum``, ``moments``, ``words``, ``pw``, ``check``,
-``verify-table2``. Every run takes a JSON config (plus flag overrides),
-writes its reports under the output directory, and finishes with a
-``manifest.json`` naming the config hash, per-check outcomes, and a checksum
-inventory of every emitted file. Exit status: 0 when all configured checks
-pass, 1 when any fails, 2 for config errors, 3 when an exact count would
-exceed its search budget.
+``verify-table2``. Every run takes a JSON config (``--seed`` and ``--rows``
+set their keys in it), writes its reports under the output directory, and
+finishes with a ``manifest.json`` naming the config hash, per-check outcomes,
+and a checksum inventory of every emitted file. Exit status: 0 when all
+configured checks pass, 1 when any fails, 2 for config errors, 3 when an
+exact count would exceed its search budget.
 
 Reproducibility contract: numeric payloads are a pure function of the
-config minus the ``out`` and ``threads`` keys (those two are excluded from
-the config hash for that reason), and floats are serialized with 17
-significant digits so values round-trip exactly.
+config, which the ``--out`` and ``--threads`` flags never enter, and floats
+are serialized with 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__, circuits, spectral, words
 from .circuits import (
-    SLOPE_LINK_KINDS,
     ExactLimit,
     InvarianceReport,
     RelationReport,
@@ -47,6 +45,7 @@ from .circuits import (
 )
 from .ensemble import INPUT_DISTRIBUTIONS, ProductSpec, stream_seed
 from .linkfn import (
+    DIFFERENCE_KINDS,
     Transform,
     TransformError,
     compose,
@@ -157,13 +156,13 @@ TABLE2_ROWS: dict[int, Table2Row] = {
     5: Table2Row((("revcirc", "dsymhankel"),), "revcirc", invariance=True),
 }
 
-DEFAULT_TOLS = {
-    "beta2_abs": 0.05,
-    "beta4_abs": 0.15,
-    "beta6_abs": 0.6,
-    "ks_max": 0.05,
-    "z_max": 3.0,
-}
+#: Order -> absolute band of the rows 1-2 even-moment gates around the
+#: semicircle's Catalan moments.
+SEMICIRCLE_BANDS = {2: 0.05, 4: 0.15, 6: 0.6}
+#: Most KS distance of a rows 1-2 product's pooled ESD to the semicircle.
+KS_MAX = 0.05
+#: Standard errors in the band of every other Table 2 moment gate.
+Z_MAX = 3.0
 
 #: Absolute slack added to every standard-error band; keeps exact-by-
 #: construction cases (Rademacher beta_2 has zero variance) from failing
@@ -216,20 +215,19 @@ def encode_json(obj) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory first: a run that
+    stops before its first file, on a config error or otherwise, leaves
+    nothing on disk."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
 def config_hash(command: str, cfg: Mapping) -> str:
-    """sha256 (first 16 hex digits) of the canonical config form.
-
-    ``out`` and ``threads`` never change numeric results, so they are left
-    out: re-running elsewhere or with more workers keeps the same hash.
-    """
-    payload = {k: v for k, v in cfg.items() if k not in ("out", "threads")}
+    """sha256 (first 16 hex digits) of the canonical config form."""
     blob = json.dumps(
-        {"command": command, "config": payload}, sort_keys=True, separators=(",", ":")
+        {"command": command, "config": cfg}, sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -272,7 +270,7 @@ class Config:
     def __init__(self, command: str, data: dict, prefix: str = ""):
         self.command = command
         self.data = data
-        #: Prepended to key names in messages (``tol.`` for the ``tol`` map).
+        #: Prepended to key names in messages (``transform.`` for a transform).
         self.prefix = prefix
         self._read: Optional[set] = set()
 
@@ -415,12 +413,11 @@ class RunContext:
     mc_products: list = field(default_factory=list)
 
     def header(self) -> dict:
-        payload = {k: v for k, v in self.cfg.data.items() if k not in ("out", "threads")}
         return {
             "command": self.command,
             "version": __version__,
             "config_hash": self.hash,
-            "config": payload,
+            "config": self.cfg.data,
         }
 
     def emit_json(self, name: str, obj) -> None:
@@ -558,9 +555,15 @@ def _moment_target(targets: dict, h: int) -> Optional[float]:
     return targets[h]["value"] if h in targets else (0.0 if h % 2 else None)
 
 
+def _z_band(z_max: float, m, base: float = 0.0) -> float:
+    """``base`` plus z_max standard errors of moment estimate ``m`` plus
+    ``BAND_EPS``, added in that order by every z gate."""
+    return base + z_max * m.stderr + BAND_EPS
+
+
 def _target_gate(ctx: RunContext, name: str, m, target: float, z_max: float) -> None:
     """Gate a moment estimate on a z_max-standard-error band around its target."""
-    band = z_max * m.stderr + BAND_EPS
+    band = _z_band(z_max, m)
     ctx.check(
         name,
         abs(m.mean - target) <= band,
@@ -714,14 +717,12 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
     lo, hi = float(raw[0]), float(raw[1])
     if not -math.inf < lo < hi < math.inf:
         raise ConfigError(f"config key 'range': {raw!r} must be finite with lo < hi")
-    reference = cfg.choice("reference", ("semicircle", "none"), "semicircle")
-    ks_max = cfg.threshold("ks_max", None) if reference == "semicircle" else None
+    ks_max = cfg.threshold("ks_max", None)
     eigenvalues_csv = cfg.value("eigenvalues_csv", "bool", False)
 
     def reduce(spectra: list):
         esd = ESD.from_spectra(spectra)
-        ks = ks_distance(esd, semicircle_cdf) if reference == "semicircle" else None
-        return spectra, esd, histogram(esd, bins, lo, hi), ks
+        return spectra, esd, histogram(esd, bins, lo, hi), ks_distance(esd, semicircle_cdf)
 
     def run() -> None:
         spectra, esd, (centers, density), ks = ctx.monte_carlo(spec, reduce)
@@ -739,10 +740,9 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
             "centers": centers,
             "density": density,
         }
-        if reference == "semicircle":
-            report["ks_semicircle"] = ks
-            if ks_max is not None:
-                ctx.check("spectrum:ks", ks <= ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
+        report["ks_semicircle"] = ks
+        if ks_max is not None:
+            ctx.check("spectrum:ks", ks <= ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
         if eigenvalues_csv:
             rows = np.concatenate(
                 [
@@ -769,12 +769,11 @@ def cmd_moments(ctx: RunContext) -> Callable[[], None]:
     cfg = ctx.cfg
     spec = _product_from_cfg(ctx, default_trials=10, min_trials=2)
     h_max = cfg.integer("h_max", 6, hi=spectral.MAX_MC_ORDER)
-    want_targets = cfg.choice("targets", ("auto", "none"), "auto")
     z_max = cfg.threshold("z_max", None)
 
     def run() -> None:
         moments = ctx.monte_carlo(spec, lambda spectra: moments_from_spectra(spectra, h_max))
-        limit = _limit_for_product(spec.link_x, spec.link_y) if want_targets == "auto" else None
+        limit = _limit_for_product(spec.link_x, spec.link_y)
         targets = _timed_targets(ctx, limit, h_max) if limit else {}
 
         entries = []
@@ -802,9 +801,9 @@ def cmd_pw(ctx: RunContext) -> Callable[[], None]:
     if joint and variant == "prime":
         raise ConfigError("config key 'variant': 'prime' applies to a single link only")
     links = (cfg.link("link_x"), cfg.link("link_y")) if joint else (cfg.link("link"),)
-    if variant == "prime" and parse_link(links[0]).kind not in SLOPE_LINK_KINDS:
+    if variant == "prime" and parse_link(links[0]).kind not in DIFFERENCE_KINDS:
         raise ConfigError(
-            f"config key 'link': variant 'prime' needs one of {list(SLOPE_LINK_KINDS)}, "
+            f"config key 'link': variant 'prime' needs one of {list(DIFFERENCE_KINDS)}, "
             f"got {links[0]!r}"
         )
 
@@ -926,24 +925,15 @@ def _parse_rows(cfg: Config) -> list[int]:
     return sorted(set(raw))
 
 
-def _tols_from_cfg(cfg: Config) -> dict:
-    """``DEFAULT_TOLS`` with the overrides of the ``tol`` map."""
-    overrides = Config(cfg.command, cfg.value("tol", "dict", {}), prefix="tol.")
-    tols = {k: overrides.threshold(k, v) for k, v in DEFAULT_TOLS.items()}
-    overrides.close()
-    return tols
-
-
-def _table2_monte_carlo(ctx: RunContext, h_max: int) -> Callable[[int, str, str, str, dict], dict]:
+def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict], dict]:
     """Read the Monte Carlo keys of ``verify-table2`` and return the function
-    that samples one product of a row and gates its moments."""
+    that samples one product of a row and gates its moments to
+    ``spectral.MAX_MC_ORDER``."""
     cfg = ctx.cfg
     n = cfg.integer("n", 1000, lo=2)
     trials = cfg.integer("trials", 20, lo=2)
-    dist = cfg.choice("dist", INPUT_DISTRIBUTIONS, "rademacher")
-    dist_x = cfg.choice("dist_x", INPUT_DISTRIBUTIONS, dist)
-    dist_y = cfg.choice("dist_y", INPUT_DISTRIBUTIONS, dist)
-    tols = _tols_from_cfg(cfg)
+    dist_x = cfg.choice("dist_x", INPUT_DISTRIBUTIONS, "rademacher")
+    dist_y = cfg.choice("dist_y", INPUT_DISTRIBUTIONS, "rademacher")
     # Seed stream index of each product: its position in the full registry,
     # so a subset run sees the same seeds as a full run.
     all_products = [pair for record in TABLE2_ROWS.values() for pair in record.products]
@@ -962,7 +952,7 @@ def _table2_monte_carlo(ctx: RunContext, h_max: int) -> Callable[[int, str, str,
         def reduce(spectra: list):
             ks = (ks_distance(ESD.from_spectra(spectra), semicircle_cdf)
                   if limit == "semicircle" else None)
-            return moments_from_spectra(spectra, h_max), ks
+            return moments_from_spectra(spectra, spectral.MAX_MC_ORDER), ks
 
         moments, ks = ctx.monte_carlo(spec, reduce)
         by_h = {m.h: m for m in moments}
@@ -979,38 +969,34 @@ def _table2_monte_carlo(ctx: RunContext, h_max: int) -> Callable[[int, str, str,
 
         if limit == "semicircle":
             entry["ks_semicircle"] = ks
-            for two_k, tol_key in ((2, "beta2_abs"), (4, "beta4_abs"), (6, "beta6_abs")):
+            for two_k, tol in SEMICIRCLE_BANDS.items():
                 m = by_h[two_k]
                 t = _moment_target(targets, two_k)
                 ctx.check(
                     f"{tag}:beta{two_k}",
-                    abs(m.mean - t) <= tols[tol_key],
-                    f"estimate {_fmt(m.mean)}, target {_fmt(t)}, tol {tols[tol_key]}",
+                    abs(m.mean - t) <= tol,
+                    f"estimate {_fmt(m.mean)}, target {_fmt(t)}, tol {tol}",
                 )
-            ctx.check(
-                f"{tag}:ks",
-                ks <= tols["ks_max"],
-                f"KS {_fmt(ks)} vs max {tols['ks_max']}",
-            )
+            ctx.check(f"{tag}:ks", ks <= KS_MAX, f"KS {_fmt(ks)} vs max {KS_MAX}")
         else:
             for two_k in (2, 4, 6):
                 _target_gate(ctx, f"{tag}:beta{two_k}", by_h[two_k],
-                             _moment_target(targets, two_k), tols["z_max"])
+                             _moment_target(targets, two_k), Z_MAX)
 
         for h in (1, 3, 5):
             m = by_h[h]
-            band = tols["z_max"] * m.stderr + BAND_EPS
+            band = _z_band(Z_MAX, m)
             ctx.check(
                 f"{tag}:odd{h}",
                 abs(m.mean) <= band,
                 f"estimate {_fmt(m.mean)}, band {_fmt(band)}",
             )
-        for two_k in range(2, h_max + 1, 2):
+        for two_k in range(2, spectral.MAX_MC_ORDER + 1, 2):
             m = by_h[two_k]
             bound = moment_bound(two_k, delta)
             ctx.check(
                 f"{tag}:bound{two_k}",
-                m.mean <= bound + tols["z_max"] * m.stderr + BAND_EPS,
+                m.mean <= _z_band(Z_MAX, m, bound),
                 f"estimate {_fmt(m.mean)} vs bound {bound} (delta {delta})",
             )
         return entry
@@ -1021,11 +1007,10 @@ def _table2_monte_carlo(ctx: RunContext, h_max: int) -> Callable[[int, str, str,
 def cmd_verify_table2(ctx: RunContext) -> Callable[[], None]:
     cfg = ctx.cfg
     rows = _parse_rows(cfg)
-    h_max = cfg.integer("h_max", spectral.MAX_MC_ORDER, lo=6, hi=spectral.MAX_MC_ORDER)
     relation_two_k = _read_sweep_order(cfg, "relation_two_k")
     invariance_ns = (cfg.integers("invariance_ns", [8, 16], lo=4)
                      if any(TABLE2_ROWS[row].invariance for row in rows) else [])
-    monte_carlo = _table2_monte_carlo(ctx, h_max) if cfg.value("mc", "bool", True) else None
+    monte_carlo = _table2_monte_carlo(ctx) if cfg.value("mc", "bool", True) else None
 
     def run() -> None:
         target_cache: dict[str, dict] = {}
@@ -1035,7 +1020,7 @@ def cmd_verify_table2(ctx: RunContext) -> Callable[[], None]:
             record = TABLE2_ROWS[row]
             limit = record.limit
             if limit not in target_cache:
-                target_cache[limit] = _timed_targets(ctx, limit, h_max)
+                target_cache[limit] = _timed_targets(ctx, limit, spectral.MAX_MC_ORDER)
             targets = target_cache[limit]
             row_report = {"row": row, "limit": limit,
                           "targets": {str(k): v for k, v in targets.items()},
@@ -1140,7 +1125,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} command")
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="master seed (overrides config)")
-        sp.add_argument("--out", help="output directory (default: out)")
+        sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument(
             "--threads", type=int,
             help="most Monte Carlo worker threads (default: usable CPUs; one below "
@@ -1157,10 +1142,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         data = _load_config_file(args.config)
         if args.seed is not None:
             data["seed"] = args.seed
-        if args.out is not None:
-            data["out"] = args.out
-        if args.threads is not None:
-            data["threads"] = args.threads
         if getattr(args, "rows", None) is not None:
             data["rows"] = args.rows
 
@@ -1168,12 +1149,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ctx = RunContext(
             command=args.command,
             cfg=cfg,
-            out_dir=Path(cfg.value("out", "str", "out")),
-            threads=cfg.integer("threads", usable_cpus()),
+            out_dir=Path(args.out),
+            threads=(usable_cpus() if args.threads is None
+                     else _int_in("--threads", args.threads, 1)),
             seed=cfg.integer("seed", lo=0, hi=2**64 - 1),
             hash=config_hash(args.command, data),
         )
-        ctx.out_dir.mkdir(parents=True, exist_ok=True)
         run = COMMANDS[args.command](ctx)
         cfg.close()
         start = time.perf_counter()

@@ -40,6 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "BUILTIN_KINDS",
+    "DIFFERENCE_KINDS",
     "LinkFunction",
     "PowerValue",
     "Transform",
@@ -270,8 +271,9 @@ def _code_dtype(k: int) -> np.dtype:
 
 
 #: Labels of these built-in kinds depend on i - j only, of the others but
-#: wigner on i + j only.
-_DIFFERENCE_KINDS = ("toeplitz", "symcirc")
+#: wigner on i + j only; slope counting (``circuits.count_pi_prime``) is
+#: defined for these.
+DIFFERENCE_KINDS = ("toeplitz", "symcirc")
 
 
 def _base_kind(link: LinkFunction) -> str:
@@ -322,7 +324,7 @@ def _code_line(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
         ranks, k = _transform_ranks(link, n)
         return ranks[base_line], k
     t = np.arange(2 * n - 1)
-    if link.kind in _DIFFERENCE_KINDS:
+    if link.kind in DIFFERENCE_KINDS:
         line = np.abs(t - (n - 1))
         if link.kind == "symcirc":
             line = np.minimum(line, n - line)
@@ -365,7 +367,7 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     if kind != "wigner":
         line, k = _code_line(link, n)
         codes = sliding_window_view(line, n)  # read-only; row i is window i
-        if kind in _DIFFERENCE_KINDS:
+        if kind in DIFFERENCE_KINDS:
             codes = codes[::-1]  # row i is window n - 1 - i
         return codes, k
     if link.kind == "wigner":

@@ -104,7 +104,40 @@ def test_removed_ladder_and_tolerance_keys_exit_two(tmp_path, capsys, command, c
 def _exits_two_with_no_report(tmp_path, command, cfg):
     code, out = run_cli(tmp_path, command, cfg)
     assert code == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,key,value",
+    [
+        ("words", {"two_k": 4, "out": "elsewhere"}, "out", "elsewhere"),
+        ("words", {"two_k": 4, "threads": 2}, "threads", 2),
+        ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
+                           "tol": {"z_max": 4.0}}, "tol", {"z_max": 4.0}),
+        ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
+                           "dist": "gaussian"}, "dist", "gaussian"),
+        ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
+                           "h_max": 8}, "h_max", 8),
+        ("spectrum", {"link_x": "wigner", "link_y": "toeplitz", "n": 20,
+                      "reference": "none"}, "reference", "none"),
+        ("moments", {"link_x": "hankel", "link_y": "revcirc", "n": 20,
+                     "targets": "none"}, "targets", "none"),
+    ],
+    ids=["out", "threads", "verify-table2.tol", "verify-table2.dist", "verify-table2.h_max",
+         "spectrum.reference", "moments.targets"],
+)
+def test_removed_override_and_switch_keys_exit_two(tmp_path, capsys, command, cfg, key, value):
+    # the output directory and worker count are flags only; the gate bands,
+    # the moment orders of verify-table2 and the references are fixed
+    _exits_two_with_no_report(tmp_path, command, cfg)
+    assert f"unknown config key {key!r} (value {value!r})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_flag_below_one_exits_two(tmp_path, capsys, threads):
+    code, out = run_cli(tmp_path, "words", {"two_k": 4}, extra=["--threads", threads])
+    assert code == 2 and not out.exists()
+    assert f"--threads: {threads} must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("z_max", [-1, 0, float("nan"), float("inf"), "3"])
@@ -146,8 +179,6 @@ def test_check_reads_require_equal_before_counting(tmp_path):
                    "expected": False, "require_equal": True, "n": 5, "ns": [3]}, "expected"),
         ("check", {"relation": "implies", "link_x": "toeplitz", "link_y": "hankel",
                    "two_k": 4}, "two_k"),
-        ("spectrum", {"link_x": "wigner", "link_y": "toeplitz", "n": 20, "trials": 2,
-                      "reference": "none", "ks_max": 0.1}, "ks_max"),
         ("pw", {"link_x": "toeplitz", "link_y": "hankel", "words": ["abab"],
                 "pairs": "all"}, "pairs"),
         ("pw", {"link": "toeplitz", "two_k": 4, "pairs": "all"}, "pairs"),
@@ -155,11 +186,12 @@ def test_check_reads_require_equal_before_counting(tmp_path):
                    "transform": {"kind": "square", "a": 2}}, "transform.a"),
         ("verify-table2", {"rows": [2], "mc": False, "invariance_ns": [8]}, "invariance_ns"),
         ("verify-table2", {"rows": [5], "mc": False, "n": 30}, "n"),
+        ("verify-table2", {"rows": [5], "mc": False, "dist_x": "gaussian"}, "dist_x"),
     ],
     ids=["check.compatible_with_other_relation_keys", "check.implies_with_two_k",
-         "spectrum.ks_max_without_reference", "pw.words_with_pairs", "pw.single_link_with_pairs",
+         "pw.words_with_pairs", "pw.single_link_with_pairs",
          "check.transform_key_of_another_kind", "verify-table2.invariance_ns_without_invariance",
-         "verify-table2.n_without_monte_carlo"],
+         "verify-table2.n_without_monte_carlo", "verify-table2.dist_x_without_monte_carlo"],
 )
 def test_a_key_the_run_does_not_read_exits_two(tmp_path, capsys, command, cfg, key):
     _exits_two_with_no_report(tmp_path, command, cfg)
@@ -381,8 +413,8 @@ def test_seed_flag_overrides_config(tmp_path):
 
 def test_spectrum_run(tmp_path):
     cfg = {"link_x": "wigner", "link_y": "toeplitz", "dist_x": "rademacher",
-           "dist_y": "rademacher", "n": 150, "trials": 4, "reference": "semicircle",
-           "ks_max": 0.1, "eigenvalues_csv": True, "bins": 40}
+           "dist_y": "rademacher", "n": 150, "trials": 4, "ks_max": 0.1,
+           "eigenvalues_csv": True, "bins": 40}
     code, out = run_cli(tmp_path, "spectrum", cfg, seed=5)
     assert code == 0
     report = read_json(out, "spectrum_report.json")
@@ -417,8 +449,7 @@ def test_spectrum_range_rejects_booleans(tmp_path):
 
 def test_moments_with_auto_targets(tmp_path):
     cfg = {"link_x": "revcirc", "link_y": "dsymhankel", "dist_x": "rademacher",
-           "dist_y": "rademacher", "n": 300, "trials": 8, "h_max": 6,
-           "targets": "auto", "z_max": 4.0}
+           "dist_y": "rademacher", "n": 300, "trials": 8, "h_max": 6, "z_max": 4.0}
     code, out = run_cli(tmp_path, "moments", cfg, seed=9)
     assert code == 0
     report = read_json(out, "moments_report.json")
@@ -675,10 +706,10 @@ def test_check_invariance_usertable_collapse_fails_equality(tmp_path):
 
 
 def test_check_transform_domain_error_is_config_error(tmp_path):
+    # found by the sweep, after the config was accepted; still nothing on disk
     cfg = {"relation": "invariance", "link": "toeplitz",
            "transform": {"kind": "coprimepower", "a": 2, "b": 3}, "two_k": 4, "n": 8}
-    code, _ = run_cli(tmp_path, "check", cfg)
-    assert code == 2
+    _exits_two_with_no_report(tmp_path, "check", cfg)
 
 
 # --- verify-table2 --------------------------------------------------------------------------
