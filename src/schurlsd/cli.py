@@ -718,6 +718,12 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
     if not -math.inf < lo < hi < math.inf:
         raise ConfigError(f"config key 'range': {raw!r} must be finite with lo < hi")
     ks_max = cfg.threshold("ks_max", None)
+    limit = _limit_for_product(spec.link_x, spec.link_y)
+    if ks_max is not None and limit not in (None, "semicircle"):
+        raise ConfigError(
+            f"config key 'ks_max': the KS distance is to the semicircle, but "
+            f"{spec.link_x}*{spec.link_y} has the Table 2 limit {limit!r}"
+        )
     eigenvalues_csv = cfg.value("eigenvalues_csv", "bool", False)
 
     def reduce(spectra: list):
@@ -1093,7 +1099,8 @@ def _load_config_file(path: Optional[str]) -> dict:
 
 def _environment(threads: int) -> dict:
     """What a run's floating-point results and speed depend on besides its
-    config: numpy, its BLAS, the BLAS thread variables and ``threads``."""
+    config: numpy, its BLAS, the eigensolver route, the BLAS thread variables
+    and ``threads``."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy before 1.26 can only print its build config
@@ -1101,6 +1108,7 @@ def _environment(threads: int) -> dict:
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "eigensolver": spectral.eigensolver(),
         "blas_thread_vars": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "threads": threads,
     }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 import time
@@ -35,8 +36,34 @@ MAX_MC_ORDER = 8
 #: two threads solving at once ran no faster than one (0.90-1.00x at n = 400,
 #: 450 and 500 on 2 vCPUs, one BLAS thread each), against 1.76-1.90x at
 #: n = 550 and 600, while each extra thread still paid for its own malloc
-#: arena, realization buffer and eigensolver copy.
+#: arena and realization buffer.
 MIN_THREADED_N = 550
+
+
+def _load_dsyevd():
+    """LAPACK's ``dsyevd`` from the OpenBLAS numpy's own ``eigvalsh`` links
+    (ILP64 ints, the ``scipy_`` symbol prefix), or None on a numpy built
+    against another LAPACK."""
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dsyevd_64_
+    except (AttributeError, OSError):
+        return None
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the
+    # hidden lengths of the two character arguments
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, ctypes.c_void_p, int_p,
+                   ctypes.c_void_p, ctypes.c_void_p, int_p, ctypes.c_void_p, int_p, int_p,
+                   ctypes.c_size_t, ctypes.c_size_t]
+    fn.restype = None
+    return fn
+
+
+_dsyevd = _load_dsyevd()
+
+
+def eigensolver() -> str:
+    """The route ``eigenvalues`` takes on this numpy build."""
+    return "numpy.linalg.eigvalsh" if _dsyevd is None else "dsyevd in place"
 
 
 @dataclass(frozen=True)
@@ -93,12 +120,42 @@ class ESD:
 
 
 def eigenvalues(a: np.ndarray) -> Spectrum:
-    """Spectrum of a symmetric matrix, such as a scaled product realization."""
+    """Spectrum of a symmetric matrix, such as a scaled product realization.
+
+    ``a`` must be a writeable C-contiguous n x n float64 array. It is the
+    eigensolver's workspace, so its contents are lost. The solve is LAPACK's
+    ``dsyevd`` (eigenvalues only, lower triangle), the routine and workspace
+    sizes ``np.linalg.eigvalsh`` uses, called on ``a`` itself instead of on a
+    copy. Read as a Fortran array, ``a`` is its own transpose, so LAPACK sees
+    the values of numpy's copy in the same order and the eigenvalues are
+    bitwise those of ``eigvalsh``. A numpy whose LAPACK lacks the routine
+    gets ``eigvalsh``.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1 or a.dtype != np.float64 \
+            or not a.flags.c_contiguous or not a.flags.writeable:
+        raise ValueError("eigenvalues needs a writeable C-contiguous n x n float64 array, "
+                         f"got {a.dtype} {a.shape}")
     # NaN and +-inf propagate through min and max, so two reductions test
     # every entry without an n x n mask.
     if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix has non-finite entries")
-    return Spectrum(eigenvalues=np.linalg.eigvalsh(a), n=a.shape[0])
+    if _dsyevd is None:
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(a), n=a.shape[0])
+    n = ctypes.c_int64(a.shape[0])
+    w = np.empty(a.shape[0])
+    info = ctypes.c_int64(0)
+
+    def solve(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        _dsyevd(b"N", b"L", n, a.ctypes.data, n, w.ctypes.data, work.ctypes.data,
+                ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"dsyevd failed: info = {info.value}")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    solve(work, -1, iwork, -1)  # workspace query: the optimal sizes land in work and iwork
+    lwork, liwork = int(work[0]), int(iwork[0])
+    solve(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+    return Spectrum(eigenvalues=w, n=a.shape[0])
 
 
 def usable_cpus() -> int:
@@ -118,8 +175,9 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     is a cap that defaults to ``usable_cpus()``. Each worker fills one n x n
     buffer, reused for all its trials, and solves it on the single BLAS
     thread the package pins at import, so the spectra do not depend on the
-    number of workers. ``stats``, when given, receives the workers used and
-    the per-phase times.
+    number of workers. The solve overwrites the buffer, so LAPACK makes no
+    n x n copy of its own. ``stats``, when given, receives the workers used
+    and the per-phase times.
     """
     # Build both code tables before the first draw. A line link's table is a
     # view of 2n - 1 codes, but a wigner table is a dense n x n array, and one

@@ -115,6 +115,14 @@ def _exits_two_with_no_report(tmp_path, command, cfg):
         ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
                            "tol": {"z_max": 4.0}}, "tol", {"z_max": 4.0}),
         ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
+                           "tol": {"nope": 0.1}}, "tol", {"nope": 0.1}),
+        ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
+                           "tol": {"z_max": math.nan}}, "tol", {"z_max": math.nan}),
+        ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
+                           "tol": {"ks_max": -0.5}}, "tol", {"ks_max": -0.5}),
+        ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
+                           "tol": {"beta2_abs": math.inf}}, "tol", {"beta2_abs": math.inf}),
+        ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
                            "dist": "gaussian"}, "dist", "gaussian"),
         ("verify-table2", {"rows": [5], "n": 30, "trials": 2, "invariance_ns": [8],
                            "h_max": 8}, "h_max", 8),
@@ -123,12 +131,14 @@ def _exits_two_with_no_report(tmp_path, command, cfg):
         ("moments", {"link_x": "hankel", "link_y": "revcirc", "n": 20,
                      "targets": "none"}, "targets", "none"),
     ],
-    ids=["out", "threads", "verify-table2.tol", "verify-table2.dist", "verify-table2.h_max",
-         "spectrum.reference", "moments.targets"],
+    ids=["out", "threads", "verify-table2.tol", "verify-table2.tol.unknown",
+         "verify-table2.tol.nan", "verify-table2.tol.negative", "verify-table2.tol.inf",
+         "verify-table2.dist", "verify-table2.h_max", "spectrum.reference", "moments.targets"],
 )
 def test_removed_override_and_switch_keys_exit_two(tmp_path, capsys, command, cfg, key, value):
     # the output directory and worker count are flags only; the gate bands,
-    # the moment orders of verify-table2 and the references are fixed
+    # the moment orders of verify-table2 and the references are fixed, so a
+    # tol map is refused whole, whatever its keys and values
     _exits_two_with_no_report(tmp_path, command, cfg)
     assert f"unknown config key {key!r} (value {value!r})" in capsys.readouterr().err
 
@@ -152,10 +162,25 @@ def test_spectrum_bad_ks_max_exits_two_and_writes_no_report(tmp_path, ks_max):
     _exits_two_with_no_report(tmp_path, "spectrum", cfg)
 
 
-@pytest.mark.parametrize("tol", [{"z_max": float("nan")}, {"ks_max": -0.5},
-                                 {"beta2_abs": float("inf")}])
-def test_verify_bad_tolerance_exits_two_and_writes_no_report(tmp_path, tol):
-    _exits_two_with_no_report(tmp_path, "verify-table2", dict(ROW5_CFG, tol=tol))
+@pytest.mark.parametrize("link_x,link_y,limit", [("hankel", "revcirc", "hankel"),
+                                                  ("symcirc", "toeplitz", "toeplitz")])
+def test_spectrum_refuses_ks_max_for_a_limit_other_than_the_semicircle(
+        tmp_path, capsys, link_x, link_y, limit):
+    # KS is measured against the semicircle, so a Table 2 product with another
+    # limit (rows 3-5) cannot be gated by it
+    cfg = {"link_x": link_x, "link_y": link_y, "n": 20, "trials": 2, "ks_max": 0.05}
+    _exits_two_with_no_report(tmp_path, "spectrum", cfg)
+    assert f"{link_x}*{link_y} has the Table 2 limit {limit!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("link_y", ["toeplitz", "wigner"])
+def test_spectrum_still_gates_ks_max_on_semicircle_and_unlisted_products(tmp_path, link_y):
+    # wigner*toeplitz is Table 2 row 1; wigner*wigner is in no row
+    cfg = {"link_x": "wigner", "link_y": link_y, "n": 40, "trials": 2, "ks_max": 1e-9}
+    code, out = run_cli(tmp_path, "spectrum", cfg)
+    assert code == 1
+    (check,) = read_json(out, "manifest.json")["checks"]
+    assert check["name"] == "spectrum:ks" and check["pass"] is False
 
 
 @pytest.mark.parametrize("bad", [[float("-inf"), 3], [-3, float("inf")], [float("nan"), 3]])
@@ -328,6 +353,7 @@ def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
     assert manifest["environment"] == {
         "numpy": np.__version__,
         "blas": {"name": blas["name"], "version": blas["version"]},
+        "eigensolver": spectral.eigensolver(),
         "blas_thread_vars": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "threads": 2,
     }
@@ -342,7 +368,8 @@ def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
         # n = 60 is below the crossover, so --threads 2 runs one worker
         assert p["workers"] == 1
     report = (out / "verify_table2_report.json").read_text()
-    for key in ("environment", "mc_products", "blas", "workers", *timings):
+    for key in ("environment", "mc_products", "blas", "eigensolver", "dsyevd", "workers",
+                *timings):
         assert key not in report
     _, words = run_cli(tmp_path, "words", {"two_k": 4}, out="words")
     manifest = read_json(words, "manifest.json")
@@ -846,12 +873,6 @@ def test_verify_rows_flag_and_validation(tmp_path):
     assert code == 2
     code = main(["verify-table2", "--config", str(cfg_path), "--seed", "1",
                  "--out", str(tmp_path / "o"), "--rows", "x"])
-    assert code == 2
-
-
-def test_verify_unknown_tolerance_rejected(tmp_path):
-    cfg = dict(ROW5_CFG, tol={"nope": 0.1})
-    code, _ = run_cli(tmp_path, "verify-table2", cfg)
     assert code == 2
 
 

@@ -6,6 +6,7 @@ import pytest
 from schurlsd.ensemble import (
     BLOCK_ROWS,
     INPUT_DISTRIBUTIONS,
+    SIGN_BLOCK,
     ProductSpec,
     child_seed,
     product_realization,
@@ -82,6 +83,19 @@ def test_input_supports():
     assert set(np.unique(rad)) == {-1.0, 1.0}
     uni = sample_inputs("uniform", 1000, rng)
     assert np.all(np.abs(uni) <= np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("size", [1, SIGN_BLOCK - 1, SIGN_BLOCK, SIGN_BLOCK + 1, 500_500])
+def test_blocked_rademacher_draws_are_bitwise_one_draw(size):
+    """Signs drawn in blocks are the bits of one whole-size draw, and leave
+    the generator where that draw would (500,500 is the wigner label count
+    at n = 1000)."""
+    rng, ref = (np.random.Generator(np.random.PCG64(2024)) for _ in range(2))
+    got = sample_inputs("rademacher", size, rng)
+    expected = ref.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(0, 2, size=3).tolist() == ref.integers(0, 2, size=3).tolist()
 
 
 def test_sample_inputs_rejects_unknown():

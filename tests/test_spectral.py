@@ -85,6 +85,74 @@ def _traced_peak(fn) -> int:
     return peak
 
 
+# (link_x, link_y): wigner, line links, and links composed on each
+SOLVE_PRODUCTS = [("wigner", "toeplitz"), ("hankel", "revcirc"),
+                  ("square(toeplitz)", "coprimepower(2,3,wigner)")]
+# every input law, in both roles
+SOLVE_LAWS = [("rademacher", "gaussian"), ("gaussian", "uniform"), ("uniform", "rademacher")]
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["in_place", "fallback"])
+@pytest.mark.parametrize("laws", SOLVE_LAWS, ids="*".join)
+@pytest.mark.parametrize("links", SOLVE_PRODUCTS, ids="*".join)
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 550])
+def test_eigenvalues_are_bitwise_those_of_eigvalsh(monkeypatch, n, links, laws, fallback):
+    if fallback:
+        monkeypatch.setattr(spectral, "_dsyevd", None)
+        assert spectral.eigensolver() == "numpy.linalg.eigvalsh"
+    spec = _spec(link_x=links[0], link_y=links[1], dist_x=laws[0], dist_y=laws[1], n=n)
+    a = product_realization(spec, trial=1)
+    expected = np.linalg.eigvalsh(a.copy())
+    s = eigenvalues(a)
+    assert s.n == n
+    assert s.eigenvalues.tobytes() == expected.tobytes()
+
+
+def test_eigensolver_runs_in_place_on_numpy_with_ilp64_scipy_openblas():
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if lapack.get("name") != "scipy-openblas" or \
+            "USE64BITINT" not in lapack.get("openblas configuration", ""):
+        pytest.skip("numpy is not built on the ILP64 scipy-openblas")
+    assert spectral.eigensolver() == "dsyevd in place"
+    a = np.random.default_rng(5).standard_normal((6, 6))
+    a += a.T
+    before = a.copy()
+    eigenvalues(a)
+    assert not np.array_equal(a, before)  # LAPACK worked in a
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros(3), np.zeros((3, 4)), np.zeros((0, 0)), np.eye(3, dtype=np.float32),
+     np.eye(3, dtype=np.int64), np.eye(6)[::2, ::2], np.asfortranarray(np.arange(9.0).reshape(3, 3)),
+     _read_only(np.eye(3))],
+    ids=["1d", "not_square", "empty", "float32", "int64", "strided", "fortran", "read_only"],
+)
+def test_eigenvalues_reject_what_lapack_cannot_overwrite(bad):
+    with pytest.raises(ValueError, match="writeable C-contiguous n x n float64"):
+        eigenvalues(bad)
+
+
+def test_eigenvalues_raise_linalg_error_when_lapack_fails(monkeypatch):
+    if spectral._dsyevd is None:
+        pytest.skip("the in-place route is not available")
+    real = spectral._dsyevd
+
+    def failing(*args):
+        real(*args)
+        if args[7].value != -1:  # let the workspace query through
+            args[10].value = 2
+
+    monkeypatch.setattr(spectral, "_dsyevd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+        eigenvalues(np.eye(4))
+
+
 def test_eigenvalues_make_no_n_by_n_mask():
     # an n x n bool mask alone would take 0.95 MB at n = 1000
     a = np.random.default_rng(3).standard_normal((1000, 1000))
@@ -95,8 +163,9 @@ def test_eigenvalues_make_no_n_by_n_mask():
 def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
     # The reused 8 MB realization buffer is the only n x n array numpy
     # allocates: line tables are views of 2n - 1 codes, the gathers and the
-    # finite check work on 64-row blocks or reductions. LAPACK's own copy of
-    # the matrix is not a numpy allocation.
+    # finite check work on 64-row blocks or reductions, and LAPACK solves the
+    # buffer in place. Outside numpy's allocator, ``eigvalsh`` would copy the
+    # matrix, which tracemalloc cannot see.
     spec = _spec(n=1000, trials=2)
     value_table.cache_clear()
     try:
@@ -126,7 +195,7 @@ def test_moment_hand_values():
 def test_trace_and_spectrum_routes_agree(kind_pair, n):
     x, y = kind_pair
     m = product_realization(_spec(link_x=x, link_y=y, n=n), trial=0)
-    for h, via_spectrum in enumerate(_spectrum_moments(eigenvalues(m), 6), start=1):
+    for h, via_spectrum in enumerate(_spectrum_moments(eigenvalues(m.copy()), 6), start=1):
         via_trace = moment_from_trace(m, h)
         scale = max(abs(via_trace), 1.0)
         assert abs(via_spectrum - via_trace) <= 1e-8 * scale
