@@ -454,8 +454,9 @@ class RunContext:
     def monte_carlo(self, spec: ProductSpec, reduce: Callable[[list], T]) -> T:
         """``reduce`` of the spectra ``trial_spectra`` draws on at most the
         run's threads. Logs the workers used, the wall time of the draw, its
-        realization and eigensolve seconds summed over trials, and the time
-        of ``reduce`` (moments, KS distance, histogram)."""
+        realization and eigensolve seconds summed over trials, the time of
+        ``reduce`` (moments, KS distance, histogram), and the process's peak
+        resident memory so far, which shows the product that set it."""
         stats = TrialStats()
         start = time.perf_counter()
         spectra = trial_spectra(spec, threads=self.threads, stats=stats)
@@ -469,6 +470,7 @@ class RunContext:
             "realize_s": stats.realize_s,
             "eigensolve_s": stats.eigensolve_s,
             "reduce_s": time.perf_counter() - drawn,
+            "peak_rss_mb": _peak_rss_mb(),
         })
         return result
 

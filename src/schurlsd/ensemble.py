@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .linkfn import BLOCK_ROWS, parse_link, value_table
+from .linkfn import BLOCK_ROWS, line_values, parse_link, table_base, value_table
 
 __all__ = [
     "INPUT_DISTRIBUTIONS",
@@ -111,11 +111,44 @@ def sample_inputs(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown input distribution {dist!r}")
 
 
-def _draws(link: str, dist: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The label code matrix of ``link`` at n and one draw per code."""
-    codes, k = value_table(parse_link(link), n)
+def _factor_writer(link: str, dist: str, n: int, seed: int) -> Callable[[np.ndarray, int], None]:
+    """``write(block, lo)``: the values of one factor in rows lo, lo + 1, ...
+    and columns lo..n - 1, written into ``block`` (as many rows as it has,
+    n - lo columns).
+
+    One value is drawn per code, in code order, from a PCG64 stream at
+    ``seed``. A factor whose ``table_base`` is wigner has codes 0, 1, ..., k - 1
+    along the upper triangle in row-major order, so the draws of a block's
+    upper cells are the next chunk of its stream: they are drawn block by
+    block and copied row by row, and neither its code table nor its k draws
+    are ever whole. Any other factor draws its k <= 2n - 1 values at once;
+    ``linkfn.line_values`` lays them out as its code table is laid out, as a
+    window view of one line, and each block copies from that view.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
-    return codes, sample_inputs(dist, k, rng)
+    parsed = parse_link(link)
+    if table_base(parsed).kind != "wigner":
+        _, k = value_table(parsed, n)
+        values = line_values(parsed, n, sample_inputs(dist, k, rng))
+
+        def copy(block: np.ndarray, lo: int) -> None:
+            block[...] = values[lo : lo + block.shape[0], lo:]
+
+        return copy
+
+    def stream(block: np.ndarray, lo: int) -> None:
+        m, width = block.shape
+        draws = sample_inputs(dist, m * (2 * width - m + 1) // 2, rng)
+        start = 0
+        for r, row in enumerate(block):  # row lo + r, from its diagonal on
+            stop = start + width - r
+            row[r:] = draws[start:stop]
+            start = stop
+        # Below the diagonal of the block's m x m square, mirror its upper cells.
+        square = block[:, :m]
+        np.copyto(square, square.T, where=np.tri(m, m, -1, dtype=bool))
+
+    return stream
 
 
 @dataclass(frozen=True)
@@ -155,27 +188,29 @@ def product_realization(
 
     Written into ``out`` (a C-contiguous n x n float64 array, which a caller
     reuses across trials) when given, else into a new array. Each block of
-    rows is formed in place by the same IEEE steps in the same order as the
-    whole matrix would be: X, times Y, times ``n ** -0.5``.
+    ``BLOCK_ROWS`` rows is formed in place on the columns from its first row
+    on, by the same IEEE steps as the whole matrix would be: X, times Y, times
+    ``n ** -0.5``. The strict lower triangle left of the block is then copied
+    from the finished rows above; as X and Y are symmetric, each cell holds the
+    bits it would have had if it were formed itself. A wigner factor's draws
+    stream into the block (``_factor_writer``), so no n x n code table and no
+    k-long draw vector is made.
     """
     n = spec.n
-    codes_x, draws_x = _draws(spec.link_x, spec.dist_x, n, child_seed(spec.master_seed, "X", trial))
-    codes_y, draws_y = _draws(spec.link_y, spec.dist_y, n, child_seed(spec.master_seed, "Y", trial))
     if out is None:
         out = np.empty((n, n))
     elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous {n} x {n} float64 array")
+    write_x = _factor_writer(spec.link_x, spec.dist_x, n, child_seed(spec.master_seed, "X", trial))
+    write_y = _factor_writer(spec.link_y, spec.dist_y, n, child_seed(spec.master_seed, "Y", trial))
     scale = n ** -0.5
     y = np.empty((min(BLOCK_ROWS, n), n))
     for lo in range(0, n, BLOCK_ROWS):
-        block = out[lo : lo + BLOCK_ROWS]
-        y_block = y[: block.shape[0]]
-        # ``np.take`` copies the codes it is given (a view, for line links)
-        # to intp, one block at a time. Codes are below k by construction, so
-        # "clip" never clips; unlike the default mode it writes into ``out``
-        # without a buffer.
-        np.take(draws_x, codes_x[lo : lo + BLOCK_ROWS], out=block, mode="clip")
-        np.take(draws_y, codes_y[lo : lo + BLOCK_ROWS], out=y_block, mode="clip")
+        block = out[lo : lo + BLOCK_ROWS, lo:]
+        y_block = y[: block.shape[0], : n - lo]
+        write_x(block, lo)
+        write_y(y_block, lo)
         block *= y_block
         block *= scale
+        out[lo : lo + BLOCK_ROWS, :lo] = out[:lo, lo : lo + BLOCK_ROWS].T
     return out

@@ -51,6 +51,7 @@ __all__ = [
     "coprime_power",
     "eval_link",
     "is_injective_on_range",
+    "line_values",
     "link_labels",
     "link_name",
     "pair_codes",
@@ -65,9 +66,9 @@ __all__ = [
 
 BUILTIN_KINDS = ("wigner", "toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
 
-#: Rows per step of a scan over a code table (``row_delta``, and the gathers of
-#: ``ensemble.product_realization``): a step's temporaries are this many rows
-#: long, never n.
+#: Rows per step of a scan over a code table (``row_delta``, the wigner table's
+#: fill, and the row blocks of ``ensemble.product_realization``): a step's
+#: temporaries are this many rows long, never n.
 BLOCK_ROWS = 64
 
 
@@ -336,6 +337,49 @@ def _code_line(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     return line.astype(_code_dtype(k)), k
 
 
+def _line_table(link: LinkFunction, line: np.ndarray) -> np.ndarray:
+    """The read-only n x n view of ``line`` (2n - 1 entries of any dtype) that
+    ``link``'s table is of its code line: row i is window i of the line, or
+    window n - 1 - i for a difference kind."""
+    table = sliding_window_view(line, (line.size + 1) // 2)
+    return table[::-1] if _base_kind(link) in DIFFERENCE_KINDS else table
+
+
+def line_values(link: LinkFunction, n: int, draws: np.ndarray) -> np.ndarray:
+    """``draws[codes]`` for the code table of a link not built on wigner, made
+    the way that table is: a read-only n x n view of one line of 2n - 1
+    values, so a block of it copies without a gather."""
+    base = table_base(link)
+    if _base_kind(base) == "wigner":
+        raise ValueError(f"{link_name(link)} has no line of codes")
+    line, _ = _code_line(base, n)
+    return _line_table(base, draws[line])
+
+
+def _wigner_rows(n: int, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo, lo + 1, ... of the wigner code table at n, written into
+    ``out`` (as many rows as it has, n columns, the table's dtype).
+
+    The label of cell (a, b), 0-based with a <= b, is the index pair itself,
+    so its code is the rank of (a, b) in the row-major order of the upper
+    triangle: code(a, b) = a n - a (a - 1) / 2 + (b - a). That is off[a] + b
+    with off[a] = a n - a (a + 1) / 2, and a cell below the diagonal takes
+    the code of its mirror. Left of the block's diagonal square, a cell's
+    smaller index is its column; right of it, its row; only the square
+    itself needs the elementwise min and max.
+    """
+    t = np.arange(n)
+    off = (t * n - t * (t + 1) // 2).astype(out.dtype)
+    t = t.astype(out.dtype)
+    hi = lo + out.shape[0]
+    rows = t[lo:hi, None]
+    np.add(off[:lo], rows, out=out[:, :lo])
+    np.add(off[lo:hi, None], t[hi:], out=out[:, hi:])
+    square = t[lo:hi]
+    np.add(off[np.minimum(rows, square)], np.maximum(rows, square), out=out[:, lo:hi])
+    return out
+
+
 @lru_cache(maxsize=64)
 def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     """All cell labels at dimension n, as (codes, k).
@@ -351,8 +395,11 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
 
     A link not built on wigner labels a cell by i - j or by i + j alone, so
     its table is a strided view of one line of 2n - 1 codes: row i is a
-    window of the line, and the table takes O(n) memory. Only tables built
-    on wigner are dense n x n arrays.
+    window of the line, and the table takes O(n) memory. Tables built on
+    wigner are dense n x n arrays, filled ``BLOCK_ROWS`` rows at a time by
+    ``_wigner_rows``. Neither realization (``ensemble.product_realization``
+    streams the draws of a factor whose ``table_base`` is wigner) nor
+    ``row_delta`` asks for one; exact counting at small n does.
 
     Results are cached (Monte Carlo runs request the same table once per
     trial) and the code matrix is returned read-only for that reason. A link
@@ -363,24 +410,14 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     base = table_base(link)
     if base is not link:
         return value_table(base, n)
-    kind = _base_kind(link)
-    if kind != "wigner":
+    if _base_kind(link) != "wigner":
         line, k = _code_line(link, n)
-        codes = sliding_window_view(line, n)  # read-only; row i is window i
-        if kind in DIFFERENCE_KINDS:
-            codes = codes[::-1]  # row i is window n - 1 - i
-        return codes, k
+        return _line_table(link, line), k
     if link.kind == "wigner":
-        # Row a (0-based) holds the labels (a, b), b >= a, in ascending order;
-        # filling it and its mirror column needs no n x n temporary.
         k = n * (n + 1) // 2
         codes = np.empty((n, n), dtype=_code_dtype(k))
-        start = 0
-        for a in range(n):
-            row = np.arange(start, start + n - a, dtype=codes.dtype)
-            codes[a, a:] = row
-            codes[a:, a] = row
-            start += n - a
+        for lo in range(0, n, BLOCK_ROWS):
+            _wigner_rows(n, lo, codes[lo : lo + BLOCK_ROWS])
     else:
         base_codes, _ = value_table(link.base, n)
         ranks, k = _transform_ranks(link, n)
@@ -421,14 +458,24 @@ def row_delta(link: LinkFunction, n: int) -> int:
     either label does, so min(delta_X, delta_Y) bounds the delta of a product.
 
     The code table is scanned ``BLOCK_ROWS`` rows at a time, so that no
-    n x n temporary is made.
+    n x n temporary is made. A link whose ``table_base`` is wigner has its
+    rows made block by block from the code formula (``_wigner_rows``), so
+    its dense table is never built.
     """
-    codes, _ = value_table(link, n)
+    wigner = table_base(link).kind == "wigner"
+    if wigner:
+        rows = np.empty((min(BLOCK_ROWS, n), n), dtype=_code_dtype(n * (n + 1) // 2))
+    else:
+        codes, _ = value_table(link, n)
     delta = 1
     for lo in range(0, n, BLOCK_ROWS):
+        if wigner:
+            ordered = _wigner_rows(n, lo, rows[: n - lo])
+            ordered.sort(axis=1)
+        else:
+            ordered = np.sort(codes[lo : lo + BLOCK_ROWS], axis=1)
         # A label repeated r times in a sorted row fills r adjacent cells, so
         # column j equals column j + r - 1: test r = delta + 1, delta + 2, ...
-        ordered = np.sort(codes[lo : lo + BLOCK_ROWS], axis=1)
         while delta < n and (ordered[:, delta:] == ordered[:, :-delta]).any():
             delta += 1
     return delta

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .ensemble import ProductSpec, product_realization
-from .linkfn import parse_link, value_table
+from .linkfn import parse_link, table_base, value_table
 
 __all__ = [
     "ESD",
@@ -175,16 +175,19 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     is a cap that defaults to ``usable_cpus()``. Each worker fills one n x n
     buffer, reused for all its trials, and solves it on the single BLAS
     thread the package pins at import, so the spectra do not depend on the
-    number of workers. The solve overwrites the buffer, so LAPACK makes no
+    number of workers. The buffer is the only n x n array of a trial: the
+    realization works on row blocks and makes no n x n code table, also for
+    a wigner factor, and the solve overwrites the buffer, so LAPACK makes no
     n x n copy of its own. ``stats``, when given, receives the workers used
     and the per-phase times.
     """
-    # Build both code tables before the first draw. A line link's table is a
-    # view of 2n - 1 codes, but a wigner table is a dense n x n array, and one
-    # first built inside a trial would pin the heap holes around that trial's
-    # buffer.
-    for link in (spec.link_x, spec.link_y):
-        value_table(parse_link(link), spec.n)
+    # Build the line tables (views of 2n - 1 codes) before the workers start,
+    # so that trials share one cached table instead of racing to build it. A
+    # factor built on wigner has no table to build: its draws stream into the
+    # buffer (``ensemble.product_realization``).
+    for link in map(parse_link, (spec.link_x, spec.link_y)):
+        if table_base(link).kind != "wigner":
+            value_table(link, spec.n)
     local = threading.local()
 
     def work(t: int) -> tuple[Spectrum, float, float]:

@@ -363,13 +363,18 @@ def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
     ]
     timings = ("wall_s", "realize_s", "eigensolve_s", "reduce_s")
     for p in products:
-        assert set(p) == {"product", "trials", "workers", *timings}
+        assert set(p) == {"product", "trials", "workers", *timings, "peak_rss_mb"}
         assert all(p[key] > 0 for key in timings)
         # n = 60 is below the crossover, so --threads 2 runs one worker
         assert p["workers"] == 1
+    # the peak so far after each product: it never falls, and the run's peak
+    # is read after the last one
+    peaks = [p["peak_rss_mb"] for p in products]
+    assert all(isinstance(peak, float) and peak > 0 for peak in peaks)
+    assert peaks == sorted(peaks) and peaks[-1] <= manifest["peak_rss_mb"]
     report = (out / "verify_table2_report.json").read_text()
     for key in ("environment", "mc_products", "blas", "eigensolver", "dsyevd", "workers",
-                *timings):
+                "peak_rss", *timings):
         assert key not in report
     _, words = run_cli(tmp_path, "words", {"two_k": 4}, out="words")
     manifest = read_json(words, "manifest.json")

@@ -1,5 +1,7 @@
 """Tests for seeded matrix realizations and the determinism contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,17 +87,32 @@ def test_input_supports():
     assert np.all(np.abs(uni) <= np.sqrt(3.0))
 
 
+def _one_draw(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws of ``dist`` from one call of the generator's own sampler."""
+    if dist == "rademacher":
+        return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+    if dist == "uniform":
+        return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=size)
+    return rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("dist", INPUT_DISTRIBUTIONS)
+@pytest.mark.parametrize("chunk", [None, 4097, 61_983])
 @pytest.mark.parametrize("size", [1, SIGN_BLOCK - 1, SIGN_BLOCK, SIGN_BLOCK + 1, 500_500])
-def test_blocked_rademacher_draws_are_bitwise_one_draw(size):
-    """Signs drawn in blocks are the bits of one whole-size draw, and leave
-    the generator where that draw would (500,500 is the wigner label count
-    at n = 1000)."""
+def test_blocked_rademacher_draws_are_bitwise_one_draw(size, chunk, dist):
+    """Draws made in chunks of odd sizes (``None``: one call; 61,983 is near
+    the 61,984 draws of the first 64-row wigner block at n = 1000), and
+    signs drawn in ``SIGN_BLOCK`` blocks inside one call, are bitwise one
+    whole-size draw, and leave the generator where that draw would (500,500
+    is the wigner label count at n = 1000)."""
     rng, ref = (np.random.Generator(np.random.PCG64(2024)) for _ in range(2))
-    got = sample_inputs("rademacher", size, rng)
-    expected = ref.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+    step = chunk or size
+    got = np.concatenate([sample_inputs(dist, min(step, size - lo), rng)
+                          for lo in range(0, size, step)])
+    expected = _one_draw(dist, size, ref)
     assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert rng.integers(0, 2, size=3).tolist() == ref.integers(0, 2, size=3).tolist()
+    assert _one_draw(dist, 3, rng).tobytes() == _one_draw(dist, 3, ref).tobytes()
 
 
 def test_sample_inputs_rejects_unknown():
@@ -195,6 +212,54 @@ def test_product_realization_into_a_reused_buffer_is_bitwise_fresh(link_x):
         x *= n ** -0.5
         assert got.tobytes() == x.tobytes()
         assert product_realization(spec, trial).tobytes() == x.tobytes()
+
+
+#: (link_x, link_y) with a factor built on wigner: as X, as Y, as both, and
+#: through an order-keeping transform beside a composed line link.
+WIGNER_PRODUCTS = [("wigner", "toeplitz"), ("hankel", "wigner"), ("wigner", "wigner"),
+                   ("coprimepower(2,3,wigner)", "square(symcirc)"),
+                   ("dsymhankel", "coprimepower(2,3,wigner)")]
+
+
+@pytest.mark.parametrize("link_x,link_y", WIGNER_PRODUCTS)
+@pytest.mark.parametrize("dist", INPUT_DISTRIBUTIONS)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 200])
+def test_streamed_wigner_draws_are_bitwise_the_gathered_ones(link_x, link_y, dist, n):
+    """A wigner factor's draws, streamed block by block into the upper
+    triangle and mirrored, give the bits of one draw per code gathered
+    through the dense code table (n = 63, 64, 65, 129 and 200 end the matrix
+    inside, at and past a 64-row block)."""
+    spec = _spec(link_x=link_x, link_y=link_y, dist_x=dist, dist_y=dist, n=n)
+    buf = np.full((n, n), np.nan)
+    for trial in (0, 1):
+        x = realize(link_x, dist, n, child_seed(spec.master_seed, "X", trial))
+        x *= realize(link_y, dist, n, child_seed(spec.master_seed, "Y", trial))
+        x *= n ** -0.5
+        assert product_realization(spec, trial, out=buf).tobytes() == x.tobytes()
+
+
+def test_wigner_realization_makes_no_code_table_and_no_draw_vector():
+    """At n = 1000 one wigner*toeplitz realization into a given buffer
+    allocates a small part of the k * 8 = 4 MB that the factor's draws would
+    take at once (its blocks of draws and the Y rows take 0.5 MB each), and
+    leaves no wigner table in ``value_table``'s cache."""
+    n = 1000
+    spec = _spec(link_x="wigner", link_y="toeplitz", n=n)
+    buf = np.empty((n, n))
+    value_table.cache_clear()
+    try:
+        tracemalloc.start()
+        try:
+            product_realization(spec, 0, out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        misses = value_table.cache_info().misses
+        value_table(parse_link("wigner"), n)
+        assert value_table.cache_info().misses == misses + 1
+    finally:
+        value_table.cache_clear()
+    assert peak < 2 * 2**20 < n * (n + 1) // 2 * 8
 
 
 def test_product_realization_rejects_a_mismatched_buffer():

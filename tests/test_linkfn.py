@@ -21,6 +21,7 @@ from schurlsd.linkfn import (
     coprime_power,
     eval_link,
     is_injective_on_range,
+    line_values,
     link_labels,
     link_name,
     pair_codes,
@@ -161,7 +162,7 @@ def _test_link(name: str, n: int):
     return parse_link(name)
 
 
-@pytest.mark.parametrize("kind", ALL_LINKS + ["toeplitz//3"])
+@pytest.mark.parametrize("kind", ALL_LINKS + ["toeplitz//3", "coprimepower(2,3,wigner)"])
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 63, 64, 65, 129])
 def test_delta_equals_per_row_unique_scan(kind, n):
     # n = 63, 64, 65 and 129 end the table inside, at and just past a 64-row block of row_delta
@@ -169,6 +170,22 @@ def test_delta_equals_per_row_unique_scan(kind, n):
     codes, _ = value_table(link, n)
     per_row = max(int(np.unique(row, return_counts=True)[1].max()) for row in codes)
     assert row_delta(link, n) == per_row
+
+
+def test_wigner_delta_at_n_1000_builds_no_table():
+    # its rows come block by block from the code formula: the dense uint32
+    # table alone would be 4 n^2 bytes
+    n = 1000
+    value_table.cache_clear()
+    tracemalloc.start()
+    try:
+        delta = row_delta(parse_link("wigner"), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value_table.cache_info().currsize == 0
+    assert delta == 1
+    assert peak < n * n // 2
 
 
 def test_delta_ladder_stable():
@@ -376,6 +393,25 @@ def test_value_table_is_the_ranked_dense_table(name, n):
     if name != "wigner":  # a window view of one line of 2n - 1 codes
         lo, hi = byte_bounds(codes)
         assert hi - lo <= (2 * n - 1) * codes.itemsize
+
+
+@pytest.mark.parametrize("name", [kind for kind in TABLE_LINKS if kind != "wigner"])
+@pytest.mark.parametrize("n", [1, 2, 65])
+def test_line_values_are_the_draws_gathered_through_the_table(name, n):
+    link = _test_link(name, n)
+    codes, k = value_table(link, n)
+    draws = np.random.default_rng(n).standard_normal(k)
+    values = line_values(link, n, draws)
+    assert values.tobytes() == draws[codes].tobytes()
+    assert not values.flags.writeable
+    lo, hi = byte_bounds(values)
+    assert hi - lo <= (2 * n - 1) * values.itemsize
+
+
+def test_line_values_refuse_a_link_built_on_wigner():
+    for name in ("wigner", "coprimepower(2,3,wigner)"):
+        with pytest.raises(ValueError, match="no line of codes"):
+            line_values(parse_link(name), 4, np.zeros(10))
 
 
 #: Composed links that keep their base's label partition and order, and that base.
