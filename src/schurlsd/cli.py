@@ -16,7 +16,6 @@ are serialized with 17 significant digits so values round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
@@ -29,6 +28,16 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
+
+# CPython's own SHA-256, as the stdlib's random.py takes its SHA-512: hashlib
+# would load OpenSSL's libcrypto, 3-4 MB of resident memory for a few digests.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import BLAS_THREAD_VARS, __version__, circuits, spectral, words
 from .circuits import (
@@ -229,7 +238,7 @@ def config_hash(command: str, cfg: Mapping) -> str:
     blob = json.dumps(
         {"command": command, "config": cfg}, sort_keys=True, separators=(",", ":")
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 # --- typed config access -------------------------------------------------------
@@ -1181,7 +1190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in sorted(ctx.files):
         data = (ctx.out_dir / name).read_bytes()
         inventory.append(
-            {"path": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+            {"path": name, "sha256": sha256(data).hexdigest(), "bytes": len(data)}
         )
     all_pass = all(c.passed for c in ctx.checks)
     manifest = {

@@ -111,40 +111,63 @@ def sample_inputs(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown input distribution {dist!r}")
 
 
-def _factor_writer(link: str, dist: str, n: int, seed: int) -> Callable[[np.ndarray, int], None]:
-    """``write(block, lo)``: the values of one factor in rows lo, lo + 1, ...
+#: A factor built on wigner draws its upper-triangle values this many at a
+#: time, in whole rows (a row longer than this is drawn alone), so its draws
+#: and their sign staging take 64 KB each beside the trial buffer.
+DRAW_CHUNK = 2**13
+
+
+def _factor_writer(link: str, dist: str, n: int, seed: int,
+                   multiply: bool) -> Callable[[np.ndarray, int], None]:
+    """``put(block, lo)``: the values of one factor in rows lo, lo + 1, ...
     and columns lo..n - 1, written into ``block`` (as many rows as it has,
-    n - lo columns).
+    n - lo columns), or multiplied into it when ``multiply``.
 
     One value is drawn per code, in code order, from a PCG64 stream at
     ``seed``. A factor whose ``table_base`` is wigner has codes 0, 1, ..., k - 1
     along the upper triangle in row-major order, so the draws of a block's
-    upper cells are the next chunk of its stream: they are drawn block by
-    block and copied row by row, and neither its code table nor its k draws
-    are ever whole. Any other factor draws its k <= 2n - 1 values at once;
-    ``linkfn.line_values`` lays them out as its code table is laid out, as a
-    window view of one line, and each block copies from that view.
+    upper cells are the next part of its stream: they are drawn in chunks of
+    whole rows of at most ``DRAW_CHUNK`` values and put row by row, and the
+    block's diagonal square is then mirrored, so neither its code table nor
+    its k draws are ever whole. Any other factor draws its k <= 2n - 1 values
+    at once; ``linkfn.line_values`` lays them out as its code table is laid
+    out, as a window view of one line, and each block is put from that view.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     parsed = parse_link(link)
+
+    def put(dst: np.ndarray, src: np.ndarray) -> None:
+        if multiply:
+            np.multiply(dst, src, out=dst)
+        else:
+            np.copyto(dst, src)
+
     if table_base(parsed).kind != "wigner":
         _, k = value_table(parsed, n)
         values = line_values(parsed, n, sample_inputs(dist, k, rng))
 
-        def copy(block: np.ndarray, lo: int) -> None:
-            block[...] = values[lo : lo + block.shape[0], lo:]
+        def from_line(block: np.ndarray, lo: int) -> None:
+            put(block, values[lo : lo + block.shape[0], lo:])
 
-        return copy
+        return from_line
 
     def stream(block: np.ndarray, lo: int) -> None:
         m, width = block.shape
-        draws = sample_inputs(dist, m * (2 * width - m + 1) // 2, rng)
-        start = 0
-        for r, row in enumerate(block):  # row lo + r, from its diagonal on
-            stop = start + width - r
-            row[r:] = draws[start:stop]
-            start = stop
-        # Below the diagonal of the block's m x m square, mirror its upper cells.
+        r = 0
+        while r < m:  # row lo + r has width - r cells from its diagonal on
+            s, size = r + 1, width - r
+            while s < m and size + width - s <= DRAW_CHUNK:
+                size += width - s
+                s += 1
+            draws = sample_inputs(dist, size, rng)
+            start = 0
+            for i in range(r, s):
+                stop = start + width - i
+                put(block[i, i:], draws[start:stop])
+                start = stop
+            r = s
+        # Below the diagonal of the block's m x m square, mirror its upper cells
+        # (as Y, the cells there hold X alone until then).
         square = block[:, :m]
         np.copyto(square, square.T, where=np.tri(m, m, -1, dtype=bool))
 
@@ -193,24 +216,25 @@ def product_realization(
     ``n ** -0.5``. The strict lower triangle left of the block is then copied
     from the finished rows above; as X and Y are symmetric, each cell holds the
     bits it would have had if it were formed itself. A wigner factor's draws
-    stream into the block (``_factor_writer``), so no n x n code table and no
-    k-long draw vector is made.
+    stream into the block in small chunks and Y is multiplied in as it is
+    drawn or read (``_factor_writer``), so no n x n code table, no k-long
+    draw vector and no copy of Y's rows is made: ``out`` is the only large
+    array.
     """
     n = spec.n
     if out is None:
         out = np.empty((n, n))
     elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous {n} x {n} float64 array")
-    write_x = _factor_writer(spec.link_x, spec.dist_x, n, child_seed(spec.master_seed, "X", trial))
-    write_y = _factor_writer(spec.link_y, spec.dist_y, n, child_seed(spec.master_seed, "Y", trial))
+    put_x = _factor_writer(spec.link_x, spec.dist_x, n,
+                           child_seed(spec.master_seed, "X", trial), multiply=False)
+    times_y = _factor_writer(spec.link_y, spec.dist_y, n,
+                             child_seed(spec.master_seed, "Y", trial), multiply=True)
     scale = n ** -0.5
-    y = np.empty((min(BLOCK_ROWS, n), n))
     for lo in range(0, n, BLOCK_ROWS):
         block = out[lo : lo + BLOCK_ROWS, lo:]
-        y_block = y[: block.shape[0], : n - lo]
-        write_x(block, lo)
-        write_y(y_block, lo)
-        block *= y_block
+        put_x(block, lo)
+        times_y(block, lo)
         block *= scale
         out[lo : lo + BLOCK_ROWS, :lo] = out[:lo, lo : lo + BLOCK_ROWS].T
     return out

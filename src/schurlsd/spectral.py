@@ -6,7 +6,6 @@ import ctypes
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -175,10 +174,10 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     is a cap that defaults to ``usable_cpus()``. Each worker fills one n x n
     buffer, reused for all its trials, and solves it on the single BLAS
     thread the package pins at import, so the spectra do not depend on the
-    number of workers. The buffer is the only n x n array of a trial: the
-    realization works on row blocks and makes no n x n code table, also for
-    a wigner factor, and the solve overwrites the buffer, so LAPACK makes no
-    n x n copy of its own. ``stats``, when given, receives the workers used
+    number of workers. The buffer is the only large array of a trial: the
+    realization works on row blocks, multiplies Y in from its view and draws
+    a wigner factor in small chunks, and the solve overwrites the buffer, so
+    LAPACK makes no n x n copy of its own. ``stats``, when given, receives the workers used
     and the per-phase times.
     """
     # Build the line tables (views of 2n - 1 codes) before the workers start,
@@ -207,6 +206,9 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     if workers == 1:
         done = [work(t) for t in trials]
     else:
+        # Imported here, so a run that never spreads trials never loads it.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(work, trials))
     spectra, realize_s, eigensolve_s = zip(*done)

@@ -435,6 +435,40 @@ def test_config_hash_excludes_out_and_threads(tmp_path):
     assert read_json(out3, "manifest.json")["config_hash"] != h1
 
 
+def test_config_hash_is_the_sha256_of_the_canonical_config():
+    cfg = {"two_k": 4, "seed": 5, "link": "toeplitz"}
+    blob = '{"command":"words","config":{"link":"toeplitz","seed":5,"two_k":4}}'
+    assert cli.config_hash("words", cfg) == hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+#: Runs that load neither OpenSSL's hash module (digests come from CPython's
+#: own SHA-256) nor the thread pool (trials below ``spectral.MIN_THREADED_N``
+#: run on the calling thread). A Monte Carlo run loads OpenSSL through
+#: ``numpy.random``, so ``moments`` is held to the thread pool alone.
+LEAN_RUNS = [
+    ("check", {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel", "two_k": 4},
+     ("_hashlib", "concurrent.futures")),
+    ("words", {"two_k": 4}, ("_hashlib", "concurrent.futures")),
+    ("pw", {"link": "toeplitz", "words": ["abab"]}, ("_hashlib", "concurrent.futures")),
+    ("moments", {"link_x": "hankel", "link_y": "revcirc", "n": spectral.MIN_THREADED_N // 5,
+                 "trials": 3}, ("concurrent.futures",)),
+]
+
+
+@pytest.mark.parametrize("command,cfg,absent", LEAN_RUNS, ids=[run[0] for run in LEAN_RUNS])
+def test_a_run_loads_no_module_it_does_not_use(tmp_path, command, cfg, absent):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = (
+        "import sys; from schurlsd.cli import main; "
+        f"code = main({[command, '--config', str(cfg_path), '--seed', '1', '--out', str(tmp_path / 'out')]!r}); "
+        f"print(code, sorted(m for m in {list(absent)!r} if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_seed_flag_overrides_config(tmp_path):
     _, out = run_cli(tmp_path, "words", {"two_k": 4, "seed": 999}, seed=5)
     assert read_json(out, "words_report.json")["config"]["seed"] == 5

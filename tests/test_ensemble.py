@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import schurlsd.ensemble as ensemble
+import schurlsd.spectral as spectral
 from schurlsd.ensemble import (
     BLOCK_ROWS,
     INPUT_DISTRIBUTIONS,
@@ -17,6 +19,7 @@ from schurlsd.ensemble import (
     stream_seed,
 )
 from schurlsd.linkfn import eval_link, parse_link, value_table
+from schurlsd.spectral import eigenvalues
 
 ALL_LINKS = ("wigner", "toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
 
@@ -229,6 +232,10 @@ def test_streamed_wigner_draws_are_bitwise_the_gathered_ones(link_x, link_y, dis
     triangle and mirrored, give the bits of one draw per code gathered
     through the dense code table (n = 63, 64, 65, 129 and 200 end the matrix
     inside, at and past a 64-row block)."""
+    _assert_streamed_is_gathered(link_x, link_y, dist, n)
+
+
+def _assert_streamed_is_gathered(link_x, link_y, dist, n):
     spec = _spec(link_x=link_x, link_y=link_y, dist_x=dist, dist_y=dist, n=n)
     buf = np.full((n, n), np.nan)
     for trial in (0, 1):
@@ -238,11 +245,21 @@ def test_streamed_wigner_draws_are_bitwise_the_gathered_ones(link_x, link_y, dis
         assert product_realization(spec, trial, out=buf).tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("link_x,link_y", WIGNER_PRODUCTS)
+@pytest.mark.parametrize("chunk", [1, 300, 10_000])
+def test_wigner_draws_in_chunks_of_any_size_are_bitwise_one_stream(monkeypatch, link_x, link_y,
+                                                                   chunk):
+    """Chunks shorter than a row (each row is drawn alone), of a few rows, and
+    of a whole 64-row block (6,240 draws at most), at n = 129."""
+    monkeypatch.setattr(ensemble, "DRAW_CHUNK", chunk)
+    _assert_streamed_is_gathered(link_x, link_y, "rademacher", 129)
+
+
 def test_wigner_realization_makes_no_code_table_and_no_draw_vector():
     """At n = 1000 one wigner*toeplitz realization into a given buffer
     allocates a small part of the k * 8 = 4 MB that the factor's draws would
-    take at once (its blocks of draws and the Y rows take 0.5 MB each), and
-    leaves no wigner table in ``value_table``'s cache."""
+    take at once (its chunks of draws take 64 KB), and leaves no wigner table
+    in ``value_table``'s cache."""
     n = 1000
     spec = _spec(link_x="wigner", link_y="toeplitz", n=n)
     buf = np.empty((n, n))
@@ -259,7 +276,31 @@ def test_wigner_realization_makes_no_code_table_and_no_draw_vector():
         assert value_table.cache_info().misses == misses + 1
     finally:
         value_table.cache_clear()
-    assert peak < 2 * 2**20 < n * (n + 1) // 2 * 8
+    assert peak < 2**19 < n * (n + 1) // 2 * 8
+
+
+@pytest.mark.parametrize("link_x,link_y", [("wigner", "toeplitz"), ("toeplitz", "hankel"),
+                                           ("wigner", "wigner")])
+@pytest.mark.parametrize("dist", INPUT_DISTRIBUTIONS)
+def test_a_warm_trial_allocates_little_beside_its_buffer(link_x, link_y, dist):
+    """After a first trial has built the line tables, one trial at n = 1000
+    (realize into the buffer, then solve it in place) allocates under 0.5 MiB:
+    Y is multiplied in from its view and a wigner factor is drawn in small
+    chunks, so no copy of Y's rows and no block of draws is made (a 64-row
+    block is 0.5 MB), and the solve needs only LAPACK's workspace."""
+    if spectral.eigensolver() != "dsyevd in place":
+        pytest.skip("eigvalsh, the only route on this numpy, copies the matrix")
+    n = 1000
+    spec = _spec(link_x=link_x, link_y=link_y, dist_x=dist, dist_y=dist, n=n)
+    buf = np.empty((n, n))
+    eigenvalues(product_realization(spec, 0, out=buf))
+    tracemalloc.start()
+    try:
+        eigenvalues(product_realization(spec, 1, out=buf))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_product_realization_rejects_a_mismatched_buffer():

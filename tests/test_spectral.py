@@ -1,5 +1,6 @@
 """Tests for spectra, moment estimation, ESD, KS distance, and histograms."""
 
+import concurrent.futures
 import os
 import sys
 import tracemalloc
@@ -232,14 +233,16 @@ def pooled(monkeypatch):
 
 
 def _recording_pool(monkeypatch) -> list:
-    """Replace the worker pool with one that logs its ``max_workers``."""
+    """Replace the worker pool with one that logs its ``max_workers``;
+    ``trial_spectra`` imports the pool where it uses it, so the patch goes on
+    ``concurrent.futures``."""
     pools = []
 
     def recording_pool(max_workers):
         pools.append(max_workers)
         return ThreadPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(spectral, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     return pools
 
 
