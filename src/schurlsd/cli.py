@@ -78,7 +78,6 @@ from .oracle import (
     semicircle_cdf,
 )
 from .spectral import (
-    ESD,
     TrialStats,
     histogram,
     ks_distance,
@@ -460,12 +459,13 @@ class RunContext:
         })
         return rep
 
-    def monte_carlo(self, spec: ProductSpec, reduce: Callable[[list], T]) -> T:
-        """``reduce`` of the spectra ``trial_spectra`` draws on at most the
-        run's threads. Logs the workers used, the wall time of the draw, its
-        realization and eigensolve seconds summed over trials, the time of
-        ``reduce`` (moments, KS distance, histogram), and the process's peak
-        resident memory so far, which shows the product that set it."""
+    def monte_carlo(self, spec: ProductSpec, reduce: Callable[[np.ndarray], T]) -> T:
+        """``reduce`` of the (trials, n) spectra ``trial_spectra`` draws on at
+        most the run's threads. Logs the workers used, the wall time of the
+        draw, its realization and eigensolve seconds summed over trials, the
+        time of ``reduce`` (moments, KS distance, histogram), and the
+        process's peak resident memory so far, which shows the product that
+        set it."""
         stats = TrialStats()
         start = time.perf_counter()
         spectra = trial_spectra(spec, threads=self.threads, stats=stats)
@@ -737,19 +737,18 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
         )
     eigenvalues_csv = cfg.value("eigenvalues_csv", "bool", False)
 
-    def reduce(spectra: list):
-        esd = ESD.from_spectra(spectra)
-        return spectra, esd, histogram(esd, bins, lo, hi), ks_distance(esd, semicircle_cdf)
+    def reduce(spectra: np.ndarray):
+        return spectra, histogram(spectra, bins, lo, hi), ks_distance(spectra, semicircle_cdf)
 
     def run() -> None:
-        spectra, esd, (centers, density), ks = ctx.monte_carlo(spec, reduce)
+        spectra, (centers, density), ks = ctx.monte_carlo(spec, reduce)
 
         report = dict(ctx.header())
         report["n"] = spec.n
         report["trials"] = spec.trials
-        report["n_eigenvalues"] = esd.n_points
-        report["lambda_min"] = float(esd.points[0])
-        report["lambda_max"] = float(esd.points[-1])
+        report["n_eigenvalues"] = spectra.size
+        report["lambda_min"] = float(spectra.min())
+        report["lambda_max"] = float(spectra.max())
         report["histogram"] = {
             "bins": bins,
             "lo": lo,
@@ -761,12 +760,7 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
         if ks_max is not None:
             ctx.check("spectrum:ks", ks <= ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
         if eigenvalues_csv:
-            rows = np.concatenate(
-                [
-                    np.column_stack([np.full(s.eigenvalues.size, t), s.eigenvalues])
-                    for t, s in enumerate(spectra)
-                ]
-            )
+            rows = np.column_stack([np.repeat(np.arange(spec.trials), spec.n), spectra.ravel()])
             buf = io.StringIO()
             np.savetxt(
                 buf, rows, fmt=["%d", "%.17g"], delimiter=",",
@@ -775,7 +769,7 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
             ctx.emit_text("eigenvalues.csv", buf.getvalue())
         ctx.emit_json("spectrum_report.json", report)
         print(
-            f"{esd.n_points} eigenvalues in [{_fmt(report['lambda_min'])}, "
+            f"{spectra.size} eigenvalues in [{_fmt(report['lambda_min'])}, "
             f"{_fmt(report['lambda_max'])}]"
         )
 
@@ -966,8 +960,8 @@ def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict],
             n=n, master_seed=seed, trials=trials,
         )
 
-        def reduce(spectra: list):
-            ks = (ks_distance(ESD.from_spectra(spectra), semicircle_cdf)
+        def reduce(spectra: np.ndarray):
+            ks = (ks_distance(spectra, semicircle_cdf)
                   if limit == "semicircle" else None)
             return moments_from_spectra(spectra, spectral.MAX_MC_ORDER), ks
 
@@ -1126,8 +1120,17 @@ def _environment(threads: int) -> dict:
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident memory of this process so far, in MiB (``ru_maxrss``
-    counts KiB on Linux and bytes on macOS)."""
+    """Peak resident memory of this process so far, in MiB: ``VmHWM`` from
+    procfs, which starts afresh at exec. Without procfs, ``ru_maxrss`` (KiB on
+    Linux, bytes on macOS), which on Linux also holds the peak of the process
+    that started this one, carried across fork and exec."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 2**10
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 

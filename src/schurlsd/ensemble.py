@@ -83,27 +83,17 @@ def child_seed(master_seed: int, role: str, trial: int) -> int:
     return splitmix64(s ^ trial)
 
 
-#: Rademacher signs are drawn this many at a time, so their int64 draws never
-#: take more than 512 KB beside the float64 result.
-SIGN_BLOCK = 2**16
-
-
 def sample_inputs(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` iid draws of ``dist`` from ``rng``.
+    """``size`` iid draws of ``dist`` from ``rng``, in one call.
 
-    Rademacher signs are {0, 1} integers times 2 minus 1. They are drawn in
-    blocks of ``SIGN_BLOCK`` into the float64 result: PCG64 hands out its
-    draws in order across calls, so the values and the generator's state
-    afterwards are those of one call for all ``size``.
+    Rademacher signs are {0, 1} integers times 2 minus 1; their int64 staging
+    stays small because every caller bounds ``size`` (``DRAW_CHUNK`` or one
+    row for a wigner factor, 2n - 1 for a line factor). PCG64 hands out its
+    draws in order across calls, so draws made in several calls are, value
+    for value and in the generator's state afterwards, those of one call.
     """
     if dist == "rademacher":
-        out = np.empty(size)
-        for lo in range(0, size, SIGN_BLOCK):
-            block = out[lo : lo + SIGN_BLOCK]
-            block[...] = rng.integers(0, 2, size=block.size)
-        out *= 2.0
-        out -= 1.0
-        return out
+        return rng.integers(0, 2, size=size) * 2.0 - 1.0
     if dist == "uniform":
         return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
     if dist == "gaussian":

@@ -1,4 +1,5 @@
-"""Spectra, empirical distribution functions, and Monte Carlo moment estimates."""
+"""Spectra, their empirical distribution (KS distance, histogram), and Monte
+Carlo moment estimates."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from .ensemble import ProductSpec, product_realization
 from .linkfn import parse_link, table_base, value_table
 
 __all__ = [
-    "ESD",
     "MomentEstimate",
     "Spectrum",
     "TrialStats",
@@ -99,25 +99,6 @@ class MomentEstimate:
     n: int
 
 
-class ESD:
-    """Empirical spectral distribution: the pooled eigenvalues, sorted, which
-    ``ks_distance`` reads as a right-continuous step CDF."""
-
-    def __init__(self, points: Sequence[float]):
-        arr = np.sort(np.asarray(points, dtype=float))
-        if arr.size == 0:
-            raise ValueError("ESD needs at least one point")
-        self.points = arr
-
-    @classmethod
-    def from_spectra(cls, spectra: Iterable[Spectrum]) -> "ESD":
-        return cls(np.concatenate([s.eigenvalues for s in spectra]))
-
-    @property
-    def n_points(self) -> int:
-        return int(self.points.size)
-
-
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """Spectrum of a symmetric matrix, such as a scaled product realization.
 
@@ -166,8 +147,9 @@ def usable_cpus() -> int:
 
 
 def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
-                  stats: Optional[TrialStats] = None) -> list[Spectrum]:
-    """Spectra of all trials, in trial order regardless of thread count.
+                  stats: Optional[TrialStats] = None) -> np.ndarray:
+    """Spectra of all trials as one C-contiguous (trials, n) float64 array:
+    row t holds trial t's eigenvalues, ascending, for any thread count.
 
     Below ``MIN_THREADED_N`` every trial runs on the calling thread. From it
     on, ``min(threads, trials)`` worker threads take whole trials; ``threads``
@@ -188,16 +170,17 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
         if table_base(link).kind != "wigner":
             value_table(link, spec.n)
     local = threading.local()
+    spectra = np.empty((spec.trials, spec.n))
 
-    def work(t: int) -> tuple[Spectrum, float, float]:
+    def work(t: int) -> tuple[float, float]:
         buf = getattr(local, "buf", None)
         if buf is None:
             buf = local.buf = np.empty((spec.n, spec.n))
         start = time.perf_counter()
         a = product_realization(spec, t, out=buf)
         solve = time.perf_counter()
-        spectrum = eigenvalues(a)
-        return spectrum, solve - start, time.perf_counter() - solve
+        spectra[t] = eigenvalues(a).eigenvalues
+        return solve - start, time.perf_counter() - solve
 
     trials = range(spec.trials)
     workers = 1
@@ -211,29 +194,30 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(work, trials))
-    spectra, realize_s, eigensolve_s = zip(*done)
     if stats is not None:
+        realize_s, eigensolve_s = zip(*done)
         stats.workers = workers
         stats.realize_s = sum(realize_s)
         stats.eigensolve_s = sum(eigensolve_s)
-    return list(spectra)
+    return spectra
 
 
-def moments_from_spectra(spectra: Sequence[Spectrum], h_max: int) -> list[MomentEstimate]:
-    """Across-trial moment estimates for h = 1..h_max from drawn spectra.
+def moments_from_spectra(spectra: np.ndarray, h_max: int) -> list[MomentEstimate]:
+    """Across-trial moment estimates for h = 1..h_max from a (trials, n)
+    array of spectra, one trial per row.
 
     A trial's h-th moment is (1/n) sum of its eigenvalues' h-th powers.
     Aggregation is a fixed left-to-right sum in trial order, so results are
     bitwise identical for any thread count used to produce the spectra.
     """
-    if len(spectra) < 2:
-        raise ValueError("moment estimation needs >= 2 trials for an across-trial variance")
+    if spectra.ndim != 2 or spectra.shape[0] < 2:
+        raise ValueError("moment estimation needs a (trials, n) array with >= 2 trials "
+                         f"for an across-trial variance, got shape {spectra.shape}")
     if not 1 <= h_max <= MAX_MC_ORDER:
         raise ValueError(f"h_max must be in 1..{MAX_MC_ORDER}, got {h_max}")
-    trials = len(spectra)
-    n = spectra[0].n
+    trials, n = spectra.shape
     per_trial = [
-        [float(np.mean(s.eigenvalues**h)) for h in range(1, h_max + 1)] for s in spectra
+        [float(np.mean(row**h)) for h in range(1, h_max + 1)] for row in spectra
     ]
     out = []
     for h in range(1, h_max + 1):
@@ -258,18 +242,24 @@ def moments_from_spectra(spectra: Sequence[Spectrum], h_max: int) -> list[Moment
     return out
 
 
-def ks_distance(esd: ESD, ref_cdf: Callable) -> float:
-    """sup_x |F_esd - F_ref| over both one-sided gaps at the sample points."""
-    pts = esd.points
+def ks_distance(samples: np.ndarray, ref_cdf: Callable) -> float:
+    """sup_x |F - F_ref|, where F is the empirical distribution of all of
+    ``samples`` (any shape, any order) read as a right-continuous step CDF,
+    over both one-sided gaps at the sample points."""
+    pts = np.sort(np.asarray(samples, dtype=float), axis=None)
     m = pts.size
+    if m == 0:
+        raise ValueError("KS distance needs at least one sample")
     ref = np.asarray(ref_cdf(pts), dtype=float)
     upper = np.max(np.arange(1, m + 1) / m - ref)
     lower = np.max(ref - np.arange(0, m) / m)
     return float(max(upper, lower))
 
 
-def histogram(esd: ESD, bins: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Density-normalized histogram on [lo, hi]: (bin centers, densities).
+def histogram(samples: np.ndarray, bins: int, lo: float,
+              hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Density-normalized histogram of all of ``samples`` on [lo, hi]: (bin
+    centers, densities).
 
     Density integrates to the fraction of points inside the window, so the
     normalizer is the total point count, not the in-window count.
@@ -278,7 +268,7 @@ def histogram(esd: ESD, bins: int, lo: float, hi: float) -> tuple[np.ndarray, np
         raise ValueError(f"bins must be >= 1, got {bins}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    counts, edges = np.histogram(esd.points, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
     width = (hi - lo) / bins
     centers = (edges[:-1] + edges[1:]) / 2.0
-    return centers, counts / (esd.n_points * width)
+    return centers, counts / (np.size(samples) * width)

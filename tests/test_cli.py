@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -390,6 +391,36 @@ def test_manifest_logs_peak_rss_outside_the_report(tmp_path):
     for path in out.iterdir():
         if path.name != "manifest.json":
             assert "peak_rss" not in path.read_text(), path.name
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no procfs: the peak is ru_maxrss")
+def test_manifest_peak_is_the_runs_own_not_its_launchers(tmp_path):
+    """A run started by a process holding 150 MB records its own peak: on
+    Linux ``ru_maxrss`` would carry the launcher's across fork and exec."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"two_k": 4}))
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "schurlsd.cli", "words", "--config", str(cfg_path),
+            "--seed", "1", "--out", str(out)]
+    launcher = (
+        "import subprocess, sys; "
+        "held = b'\\x01' * (150 * 2**20); "  # every page of it written
+        f"sys.exit(subprocess.run({argv!r}).returncode)"
+    )
+    proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(out, "manifest.json")["peak_rss_mb"] < 100
+
+
+def test_peak_falls_back_to_ru_maxrss_without_procfs(monkeypatch):
+    def no_procfs(*args, **kwargs):
+        raise FileNotFoundError(args[0])
+
+    monkeypatch.setattr(cli, "open", no_procfs, raising=False)
+    scale = 2**20 if sys.platform == "darwin" else 2**10
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+    peak = cli._peak_rss_mb()
+    assert 0 < before <= peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
 
 
 @pytest.mark.parametrize("relation,unit", [("compatible", "word pairs"), ("leadsto", "words")])

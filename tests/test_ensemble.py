@@ -10,7 +10,6 @@ import schurlsd.spectral as spectral
 from schurlsd.ensemble import (
     BLOCK_ROWS,
     INPUT_DISTRIBUTIONS,
-    SIGN_BLOCK,
     ProductSpec,
     child_seed,
     product_realization,
@@ -101,13 +100,13 @@ def _one_draw(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
 
 @pytest.mark.parametrize("dist", INPUT_DISTRIBUTIONS)
 @pytest.mark.parametrize("chunk", [None, 4097, 61_983])
-@pytest.mark.parametrize("size", [1, SIGN_BLOCK - 1, SIGN_BLOCK, SIGN_BLOCK + 1, 500_500])
+@pytest.mark.parametrize("size", [1, 65_535, 65_536, 65_537, 500_500])
 def test_blocked_rademacher_draws_are_bitwise_one_draw(size, chunk, dist):
     """Draws made in chunks of odd sizes (``None``: one call; 61,983 is near
-    the 61,984 draws of the first 64-row wigner block at n = 1000), and
-    signs drawn in ``SIGN_BLOCK`` blocks inside one call, are bitwise one
-    whole-size draw, and leave the generator where that draw would (500,500
-    is the wigner label count at n = 1000)."""
+    the 61,984 draws of the first 64-row wigner block at n = 1000) are
+    bitwise one whole-size draw, and leave the generator where that draw
+    would (sizes around 2^16, and 500,500, the wigner label count at
+    n = 1000)."""
     rng, ref = (np.random.Generator(np.random.PCG64(2024)) for _ in range(2))
     step = chunk or size
     got = np.concatenate([sample_inputs(dist, min(step, size - lo), rng)

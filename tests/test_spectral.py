@@ -1,4 +1,4 @@
-"""Tests for spectra, moment estimation, ESD, KS distance, and histograms."""
+"""Tests for spectra, moment estimation, KS distance, and histograms."""
 
 import concurrent.futures
 import os
@@ -14,7 +14,6 @@ from schurlsd.ensemble import ProductSpec, product_realization
 from schurlsd.linkfn import value_table
 from schurlsd.oracle import semicircle_cdf
 from schurlsd.spectral import (
-    ESD,
     TrialStats,
     eigenvalues,
     histogram,
@@ -181,7 +180,7 @@ def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
 
 def _spectrum_moments(s, h_max):
     """Moments 1..h_max of one spectrum, read off a two-trial estimate of it."""
-    return [m.mean for m in moments_from_spectra([s, s], h_max)]
+    return [m.mean for m in moments_from_spectra(np.stack([s.eigenvalues] * 2), h_max)]
 
 
 def test_moment_hand_values():
@@ -205,14 +204,14 @@ def test_trace_and_spectrum_routes_agree(kind_pair, n):
 def test_moment_order_validation():
     s = eigenvalues(_diag([1.0, 2.0]))
     with pytest.raises(ValueError):
-        moments_from_spectra([s, s], 0)
+        moments_from_spectra(np.stack([s.eigenvalues] * 2), 0)
 
 
 # --- across-trial aggregation -----------------------------------------------------------
 
 
 def test_moments_from_spectra_mean_variance_stderr():
-    spectra = [eigenvalues(_diag([1.0, 1.0])), eigenvalues(_diag([3.0, 3.0]))]
+    spectra = np.array([[1.0, 1.0], [3.0, 3.0]])  # one trial per row
     (est,) = moments_from_spectra(spectra, 1)
     assert est.mean == pytest.approx(2.0)
     assert est.variance == pytest.approx(2.0)  # ddof-1 sample variance of {1, 3}
@@ -220,9 +219,10 @@ def test_moments_from_spectra_mean_variance_stderr():
     assert est.trials == 2
 
 
-def test_moments_from_spectra_needs_two_trials():
-    with pytest.raises(ValueError):
-        moments_from_spectra([eigenvalues(_diag([1.0]))], 2)
+@pytest.mark.parametrize("shape", [(1, 3), (3,), (2, 2, 2)])
+def test_moments_from_spectra_needs_two_trials_by_n(shape):
+    with pytest.raises(ValueError, match=r"\(trials, n\) array with >= 2 trials"):
+        moments_from_spectra(np.ones(shape), 2)
 
 
 @pytest.fixture
@@ -255,12 +255,23 @@ def test_mc_moments_deterministic_across_threads(pooled):
     assert [(m.mean, m.variance) for m in one] == [(m.mean, m.variance) for m in again]
 
 
-def test_trial_spectra_order_independent_of_threads(pooled):
+@pytest.mark.parametrize("threads", [2, 3])
+def test_trial_spectra_order_independent_of_threads(pooled, threads):
     spec = _spec(trials=5)
     seq = trial_spectra(spec, threads=1)
-    par = trial_spectra(spec, threads=4)
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert seq.tobytes() == trial_spectra(spec, threads=threads).tobytes()
+
+
+def test_trial_spectra_are_one_trials_by_n_array():
+    # row t is trial t's spectrum, ascending, as ``eigenvalues`` solves it
+    spec = _spec(trials=3, n=20)
+    spectra = trial_spectra(spec)
+    assert spectra.shape == (3, 20) and spectra.dtype == np.float64
+    assert spectra.flags.c_contiguous
+    for t, row in enumerate(spectra):
+        expected = eigenvalues(product_realization(spec, t)).eigenvalues
+        assert row.tobytes() == expected.tobytes()
+        assert np.all(np.diff(row) >= 0)
 
 
 def test_parallel_trials_never_share_a_realization_buffer(pooled):
@@ -274,8 +285,7 @@ def test_parallel_trials_never_share_a_realization_buffer(pooled):
         par = trial_spectra(spec, threads=4)
     finally:
         sys.setswitchinterval(interval)
-    for a, b in zip(seq, par, strict=True):
-        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert seq.tobytes() == par.tobytes()
 
 
 def test_trial_spectra_default_to_usable_cpus(pooled, monkeypatch):
@@ -285,8 +295,7 @@ def test_trial_spectra_default_to_usable_cpus(pooled, monkeypatch):
     assert usable_cpus() == 3
     pools = _recording_pool(monkeypatch)
     stats = TrialStats()
-    for a, b in zip(seq, trial_spectra(spec, stats=stats)):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert seq.tobytes() == trial_spectra(spec, stats=stats).tobytes()
     assert pools == [3]
     assert stats.workers == 3
 
@@ -302,8 +311,7 @@ def test_trial_spectra_run_serially_below_the_crossover(monkeypatch):
     monkeypatch.setattr(spectral, "MIN_THREADED_N", spec.n)
     threaded = trial_spectra(spec, threads=4)
     assert pools == [4]
-    for a, b in zip(serial, threaded, strict=True):
-        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert serial.tobytes() == threaded.tobytes()
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
@@ -314,41 +322,39 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert usable_cpus() == 1
 
 
-# --- ESD --------------------------------------------------------------------------------
+# --- empirical distribution: KS distance -----------------------------------------------
 
 
 def test_esd_is_a_cdf():
-    # sorted pooled points, read by ks_distance as a step CDF rising from 0 to 1
-    esd = ESD([0.5, -1.0, 2.0, 0.5])
-    assert esd.points.tolist() == [-1.0, 0.5, 0.5, 2.0]
-    assert ks_distance(esd, lambda x: np.zeros_like(x)) == 1.0
-    assert ks_distance(esd, lambda x: np.ones_like(x)) == 1.0
+    # the pooled points, in any order, read by ks_distance as a step CDF
+    # rising from 0 to 1
+    points = np.array([0.5, -1.0, 2.0, 0.5])
+    assert ks_distance(points, lambda x: np.zeros_like(x)) == 1.0
+    assert ks_distance(points, lambda x: np.ones_like(x)) == 1.0
 
 
 def test_esd_hand_values():
     # against the uniform CDF x / 3 on [0, 3] the step CDF at 1, 2, 3 is
     # 1/3 below it just left of each jump and equal to it at each jump
-    esd = ESD([3.0, 1.0, 2.0])
-    assert ks_distance(esd, lambda x: x / 3.0) == pytest.approx(1 / 3)
+    assert ks_distance([3.0, 1.0, 2.0], lambda x: x / 3.0) == pytest.approx(1 / 3)
 
 
-def test_esd_from_spectra_pools_everything():
-    spec = _spec(trials=3, n=20)
-    esd = ESD.from_spectra(trial_spectra(spec))
-    assert esd.n_points == 60
+def test_ks_distance_does_not_depend_on_sample_order():
+    spectra = trial_spectra(_spec(trials=3, n=20))
+    shuffled = np.random.default_rng(7).permutation(spectra.ravel())
+    assert ks_distance(shuffled, semicircle_cdf) == ks_distance(spectra, semicircle_cdf)
+    assert ks_distance(shuffled[::-1], semicircle_cdf) == ks_distance(spectra, semicircle_cdf)
 
 
-def test_esd_rejects_empty():
-    with pytest.raises(ValueError):
-        ESD([])
-
-
-# --- KS distance ---------------------------------------------------------------------------
+@pytest.mark.parametrize("empty", [[], np.empty((0, 5)), np.empty((3, 0))])
+def test_esd_rejects_empty(empty):
+    with pytest.raises(ValueError, match="at least one sample"):
+        ks_distance(empty, semicircle_cdf)
 
 
 def test_ks_point_mass_against_semicircle():
     # a single atom at 0: the ESD jumps 0 -> 1 where the semicircle CDF is 1/2
-    assert ks_distance(ESD([0.0]), semicircle_cdf) == pytest.approx(0.5)
+    assert ks_distance([0.0], semicircle_cdf) == pytest.approx(0.5)
 
 
 def test_ks_against_itself_is_small():
@@ -358,34 +364,34 @@ def test_ks_against_itself_is_small():
     xs = np.linspace(-2, 2, 400001)
     cdf = semicircle_cdf(xs)
     points = np.interp(qs, cdf, xs)
-    assert ks_distance(ESD(points), semicircle_cdf) <= 1.0 / m
+    assert ks_distance(points, semicircle_cdf) <= 1.0 / m
 
 
 def test_ks_uses_both_sides_of_each_jump():
     # two atoms at +/-2: ESD is 1/2 on (-2, 2) but 0/1 outside the support gap
-    assert ks_distance(ESD([-2.0, 2.0]), semicircle_cdf) == pytest.approx(0.5)
+    assert ks_distance([-2.0, 2.0], semicircle_cdf) == pytest.approx(0.5)
 
 
 # --- histogram ---------------------------------------------------------------------------
 
 
 def test_histogram_density_hand_value():
-    esd = ESD([0.25, 0.75])
-    centers, density = histogram(esd, bins=2, lo=0.0, hi=1.0)
+    centers, density = histogram(np.array([0.75, 0.25]), bins=2, lo=0.0, hi=1.0)
     assert np.allclose(centers, [0.25, 0.75])
     assert np.allclose(density, [1.0, 1.0])
 
 
 def test_histogram_integrates_to_in_window_fraction():
-    esd = ESD([-10.0, 0.1, 0.2, 0.9])
-    centers, density = histogram(esd, bins=4, lo=0.0, hi=1.0)
+    # a (trials, n) array counts as its pooled points
+    samples = np.array([[0.1, 0.9], [-10.0, 0.2]])
+    centers, density = histogram(samples, bins=4, lo=0.0, hi=1.0)
     width = 0.25
     assert density.sum() * width == pytest.approx(3 / 4)
 
 
 def test_histogram_validation():
-    esd = ESD([0.0])
+    samples = np.array([0.0])
     with pytest.raises(ValueError):
-        histogram(esd, bins=0, lo=0.0, hi=1.0)
+        histogram(samples, bins=0, lo=0.0, hi=1.0)
     with pytest.raises(ValueError):
-        histogram(esd, bins=2, lo=1.0, hi=1.0)
+        histogram(samples, bins=2, lo=1.0, hi=1.0)
