@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linkfn import BLOCK_ROWS, line_values, parse_link, table_base, value_table
+from .linkfn import BLOCK_ROWS, line_values, parse_link, table_base
 
 __all__ = [
     "INPUT_DISTRIBUTIONS",
@@ -120,8 +120,9 @@ def _factor_writer(link: str, dist: str, n: int, seed: int,
     whole rows of at most ``DRAW_CHUNK`` values and put row by row, and the
     block's diagonal square is then mirrored, so neither its code table nor
     its k draws are ever whole. Any other factor draws its k <= 2n - 1 values
-    at once; ``linkfn.line_values`` lays them out as its code table is laid
-    out, as a window view of one line, and each block is put from that view.
+    at once; ``linkfn.line_values`` reads k off the link's line of codes and
+    lays the values out as a window view of that line, and each block is put
+    from that view, so no code table is built.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     parsed = parse_link(link)
@@ -133,8 +134,7 @@ def _factor_writer(link: str, dist: str, n: int, seed: int,
             np.copyto(dst, src)
 
     if table_base(parsed).kind != "wigner":
-        _, k = value_table(parsed, n)
-        values = line_values(parsed, n, sample_inputs(dist, k, rng))
+        values = line_values(parsed, n, lambda k: sample_inputs(dist, k, rng))
 
         def from_line(block: np.ndarray, lo: int) -> None:
             put(block, values[lo : lo + block.shape[0], lo:])

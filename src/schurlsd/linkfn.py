@@ -31,9 +31,9 @@ link shares its base's code table (``table_base``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,7 +50,6 @@ __all__ = [
     "compose",
     "coprime_power",
     "eval_link",
-    "is_injective_on_range",
     "line_values",
     "link_labels",
     "link_name",
@@ -114,16 +113,21 @@ def value_sort_key(value: LinkValue):
 
 @dataclass(frozen=True)
 class Transform:
-    """A map on link labels. Whether it is injective on the labels of a link
-    is checked per range, by ``is_injective_on_range``."""
+    """A map on link labels. It is injective on the labels of a link at n
+    when the composed link has as many distinct labels as its base
+    (``circuits.check_invariance_containment`` reports this)."""
 
     kind: str
     bases: Optional[tuple[int, int]] = None
     table: Optional[tuple[tuple, ...]] = None
+    #: ``dict(table)``, built once so each label is looked up in O(1).
+    _lookup: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("square", "coprimepower", "usertable"):
             raise ValueError(f"unknown transform kind {self.kind!r}")
+        if self.table is not None:
+            object.__setattr__(self, "_lookup", dict(self.table))
 
 
 def square() -> Transform:
@@ -164,10 +168,9 @@ def apply_transform(transform: Transform, value: LinkValue) -> LinkValue:
             a, b = transform.bases
             return PowerValue(a, b, value[0], value[1])
         raise TransformError(f"coprime_power is undefined on non-pair label {value!r}")
-    lookup = dict(transform.table)
-    if value not in lookup:
+    if value not in transform._lookup:
         raise TransformError(f"table transform is undefined on label {value!r}")
-    return lookup[value]
+    return transform._lookup[value]
 
 
 def transform_name(transform: Transform) -> str:
@@ -345,39 +348,17 @@ def _line_table(link: LinkFunction, line: np.ndarray) -> np.ndarray:
     return table[::-1] if _base_kind(link) in DIFFERENCE_KINDS else table
 
 
-def line_values(link: LinkFunction, n: int, draws: np.ndarray) -> np.ndarray:
-    """``draws[codes]`` for the code table of a link not built on wigner, made
-    the way that table is: a read-only n x n view of one line of 2n - 1
-    values, so a block of it copies without a gather."""
+def line_values(link: LinkFunction, n: int,
+                draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """``draw(k)[codes]`` for the code table of a link not built on wigner,
+    made the way that table is: a read-only n x n view of one line of 2n - 1
+    values, so a block of it copies without a gather. k, the number of
+    distinct labels, is read from the line, so no table is built."""
     base = table_base(link)
     if _base_kind(base) == "wigner":
         raise ValueError(f"{link_name(link)} has no line of codes")
-    line, _ = _code_line(base, n)
-    return _line_table(base, draws[line])
-
-
-def _wigner_rows(n: int, lo: int, out: np.ndarray) -> np.ndarray:
-    """Rows lo, lo + 1, ... of the wigner code table at n, written into
-    ``out`` (as many rows as it has, n columns, the table's dtype).
-
-    The label of cell (a, b), 0-based with a <= b, is the index pair itself,
-    so its code is the rank of (a, b) in the row-major order of the upper
-    triangle: code(a, b) = a n - a (a - 1) / 2 + (b - a). That is off[a] + b
-    with off[a] = a n - a (a + 1) / 2, and a cell below the diagonal takes
-    the code of its mirror. Left of the block's diagonal square, a cell's
-    smaller index is its column; right of it, its row; only the square
-    itself needs the elementwise min and max.
-    """
-    t = np.arange(n)
-    off = (t * n - t * (t + 1) // 2).astype(out.dtype)
-    t = t.astype(out.dtype)
-    hi = lo + out.shape[0]
-    rows = t[lo:hi, None]
-    np.add(off[:lo], rows, out=out[:, :lo])
-    np.add(off[lo:hi, None], t[hi:], out=out[:, hi:])
-    square = t[lo:hi]
-    np.add(off[np.minimum(rows, square)], np.maximum(rows, square), out=out[:, lo:hi])
-    return out
+    line, k = _code_line(base, n)
+    return _line_table(base, draw(k)[line])
 
 
 @lru_cache(maxsize=64)
@@ -396,14 +377,15 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     A link not built on wigner labels a cell by i - j or by i + j alone, so
     its table is a strided view of one line of 2n - 1 codes: row i is a
     window of the line, and the table takes O(n) memory. Tables built on
-    wigner are dense n x n arrays, filled ``BLOCK_ROWS`` rows at a time by
-    ``_wigner_rows``. Neither realization (``ensemble.product_realization``
-    streams the draws of a factor whose ``table_base`` is wigner) nor
-    ``row_delta`` asks for one; exact counting at small n does.
+    wigner are dense n x n arrays, filled ``BLOCK_ROWS`` rows at a time.
+    Only exact counting, the label maps and ``row_delta``
+    of a link not built on wigner ask for a table: realization
+    (``ensemble.product_realization``) draws a line factor through
+    ``line_values`` and streams the draws of a factor built on wigner.
 
-    Results are cached (Monte Carlo runs request the same table once per
-    trial) and the code matrix is returned read-only for that reason. A link
-    whose ``table_base`` is another link returns that link's cached table.
+    Results are cached (a sweep counts many words on the same table) and the
+    code matrix is returned read-only for that reason. A link whose
+    ``table_base`` is another link returns that link's cached table.
     """
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
@@ -414,10 +396,24 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
         line, k = _code_line(link, n)
         return _line_table(link, line), k
     if link.kind == "wigner":
+        # The label of cell (a, b), 0-based with a <= b, is the index pair
+        # itself, so its code is the rank of (a, b) in the row-major order of
+        # the upper triangle: code(a, b) = a n - a (a - 1) / 2 + (b - a). That
+        # is off[a] + b with off[a] = a n - a (a + 1) / 2, and a cell below the
+        # diagonal takes the code of its mirror. Left of a block's diagonal
+        # square, a cell's smaller index is its column; right of it, its row;
+        # only the square itself needs the elementwise min and max.
         k = n * (n + 1) // 2
         codes = np.empty((n, n), dtype=_code_dtype(k))
+        t = np.arange(n)
+        off = (t * n - t * (t + 1) // 2).astype(codes.dtype)
+        t = t.astype(codes.dtype)
         for lo in range(0, n, BLOCK_ROWS):
-            _wigner_rows(n, lo, codes[lo : lo + BLOCK_ROWS])
+            hi = min(lo + BLOCK_ROWS, n)
+            block, rows, square = codes[lo:hi], t[lo:hi, None], t[lo:hi]
+            np.add(off[:lo], rows, out=block[:, :lo])
+            np.add(off[lo:hi, None], t[hi:], out=block[:, hi:])
+            np.add(off[np.minimum(rows, square)], np.maximum(rows, square), out=block[:, lo:hi])
     else:
         base_codes, _ = value_table(link.base, n)
         ranks, k = _transform_ranks(link, n)
@@ -457,33 +453,18 @@ def row_delta(link: LinkFunction, n: int) -> int:
     Delta. A pair label (L_X, L_Y) repeats in a row no more often than
     either label does, so min(delta_X, delta_Y) bounds the delta of a product.
 
-    The code table is scanned ``BLOCK_ROWS`` rows at a time, so that no
-    n x n temporary is made. A link whose ``table_base`` is wigner has its
-    rows made block by block from the code formula (``_wigner_rows``), so
-    its dense table is never built.
+    A link whose ``table_base`` is wigner has delta 1: row i labels cell j by
+    {i, j}, so no label repeats within a row. Any other code table is scanned
+    ``BLOCK_ROWS`` rows at a time, so that no n x n temporary is made.
     """
-    wigner = table_base(link).kind == "wigner"
-    if wigner:
-        rows = np.empty((min(BLOCK_ROWS, n), n), dtype=_code_dtype(n * (n + 1) // 2))
-    else:
-        codes, _ = value_table(link, n)
+    if table_base(link).kind == "wigner":
+        return 1
+    codes, _ = value_table(link, n)
     delta = 1
     for lo in range(0, n, BLOCK_ROWS):
-        if wigner:
-            ordered = _wigner_rows(n, lo, rows[: n - lo])
-            ordered.sort(axis=1)
-        else:
-            ordered = np.sort(codes[lo : lo + BLOCK_ROWS], axis=1)
+        ordered = np.sort(codes[lo : lo + BLOCK_ROWS], axis=1)
         # A label repeated r times in a sorted row fills r adjacent cells, so
         # column j equals column j + r - 1: test r = delta + 1, delta + 2, ...
         while delta < n and (ordered[:, delta:] == ordered[:, :-delta]).any():
             delta += 1
     return delta
-
-
-def is_injective_on_range(transform: Transform, base: LinkFunction, n: int) -> bool:
-    """Verify injectivity of ``transform`` on the labels ``base`` produces at n."""
-    labels = link_labels(base, n)
-    mapped = {value_sort_key(apply_transform(transform, v)) for v in labels}
-    return len(mapped) == len(labels)
-

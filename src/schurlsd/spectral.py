@@ -13,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ensemble import ProductSpec, product_realization
-from .linkfn import parse_link, table_base, value_table
 
 __all__ = [
     "MomentEstimate",
@@ -162,13 +161,6 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     LAPACK makes no n x n copy of its own. ``stats``, when given, receives the workers used
     and the per-phase times.
     """
-    # Build the line tables (views of 2n - 1 codes) before the workers start,
-    # so that trials share one cached table instead of racing to build it. A
-    # factor built on wigner has no table to build: its draws stream into the
-    # buffer (``ensemble.product_realization``).
-    for link in map(parse_link, (spec.link_x, spec.link_y)):
-        if table_base(link).kind != "wigner":
-            value_table(link, spec.n)
     local = threading.local()
     spectra = np.empty((spec.trials, spec.n))
 

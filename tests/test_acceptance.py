@@ -2,7 +2,7 @@
 
 Criteria 1-7 are exact combinatorics and finish in well under a minute.
 Criteria 8, 10 and 11 share two full-scale Monte Carlo verification runs
-(n = 1000, 20 trials, at 1 and at 3 threads), started together as two CLI
+(n = 1000, 20 trials, at 1 and at 2 threads), started together as two CLI
 processes; together with criterion 9 they dominate the runtime.
 """
 
@@ -119,11 +119,12 @@ def test_criterion_07_label_transform_invariance_is_exact():
 
 @pytest.fixture(scope="module")
 def table2_runs(tmp_path_factory):
-    """Full-scale verification runs at 1 and 3 threads, run at the same time
-    so the one-thread run does not leave a core idle: {threads: (rc, bytes)}."""
+    """Full-scale verification runs at 1 and 2 threads, run at the same time
+    so the one-thread run does not leave a core idle:
+    {threads: (rc, report bytes, manifest)}."""
     cfg = {"seed": ACCEPT_SEED, "rows": "all", "n": 1000, "trials": 20, "mc": True}
     started = {}
-    for threads in (1, 3):
+    for threads in (1, 2):
         out_dir = tmp_path_factory.mktemp(f"table2_threads{threads}")
         cfg_path = out_dir / "config.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -132,13 +133,14 @@ def table2_runs(tmp_path_factory):
             "--out", str(out_dir), "--threads", str(threads),
         ])
     return {
-        threads: (proc.wait(timeout=1800), (out_dir / "verify_table2_report.json").read_bytes())
+        threads: (proc.wait(timeout=1800), (out_dir / "verify_table2_report.json").read_bytes(),
+                  json.loads((out_dir / "manifest.json").read_text()))
         for threads, (out_dir, proc) in started.items()
     }
 
 
 def test_criterion_08_table2_monte_carlo_rows(table2_runs):
-    rc, blob = table2_runs[1]
+    rc, blob, _ = table2_runs[1]
     assert rc == 0
     report = json.loads(blob)
     checks = {c["name"]: c["pass"] for c in report["checks"]}
@@ -170,7 +172,7 @@ def test_criterion_09_fourth_moment_variance_decay():
 
 
 def test_criterion_10_moment_bound_ceiling(table2_runs):
-    _, blob = table2_runs[1]
+    _, blob, _ = table2_runs[1]
     report = json.loads(blob)
     bound_checks = [c for c in report["checks"] if ":bound" in c["name"]]
     assert len(bound_checks) == 60  # 15 products x orders 2, 4, 6, 8
@@ -179,7 +181,10 @@ def test_criterion_10_moment_bound_ceiling(table2_runs):
 
 
 def test_criterion_11_thread_count_never_changes_bytes(table2_runs):
-    rc_serial, blob_serial = table2_runs[1]
-    rc_pooled, blob_pooled = table2_runs[3]
+    rc_serial, blob_serial, _ = table2_runs[1]
+    rc_pooled, blob_pooled, manifest = table2_runs[2]
     assert rc_serial == 0 and rc_pooled == 0
+    # all 15 products run at n = 1000, so every one is spread over 2 workers
+    workers = [product["workers"] for product in manifest["mc_products"]]
+    assert workers == [2] * 15
     assert blob_serial == blob_pooled

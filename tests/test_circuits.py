@@ -9,6 +9,7 @@ import gc
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import schurlsd.circuits as circuits
@@ -32,6 +33,7 @@ from schurlsd.linkfn import (
     compose,
     coprime_power,
     eval_link,
+    pair_codes,
     parse_link,
     row_delta,
     square,
@@ -442,6 +444,19 @@ def _raw_implies_wigner(x: str, y: str, n: int) -> bool:
     return all(len(group) == 1 for group in seen.values())
 
 
+def _scan_implies_wigner(x: str, y: str, n: int) -> bool:
+    # per-cell scan: each cell's unordered index pair must be the one of the
+    # first cell of its (L_X, L_Y) class
+    codes_x, _ = value_table(parse_link(x), n)
+    codes_y, k_y = value_table(parse_link(y), n)
+    _, first, cls = np.unique(
+        pair_codes(codes_x, codes_y, k_y).ravel(), return_index=True, return_inverse=True
+    )
+    i, j = np.divmod(np.arange(n * n), n)
+    unordered = np.minimum(i, j) * n + np.maximum(i, j)
+    return bool((unordered == unordered[first][cls]).all())
+
+
 @pytest.mark.parametrize(
     "x,y,expected",
     [
@@ -460,6 +475,13 @@ def test_implies_wigner_frozen_verdicts(x, y, expected):
 def test_implies_wigner_matches_raw_scan(x, y):
     for n in (4, 7, 8):
         assert check_implies_wigner(x, y, n) == _raw_implies_wigner(x, y, n)
+
+
+@pytest.mark.parametrize("x,y", list(itertools.product(
+    [*ALL_LINKS, "square(toeplitz)", "coprimepower(2,3,wigner)"], repeat=2)))
+def test_implies_wigner_class_count_matches_cell_scan(x, y):
+    for n in range(1, 41):
+        assert check_implies_wigner(x, y, n) is _scan_implies_wigner(x, y, n), n
 
 
 def test_compatible_toeplitz_hankel():

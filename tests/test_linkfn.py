@@ -5,12 +5,14 @@ labels and the most cells sharing one, both counted here from ``value_table``.
 """
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import schurlsd.linkfn as linkfn
+from schurlsd.circuits import check_invariance_containment
 from schurlsd.linkfn import (
     BUILTIN_KINDS,
     PowerValue,
@@ -20,7 +22,6 @@ from schurlsd.linkfn import (
     compose,
     coprime_power,
     eval_link,
-    is_injective_on_range,
     line_values,
     link_labels,
     link_name,
@@ -173,8 +174,8 @@ def test_delta_equals_per_row_unique_scan(kind, n):
 
 
 def test_wigner_delta_at_n_1000_builds_no_table():
-    # its rows come block by block from the code formula: the dense uint32
-    # table alone would be 4 n^2 bytes
+    # no pair label repeats within a row, so no row is formed: the dense
+    # uint32 table alone would be 4 n^2 bytes
     n = 1000
     value_table.cache_clear()
     tracemalloc.start()
@@ -287,6 +288,22 @@ def test_transform_domain_errors():
         apply_transform(table_transform({0: 0}), 7)
 
 
+def test_table_transform_composed_table_is_linear_in_labels():
+    # the row-1 label map wigner -> toeplitz at n = 200 maps k = 20,100 labels;
+    # a lookup dict rebuilt for each label would make the build quadratic in k
+    n = 200
+    transform = table_transform(
+        {(i, j): j - i for i in range(1, n + 1) for j in range(i, n + 1)}
+    )
+    link = compose(transform, builtin_link("wigner"))
+    value_table.cache_clear()
+    value_table(builtin_link("wigner"), n)
+    start = time.perf_counter()
+    _, k = value_table(link, n)
+    assert time.perf_counter() - start < 2.0
+    assert k == n
+
+
 def test_table_transform_rejects_empty():
     with pytest.raises(ValueError):
         table_transform({})
@@ -295,23 +312,27 @@ def test_table_transform_rejects_empty():
 # --- injectivity -------------------------------------------------------------------
 
 
+def _injective(transform, base, n: int) -> bool:
+    return check_invariance_containment(base, transform, 4, n).injective
+
+
 def test_square_injective_on_toeplitz():
-    assert is_injective_on_range(square(), builtin_link("toeplitz"), 10)
+    assert _injective(square(), builtin_link("toeplitz"), 10)
 
 
 def test_constant_table_not_injective():
     const = table_transform({t: 0 for t in range(3)})
-    assert not is_injective_on_range(const, builtin_link("toeplitz"), 3)
+    assert not _injective(const, builtin_link("toeplitz"), 3)
 
 
 def test_coprime_power_injective_on_wigner():
-    assert is_injective_on_range(coprime_power(2, 3), builtin_link("wigner"), 6)
+    assert _injective(coprime_power(2, 3), builtin_link("wigner"), 6)
 
 
 def test_collapsing_table_not_injective_on_toeplitz():
     collapse = {t: t for t in range(10)}
     collapse[2] = 1
-    assert not is_injective_on_range(table_transform(collapse), builtin_link("toeplitz"), 10)
+    assert not _injective(table_transform(collapse), builtin_link("toeplitz"), 10)
 
 
 @pytest.mark.parametrize("kind", ALL_LINKS)
@@ -322,7 +343,7 @@ def test_injective_compose_preserves_profile(kind, n):
         transform = coprime_power(2, 3)
     else:
         transform = table_transform({v: (v, v) for v in link_labels(base, n)})
-    assert is_injective_on_range(transform, base, n)
+    assert _injective(transform, base, n)
     assert profile(compose(transform, base), n) == profile(base, n)
 
 
@@ -401,7 +422,9 @@ def test_line_values_are_the_draws_gathered_through_the_table(name, n):
     link = _test_link(name, n)
     codes, k = value_table(link, n)
     draws = np.random.default_rng(n).standard_normal(k)
-    values = line_values(link, n, draws)
+    requested = []
+    values = line_values(link, n, lambda size: requested.append(size) or draws)
+    assert requested == [k]
     assert values.tobytes() == draws[codes].tobytes()
     assert not values.flags.writeable
     lo, hi = byte_bounds(values)
@@ -411,7 +434,7 @@ def test_line_values_are_the_draws_gathered_through_the_table(name, n):
 def test_line_values_refuse_a_link_built_on_wigner():
     for name in ("wigner", "coprimepower(2,3,wigner)"):
         with pytest.raises(ValueError, match="no line of codes"):
-            line_values(parse_link(name), 4, np.zeros(10))
+            line_values(parse_link(name), 4, np.zeros)
 
 
 #: Composed links that keep their base's label partition and order, and that base.

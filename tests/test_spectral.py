@@ -162,7 +162,7 @@ def test_eigenvalues_make_no_n_by_n_mask():
 
 def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
     # The reused 8 MB realization buffer is the only n x n array numpy
-    # allocates: line tables are views of 2n - 1 codes, the gathers and the
+    # allocates: line factors are views of 2n - 1 values, the gathers and the
     # finite check work on 64-row blocks or reductions, and LAPACK solves the
     # buffer in place. Outside numpy's allocator, ``eigvalsh`` would copy the
     # matrix, which tracemalloc cannot see.
@@ -173,6 +173,17 @@ def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
     finally:
         value_table.cache_clear()
     assert peak < 11 * 2**20
+
+
+def test_trial_spectra_build_no_code_table():
+    # line factors read k off their line of codes, so the pooled Monte Carlo
+    # path leaves value_table's cache empty
+    spec = _spec(n=spectral.MIN_THREADED_N, trials=2)
+    value_table.cache_clear()
+    stats = TrialStats()
+    trial_spectra(spec, threads=2, stats=stats)
+    assert stats.workers == 2
+    assert value_table.cache_info().currsize == 0
 
 
 # --- moments: two independent routes ---------------------------------------------------
