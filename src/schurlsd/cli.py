@@ -416,8 +416,8 @@ class RunContext:
     #: Size, proofs and wall time of each relation or invariance sweep, in
     #: run order; manifest only, like ``target_assembly``.
     relation_sweeps: list = field(default_factory=list)
-    #: Trials, worker threads and phase times of each Monte Carlo product, in
-    #: run order; manifest only.
+    #: Trials, worker threads, solve blocks and phase times of each Monte
+    #: Carlo product, in run order; manifest only.
     mc_products: list = field(default_factory=list)
 
     def header(self) -> dict:
@@ -461,11 +461,11 @@ class RunContext:
 
     def monte_carlo(self, spec: ProductSpec, reduce: Callable[[np.ndarray], T]) -> T:
         """``reduce`` of the (trials, n) spectra ``trial_spectra`` draws on at
-        most the run's threads. Logs the workers used, the wall time of the
-        draw, its realization and eigensolve seconds summed over trials, the
-        time of ``reduce`` (moments, KS distance, histogram), and the
-        process's peak resident memory so far, which shows the product that
-        set it."""
+        most the run's threads. Logs the workers used, the block sizes each
+        trial was solved as, the wall time of the draw, its realization and
+        eigensolve seconds summed over trials, the time of ``reduce``
+        (moments, KS distance, histogram), and the process's peak resident
+        memory so far, which shows the product that set it."""
         stats = TrialStats()
         start = time.perf_counter()
         spectra = trial_spectra(spec, threads=self.threads, stats=stats)
@@ -475,6 +475,7 @@ class RunContext:
             "product": f"{spec.link_x}*{spec.link_y}",
             "trials": spec.trials,
             "workers": stats.workers,
+            "blocks": stats.blocks,
             "wall_s": drawn - start,
             "realize_s": stats.realize_s,
             "eigensolve_s": stats.eigensolve_s,

@@ -50,6 +50,7 @@ __all__ = [
     "compose",
     "coprime_power",
     "eval_link",
+    "involutions",
     "line_values",
     "link_labels",
     "link_name",
@@ -284,6 +285,22 @@ def _base_kind(link: LinkFunction) -> str:
     while link.kind == "composed":
         link = link.base
     return link.kind
+
+
+#: Index involutions that leave a built-in kind's code table unchanged at
+#: every even n: "H", the half shift i -> i + n/2 (mod n), and "J", the
+#: reversal i -> n + 1 - i. Kinds not listed (wigner, hankel) admit neither.
+INVOLUTIONS = {"toeplitz": "J", "symcirc": "HJ", "revcirc": "H", "dsymhankel": "H"}
+
+
+def involutions(link: LinkFunction) -> str:
+    """The involutions of ``INVOLUTIONS`` that ``link`` admits at even n.
+
+    A composed link admits those of its base kind: its labels are a function
+    of its base's labels, so cells the involution maps onto each other keep
+    sharing a label.
+    """
+    return INVOLUTIONS.get(_base_kind(link), "")
 
 
 def table_base(link: LinkFunction) -> LinkFunction:

@@ -7,12 +7,13 @@ import ctypes
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .ensemble import ProductSpec, product_realization
+from .linkfn import BLOCK_ROWS, involutions, parse_link
 
 __all__ = [
     "MomentEstimate",
@@ -75,9 +76,11 @@ class Spectrum:
 @dataclass
 class TrialStats:
     """Where one ``trial_spectra`` call spent its time: the worker threads it
-    ran, and the seconds of realization and of eigensolve summed over trials."""
+    ran, the sizes of the blocks each trial was solved as, and the seconds of
+    realization and of eigensolve summed over trials."""
 
     workers: int = 0
+    blocks: list = field(default_factory=list)
     realize_s: float = 0.0
     eigensolve_s: float = 0.0
 
@@ -114,27 +117,77 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
             or not a.flags.c_contiguous or not a.flags.writeable:
         raise ValueError("eigenvalues needs a writeable C-contiguous n x n float64 array, "
                          f"got {a.dtype} {a.shape}")
+    _check_finite(a)
+    w = np.empty(a.shape[0])
+    _solve(a, w)
+    return Spectrum(eigenvalues=w, n=a.shape[0])
+
+
+def _check_finite(a: np.ndarray) -> None:
     # NaN and +-inf propagate through min and max, so two reductions test
     # every entry without an n x n mask.
     if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix has non-finite entries")
+
+
+def _solve(a: np.ndarray, w: np.ndarray) -> None:
+    """Eigenvalues of the symmetric m x m float64 view ``a`` into ``w`` (m
+    contiguous float64), ascending. ``a``'s columns are adjacent and its rows
+    any whole number of entries apart, LAPACK's ``lda``; ``dsyevd`` solves it
+    in place, so its contents are lost."""
     if _dsyevd is None:
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(a), n=a.shape[0])
-    n = ctypes.c_int64(a.shape[0])
-    w = np.empty(a.shape[0])
+        w[:] = np.linalg.eigvalsh(a)
+        return
+    m = ctypes.c_int64(a.shape[0])
+    lda = ctypes.c_int64(a.strides[0] // a.itemsize)
     info = ctypes.c_int64(0)
 
-    def solve(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
-        _dsyevd(b"N", b"L", n, a.ctypes.data, n, w.ctypes.data, work.ctypes.data,
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
+        _dsyevd(b"N", b"L", m, a.ctypes.data, lda, w.ctypes.data, work.ctypes.data,
                 ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1)
         if info.value != 0:
             raise np.linalg.LinAlgError(f"dsyevd failed: info = {info.value}")
 
     work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    solve(work, -1, iwork, -1)  # workspace query: the optimal sizes land in work and iwork
+    call(work, -1, iwork, -1)  # workspace query: the optimal sizes land in work and iwork
     lwork, liwork = int(work[0]), int(iwork[0])
-    solve(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
-    return Spectrum(eigenvalues=w, n=a.shape[0])
+    call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+
+
+def _shared_involution(spec: ProductSpec) -> str:
+    """The involution ("H" before "J") that both factors admit, when n is
+    even, else ""."""
+    if spec.n % 2:
+        return ""
+    x, y = (involutions(parse_link(link)) for link in (spec.link_x, spec.link_y))
+    return next((s for s in x if s in y), "")
+
+
+def _split_solve(a: np.ndarray, involution: str, w: np.ndarray) -> None:
+    """Eigenvalues of the even n x n ``a``, which ``involution`` leaves
+    unchanged, into ``w``, ascending, as those of two n/2 x n/2 blocks.
+
+    With h = n/2, ``a`` is [[B, C], [C^T, D]]. Under the half shift H, D = B
+    and C is symmetric, so ``a`` is B + C on the vectors (x, x) and B - C on
+    (x, -x). Under the reversal J, D = R B R and M = C R is symmetric (R
+    reverses h entries), so ``a`` is B + M on (x, R x) and B - M on
+    (x, -R x); the lower block is formed as R (B - M) R = D - C^T R, which
+    has the same eigenvalues, and C^T R is C^T with its columns reversed.
+    Both blocks are formed in place, ``BLOCK_ROWS`` rows at a time, and
+    solved where they lie, so the fold makes no block copy.
+    """
+    _check_finite(a)
+    h = a.shape[0] // 2
+    top, upper = a[:h, :h], a[:h, h:]
+    lower, bottom = a[h:, :h], a[h:, h:]
+    step = -1 if involution == "J" else 1
+    for lo in range(0, h, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        top[rows] += upper[rows, ::step]
+        bottom[rows] -= lower[rows, ::step]
+    _solve(top, w[:h])
+    _solve(bottom, w[h:])
+    w.sort()
 
 
 def usable_cpus() -> int:
@@ -158,11 +211,20 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     number of workers. The buffer is the only large array of a trial: the
     realization works on row blocks, multiplies Y in from its view and draws
     a wigner factor in small chunks, and the solve overwrites the buffer, so
-    LAPACK makes no n x n copy of its own. ``stats``, when given, receives the workers used
-    and the per-phase times.
+    LAPACK makes no n x n copy of its own.
+
+    When n is even and both links admit the same index involution
+    (``linkfn.involutions``), every realization is unchanged by it, so each
+    trial is solved as two n/2 x n/2 blocks folded in the buffer
+    (``_split_solve``): about a quarter of the arithmetic of a dense solve.
+    Those rows agree with ``eigenvalues`` of the realization to rounding;
+    every other product's rows are bitwise those of ``eigenvalues``.
+    ``stats``, when given, receives the workers used, the block sizes each
+    trial was solved as and the per-phase times.
     """
     local = threading.local()
     spectra = np.empty((spec.trials, spec.n))
+    involution = _shared_involution(spec)
 
     def work(t: int) -> tuple[float, float]:
         buf = getattr(local, "buf", None)
@@ -171,7 +233,10 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
         start = time.perf_counter()
         a = product_realization(spec, t, out=buf)
         solve = time.perf_counter()
-        spectra[t] = eigenvalues(a).eigenvalues
+        if involution:
+            _split_solve(a, involution, spectra[t])
+        else:
+            spectra[t] = eigenvalues(a).eigenvalues
         return solve - start, time.perf_counter() - solve
 
     trials = range(spec.trials)
@@ -189,6 +254,7 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     if stats is not None:
         realize_s, eigensolve_s = zip(*done)
         stats.workers = workers
+        stats.blocks = [spec.n // 2] * 2 if involution else [spec.n]
         stats.realize_s = sum(realize_s)
         stats.eigensolve_s = sum(eigensolve_s)
     return spectra

@@ -364,10 +364,12 @@ def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
     ]
     timings = ("wall_s", "realize_s", "eigensolve_s", "reduce_s")
     for p in products:
-        assert set(p) == {"product", "trials", "workers", *timings, "peak_rss_mb"}
+        assert set(p) == {"product", "trials", "workers", "blocks", *timings, "peak_rss_mb"}
         assert all(p[key] > 0 for key in timings)
         # n = 60 is below the crossover, so --threads 2 runs one worker
         assert p["workers"] == 1
+        # no link shares an index involution with wigner
+        assert p["blocks"] == [60]
     # the peak so far after each product: it never falls, and the run's peak
     # is read after the last one
     peaks = [p["peak_rss_mb"] for p in products]
@@ -375,11 +377,20 @@ def test_manifest_logs_environment_and_mc_products_outside_the_report(tmp_path):
     assert peaks == sorted(peaks) and peaks[-1] <= manifest["peak_rss_mb"]
     report = (out / "verify_table2_report.json").read_text()
     for key in ("environment", "mc_products", "blas", "eigensolver", "dsyevd", "workers",
-                "peak_rss", *timings):
+                "blocks", "peak_rss", *timings):
         assert key not in report
     _, words = run_cli(tmp_path, "words", {"two_k": 4}, out="words")
     manifest = read_json(words, "manifest.json")
     assert "environment" in manifest and "mc_products" not in manifest
+
+
+@pytest.mark.parametrize("n,blocks", [(40, [20, 20]), (41, [41])])
+def test_manifest_logs_the_blocks_a_trial_was_solved_as(tmp_path, n, blocks):
+    # symcirc and revcirc share the half shift, which splits a trial at even n
+    cfg = {"link_x": "symcirc", "link_y": "revcirc", "n": n, "trials": 3}
+    _, out = run_cli(tmp_path, "moments", cfg)
+    assert read_json(out, "manifest.json")["mc_products"][0]["blocks"] == blocks
+    assert "blocks" not in (out / "moments_report.json").read_text()
 
 
 def test_manifest_logs_peak_rss_outside_the_report(tmp_path):

@@ -22,6 +22,7 @@ from schurlsd.linkfn import (
     compose,
     coprime_power,
     eval_link,
+    involutions,
     line_values,
     link_labels,
     link_name,
@@ -161,6 +162,33 @@ def _test_link(name: str, n: int):
     if name == "toeplitz//3":  # merged labels give row runs of up to 6
         return compose(table_transform({d: d // 3 for d in range(n)}), builtin_link("toeplitz"))
     return parse_link(name)
+
+
+#: The involutions ``linkfn.involutions`` names, as 0-based index maps at even n.
+INDEX_INVOLUTIONS = {
+    "H": lambda n: (np.arange(n) + n // 2) % n,
+    "J": lambda n: np.arange(n)[::-1],
+}
+
+
+@pytest.mark.parametrize("name", ALL_LINKS + ["square(toeplitz)", "coprimepower(2,3,wigner)",
+                                              "toeplitz//3"])
+def test_involution_table_is_exact(name):
+    # every declared involution keeps the code table at every even n, and
+    # every other one breaks it at some even n
+    declared = involutions(_test_link(name, 2))
+    assert set(declared) <= set(INDEX_INVOLUTIONS)
+    broken = set()
+    for n in range(2, 65, 2):
+        codes, _ = value_table(_test_link(name, n), n)
+        for symbol, index_map in INDEX_INVOLUTIONS.items():
+            perm = index_map(n)
+            kept = np.array_equal(codes[np.ix_(perm, perm)], codes)
+            if symbol in declared:
+                assert kept, (symbol, n)
+            elif not kept:
+                broken.add(symbol)
+    assert broken == set(INDEX_INVOLUTIONS) - set(declared)
 
 
 @pytest.mark.parametrize("kind", ALL_LINKS + ["toeplitz//3", "coprimepower(2,3,wigner)"])

@@ -175,6 +175,22 @@ def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
     assert peak < 11 * 2**20
 
 
+@pytest.mark.parametrize("links", [("symcirc", "revcirc"), ("toeplitz", "symcirc")],
+                         ids="*".join)
+def test_split_trial_spectra_hold_one_buffer_and_no_n_by_n_table(links):
+    # the two half blocks are folded and solved inside the one buffer, so a
+    # split trial allocates no block copy beside it
+    spec = _spec(link_x=links[0], link_y=links[1], n=1000, trials=2)
+    value_table.cache_clear()
+    stats = TrialStats()
+    try:
+        peak = _traced_peak(lambda: trial_spectra(spec, threads=1, stats=stats))
+    finally:
+        value_table.cache_clear()
+    assert stats.blocks == [500, 500]
+    assert peak < 11 * 2**20
+
+
 def test_trial_spectra_build_no_code_table():
     # line factors read k off their line of codes, so the pooled Monte Carlo
     # path leaves value_table's cache empty
@@ -184,6 +200,60 @@ def test_trial_spectra_build_no_code_table():
     trial_spectra(spec, threads=2, stats=stats)
     assert stats.workers == 2
     assert value_table.cache_info().currsize == 0
+
+
+# --- trials solved as two half blocks ---------------------------------------------------
+
+#: The Table 2 products whose factors share an index involution: the half
+#: shift for the first three, the reversal for toeplitz*symcirc.
+SPLIT_PRODUCTS = [("symcirc", "revcirc"), ("symcirc", "dsymhankel"),
+                  ("revcirc", "dsymhankel"), ("toeplitz", "symcirc")]
+
+
+@pytest.mark.parametrize("laws", SOLVE_LAWS, ids="*".join)
+@pytest.mark.parametrize("links", SPLIT_PRODUCTS, ids="*".join)
+@pytest.mark.parametrize("n", [8, 64, 550])
+def test_split_trial_spectra_agree_with_the_dense_solve(n, links, laws):
+    spec = _spec(link_x=links[0], link_y=links[1], dist_x=laws[0], dist_y=laws[1], n=n,
+                 trials=2)
+    stats = TrialStats()
+    spectra = trial_spectra(spec, threads=1, stats=stats)
+    assert stats.blocks == [n // 2, n // 2]
+    for t, row in enumerate(spectra):
+        assert np.all(np.diff(row) >= 0)
+        dense = eigenvalues(product_realization(spec, t)).eigenvalues
+        assert np.max(np.abs(row - dense)) <= 1e-12
+
+
+def test_split_trial_spectra_without_the_in_place_solver(monkeypatch):
+    spec = _spec(link_x="toeplitz", link_y="symcirc", n=64, trials=2)
+    in_place = trial_spectra(spec)
+    monkeypatch.setattr(spectral, "_dsyevd", None)
+    assert np.max(np.abs(trial_spectra(spec) - in_place)) <= 1e-12
+
+
+@pytest.mark.parametrize("links,blocks", [
+    *((links, [5, 5]) for links in SPLIT_PRODUCTS),
+    (("symcirc", "symcirc"), [5, 5]), (("toeplitz", "toeplitz"), [5, 5]),
+    (("square(toeplitz)", "symcirc"), [5, 5]),
+    (("toeplitz", "revcirc"), [10]), (("toeplitz", "dsymhankel"), [10]),
+    (("hankel", "revcirc"), [10]), (("wigner", "symcirc"), [10]),
+], ids=lambda v: "*".join(v) if isinstance(v, tuple) else "+".join(map(str, v)))
+def test_trials_split_when_both_links_share_an_involution(links, blocks):
+    stats = TrialStats()
+    trial_spectra(_spec(link_x=links[0], link_y=links[1], n=10, trials=2), stats=stats)
+    assert stats.blocks == blocks
+
+
+@pytest.mark.parametrize("links", SPLIT_PRODUCTS, ids="*".join)
+@pytest.mark.parametrize("n", [7, 31])
+def test_odd_n_trial_spectra_stay_bitwise_dense(n, links):
+    spec = _spec(link_x=links[0], link_y=links[1], n=n, trials=2)
+    stats = TrialStats()
+    spectra = trial_spectra(spec, stats=stats)
+    assert stats.blocks == [n]
+    for t, row in enumerate(spectra):
+        assert row.tobytes() == eigenvalues(product_realization(spec, t)).eigenvalues.tobytes()
 
 
 # --- moments: two independent routes ---------------------------------------------------
@@ -271,6 +341,12 @@ def test_trial_spectra_order_independent_of_threads(pooled, threads):
     spec = _spec(trials=5)
     seq = trial_spectra(spec, threads=1)
     assert seq.tobytes() == trial_spectra(spec, threads=threads).tobytes()
+
+
+@pytest.mark.parametrize("links", SPLIT_PRODUCTS, ids="*".join)
+def test_split_trial_spectra_do_not_depend_on_threads(pooled, links):
+    spec = _spec(link_x=links[0], link_y=links[1], n=64, trials=5)
+    assert trial_spectra(spec, threads=1).tobytes() == trial_spectra(spec, threads=2).tobytes()
 
 
 def test_trial_spectra_are_one_trials_by_n_array():
