@@ -174,9 +174,7 @@ class _LinkSystem:
                 f"per-row label index needs {n * (k + 1):.2g} cells at n={n}"
             )
         self.n = n
-        # Frontier entries hold codes and index ``indptr`` at code + 1, which
-        # would wrap in a compact dtype: the walk works on int64 codes.
-        self.codes = codes = codes.astype(np.int64)
+        self.codes = codes
         counts = np.bincount(
             (np.arange(n, dtype=np.int64)[:, None] * k + codes).ravel(),
             minlength=n * k,

@@ -270,11 +270,6 @@ def eval_link(link: LinkFunction, i: int, j: int, n: int) -> LinkValue:
     return apply_transform(link.transform, eval_link(link.base, i, j, n))
 
 
-def _code_dtype(k: int) -> np.dtype:
-    """Smallest unsigned integer dtype that holds the codes 0..k-1."""
-    return np.min_scalar_type(k - 1)
-
-
 #: Labels of these built-in kinds depend on i - j only, of the others but
 #: wigner on i + j only; slope counting (``circuits.count_pi_prime``) is
 #: defined for these.
@@ -330,7 +325,7 @@ def _transform_ranks(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     ]
     rank = {key: t for t, key in enumerate(sorted(set(keys)))}
     k = len(rank)
-    return np.array([rank[key] for key in keys], dtype=_code_dtype(k)), k
+    return np.array([rank[key] for key in keys], dtype=np.int64), k
 
 
 def _code_line(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
@@ -344,7 +339,7 @@ def _code_line(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
         base_line, _ = _code_line(link.base, n)
         ranks, k = _transform_ranks(link, n)
         return ranks[base_line], k
-    t = np.arange(2 * n - 1)
+    t = np.arange(2 * n - 1, dtype=np.int64)
     if link.kind in DIFFERENCE_KINDS:
         line = np.abs(t - (n - 1))
         if link.kind == "symcirc":
@@ -353,8 +348,7 @@ def _code_line(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
         line = t if link.kind == "hankel" else (t + 2) % n
         if link.kind == "dsymhankel":
             line = np.minimum(line, n - line)
-    k = int(line.max()) + 1
-    return line.astype(_code_dtype(k)), k
+    return line, int(line.max()) + 1
 
 
 def _line_table(link: LinkFunction, line: np.ndarray) -> np.ndarray:
@@ -382,13 +376,10 @@ def line_values(link: LinkFunction, n: int,
 def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     """All cell labels at dimension n, as (codes, k).
 
-    ``codes`` is the n x n array of label ranks: cells share a code exactly
-    when they share a label, and code t is the t-th smallest of the k
-    distinct labels in canonical order. It is stored in the smallest
-    unsigned dtype that holds k - 1 (uint32 for wigner and uint16 for the
-    other built-in links at n = 1000), so arithmetic that can exceed k must
-    widen first (``pair_codes``). The code matrix is all that realization
-    and circuit counting consume; ``link_labels`` gives the label objects
+    ``codes`` is the n x n int64 array of label ranks: cells share a code
+    exactly when they share a label, and code t is the t-th smallest of the
+    k distinct labels in canonical order. The code matrix is all that
+    circuit counting consumes; ``link_labels`` gives the label objects
     themselves.
 
     A link not built on wigner labels a cell by i - j or by i + j alone, so
@@ -421,10 +412,9 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
         # square, a cell's smaller index is its column; right of it, its row;
         # only the square itself needs the elementwise min and max.
         k = n * (n + 1) // 2
-        codes = np.empty((n, n), dtype=_code_dtype(k))
-        t = np.arange(n)
-        off = (t * n - t * (t + 1) // 2).astype(codes.dtype)
-        t = t.astype(codes.dtype)
+        codes = np.empty((n, n), dtype=np.int64)
+        t = np.arange(n, dtype=np.int64)
+        off = t * n - t * (t + 1) // 2
         for lo in range(0, n, BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, n)
             block, rows, square = codes[lo:hi], t[lo:hi, None], t[lo:hi]
@@ -442,11 +432,10 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
 def pair_codes(codes_x: np.ndarray, codes_y: np.ndarray, k_y: int) -> np.ndarray:
     """Codes of the cell label pairs (L_X, L_Y), as int64 ``x * k_y + y``.
 
-    They rank the pairs lexicographically. Compact codes are widened first,
-    since the product would wrap in their own dtype (k_y^2 is about 2.5e11
-    for wigner at n = 1000).
+    They rank the pairs lexicographically; k_y^2, about 2.5e11 for wigner at
+    n = 1000, is far inside int64.
     """
-    return codes_x.astype(np.int64) * k_y + codes_y
+    return codes_x * k_y + codes_y
 
 
 def link_labels(link: LinkFunction, n: int) -> list:

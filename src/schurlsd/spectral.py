@@ -31,11 +31,11 @@ __all__ = [
 #: the dimensions this tool runs to be worth reporting.
 MAX_MC_ORDER = 8
 
-#: Smallest n at which ``trial_spectra`` spreads trials over threads. Below it
-#: two threads solving at once ran no faster than one (0.90-1.00x at n = 400,
-#: 450 and 500 on 2 vCPUs, one BLAS thread each), against 1.76-1.90x at
-#: n = 550 and 600, while each extra thread still paid for its own malloc
-#: arena and realization buffer.
+#: Smallest n at which ``trial_spectra`` spreads trials over threads, kept for
+#: memory: two workers took the peak RSS of an n = 400 ``moments`` run from
+#: 38.2 to 41.1 MB (one more malloc arena and realization buffer). Solves do
+#: not compete: a new pool ran at 0.90-1.00x only while the kernel kept both
+#: workers on one CPU, about its first second; pinned workers ran at 2.0x.
 MIN_THREADED_N = 550
 
 
@@ -104,42 +104,30 @@ class MomentEstimate:
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """Spectrum of a symmetric matrix, such as a scaled product realization.
 
-    ``a`` must be a writeable C-contiguous n x n float64 array. It is the
-    eigensolver's workspace, so its contents are lost. The solve is LAPACK's
-    ``dsyevd`` (eigenvalues only, lower triangle), the routine and workspace
-    sizes ``np.linalg.eigvalsh`` uses, called on ``a`` itself instead of on a
-    copy. Read as a Fortran array, ``a`` is its own transpose, so LAPACK sees
-    the values of numpy's copy in the same order and the eigenvalues are
-    bitwise those of ``eigvalsh``. A numpy whose LAPACK lacks the routine
-    gets ``eigvalsh``.
+    ``a`` must be a writeable n x n float64 array with adjacent columns and
+    rows a whole number of entries, at least n, apart: a C array or a square
+    block of one. It is the eigensolver's workspace, so its contents are
+    lost. The solve is LAPACK's ``dsyevd`` (eigenvalues only, lower triangle)
+    with the workspace sizes ``np.linalg.eigvalsh`` uses, called on ``a``
+    itself, its row stride as ``lda``. Read as a Fortran array, ``a`` is its
+    own transpose, so LAPACK sees the values of numpy's copy in the same
+    order and the eigenvalues are bitwise those of ``eigvalsh``. A numpy
+    whose LAPACK lacks the routine gets ``eigvalsh``.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1 or a.dtype != np.float64 \
-            or not a.flags.c_contiguous or not a.flags.writeable:
-        raise ValueError("eigenvalues needs a writeable C-contiguous n x n float64 array, "
-                         f"got {a.dtype} {a.shape}")
-    _check_finite(a)
-    w = np.empty(a.shape[0])
-    _solve(a, w)
-    return Spectrum(eigenvalues=w, n=a.shape[0])
-
-
-def _check_finite(a: np.ndarray) -> None:
+    n = a.shape[0] if a.ndim == 2 else 0
+    if n < 1 or a.shape != (n, n) or a.dtype != np.float64 or not a.flags.writeable \
+            or a.strides[1] != 8 or a.strides[0] < 8 * n or a.strides[0] % 8:
+        raise ValueError("eigenvalues needs a writeable n x n float64 array with adjacent "
+                         f"columns and rows at least n apart, got {a.dtype} {a.shape}")
     # NaN and +-inf propagate through min and max, so two reductions test
     # every entry without an n x n mask.
     if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError("matrix has non-finite entries")
-
-
-def _solve(a: np.ndarray, w: np.ndarray) -> None:
-    """Eigenvalues of the symmetric m x m float64 view ``a`` into ``w`` (m
-    contiguous float64), ascending. ``a``'s columns are adjacent and its rows
-    any whole number of entries apart, LAPACK's ``lda``; ``dsyevd`` solves it
-    in place, so its contents are lost."""
     if _dsyevd is None:
-        w[:] = np.linalg.eigvalsh(a)
-        return
-    m = ctypes.c_int64(a.shape[0])
-    lda = ctypes.c_int64(a.strides[0] // a.itemsize)
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(a), n=n)
+    w = np.empty(n)
+    m = ctypes.c_int64(n)
+    lda = ctypes.c_int64(a.strides[0] // 8)
     info = ctypes.c_int64(0)
 
     def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> None:
@@ -152,6 +140,7 @@ def _solve(a: np.ndarray, w: np.ndarray) -> None:
     call(work, -1, iwork, -1)  # workspace query: the optimal sizes land in work and iwork
     lwork, liwork = int(work[0]), int(iwork[0])
     call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork)
+    return Spectrum(eigenvalues=w, n=n)
 
 
 def _shared_involution(spec: ProductSpec) -> str:
@@ -163,9 +152,9 @@ def _shared_involution(spec: ProductSpec) -> str:
     return next((s for s in x if s in y), "")
 
 
-def _split_solve(a: np.ndarray, involution: str, w: np.ndarray) -> None:
+def _split_solve(a: np.ndarray, involution: str) -> np.ndarray:
     """Eigenvalues of the even n x n ``a``, which ``involution`` leaves
-    unchanged, into ``w``, ascending, as those of two n/2 x n/2 blocks.
+    unchanged, ascending, as those of two n/2 x n/2 blocks.
 
     With h = n/2, ``a`` is [[B, C], [C^T, D]]. Under the half shift H, D = B
     and C is symmetric, so ``a`` is B + C on the vectors (x, x) and B - C on
@@ -174,9 +163,9 @@ def _split_solve(a: np.ndarray, involution: str, w: np.ndarray) -> None:
     (x, -R x); the lower block is formed as R (B - M) R = D - C^T R, which
     has the same eigenvalues, and C^T R is C^T with its columns reversed.
     Both blocks are formed in place, ``BLOCK_ROWS`` rows at a time, and
-    solved where they lie, so the fold makes no block copy.
+    ``eigenvalues`` solves each where it lies, so the fold makes no block
+    copy. Each entry of ``a`` enters a block, so their finite checks cover it.
     """
-    _check_finite(a)
     h = a.shape[0] // 2
     top, upper = a[:h, :h], a[:h, h:]
     lower, bottom = a[h:, :h], a[h:, h:]
@@ -185,9 +174,8 @@ def _split_solve(a: np.ndarray, involution: str, w: np.ndarray) -> None:
         rows = slice(lo, lo + BLOCK_ROWS)
         top[rows] += upper[rows, ::step]
         bottom[rows] -= lower[rows, ::step]
-    _solve(top, w[:h])
-    _solve(bottom, w[h:])
-    w.sort()
+    return np.sort(np.concatenate([eigenvalues(top).eigenvalues,
+                                   eigenvalues(bottom).eigenvalues]))
 
 
 def usable_cpus() -> int:
@@ -233,10 +221,7 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
         start = time.perf_counter()
         a = product_realization(spec, t, out=buf)
         solve = time.perf_counter()
-        if involution:
-            _split_solve(a, involution, spectra[t])
-        else:
-            spectra[t] = eigenvalues(a).eigenvalues
+        spectra[t] = _split_solve(a, involution) if involution else eigenvalues(a).eigenvalues
         return solve - start, time.perf_counter() - solve
 
     trials = range(spec.trials)

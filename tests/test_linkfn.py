@@ -203,7 +203,7 @@ def test_delta_equals_per_row_unique_scan(kind, n):
 
 def test_wigner_delta_at_n_1000_builds_no_table():
     # no pair label repeats within a row, so no row is formed: the dense
-    # uint32 table alone would be 4 n^2 bytes
+    # int64 table alone would be 8 n^2 bytes
     n = 1000
     value_table.cache_clear()
     tracemalloc.start()
@@ -437,8 +437,6 @@ def test_value_table_is_the_ranked_dense_table(name, n):
     assert not codes.flags.writeable
     with pytest.raises(ValueError):
         codes[0, 0] = 0
-    smallest = next(t for t in (np.uint8, np.uint16, np.uint32) if k - 1 <= np.iinfo(t).max)
-    assert codes.dtype == smallest
     if name != "wigner":  # a window view of one line of 2n - 1 codes
         lo, hi = byte_bounds(codes)
         assert hi - lo <= (2 * n - 1) * codes.itemsize
@@ -513,8 +511,8 @@ def test_coprime_power_wigner_table_is_a_cache_hit_at_n_1000():
 
 
 def test_wigner_value_table_holds_no_label_objects():
-    # the code matrix (4 MB) is all a Monte Carlo run needs; building the
-    # 500,500 label tuples as well took about 52 MB at n = 1000
+    # the code matrix (8 MB of int64) is all exact counting needs; building
+    # the 500,500 label tuples as well took about 52 MB at n = 1000
     value_table.cache_clear()
     tracemalloc.start()
     try:
@@ -527,20 +525,18 @@ def test_wigner_value_table_holds_no_label_objects():
     assert held < 16 * 2**20
 
 
-def test_value_table_codes_use_the_smallest_unsigned_dtype():
-    wide = {kind: value_table(parse_link(kind), 1000) for kind in ALL_LINKS}
-    for kind, (codes, k) in wide.items():
-        assert codes.dtype == (np.uint32 if kind == "wigner" else np.uint16), kind
-        assert int(codes.max()) == k - 1
-    assert sum(codes.nbytes for codes, _ in wide.values()) == (4 + 5 * 2) * 10**6
-    assert value_table(parse_link("toeplitz"), 7)[0].dtype == np.uint8
-    assert value_table(parse_link("toeplitz"), 256)[0].dtype == np.uint8
-    assert value_table(parse_link("toeplitz"), 257)[0].dtype == np.uint16
+@pytest.mark.parametrize("n", [7, 257, 1000])
+def test_value_table_codes_are_int64(n):
+    for name in TABLE_LINKS:
+        codes, k = value_table(_test_link(name, n), n)
+        assert codes.dtype == np.int64, name
+        assert int(codes.min()) == 0 and int(codes.max()) == k - 1, name
 
 
 def test_wigner_value_table_build_peak_stays_small():
-    # the uint32 code matrix is 4 MB at n = 1000; the build makes no n x n
-    # int64 temporaries (the old one peaked at several 8 MB arrays)
+    # the int64 code matrix is 8 MB at n = 1000; the build fills it 64 rows
+    # at a time and makes no n x n temporaries (an unblocked one peaked at
+    # several 8 MB arrays)
     value_table.cache_clear()
     tracemalloc.start()
     try:
@@ -557,7 +553,7 @@ def test_pair_codes_do_not_wrap_on_wigner_pairs_at_n_1000():
     codes, k = value_table(wigner, 1000)
     pairs = pair_codes(codes, codes, k)
     assert pairs.dtype == np.int64
-    # k^2 - 1 is about 2.5e11, past the range of the uint32 codes
-    assert int(pairs.max()) == k * k - 1 > np.iinfo(codes.dtype).max
-    assert np.array_equal(pairs, codes.astype(np.int64) * (k + 1))
+    # k^2 - 1 is about 2.5e11, past the range of 32-bit integers
+    assert int(pairs.max()) == k * k - 1
+    assert np.array_equal(pairs, codes * (k + 1))
     assert profile_product(wigner, wigner, 1000)[1] == k

@@ -130,12 +130,33 @@ def _read_only(a):
     "bad",
     [np.zeros(3), np.zeros((3, 4)), np.zeros((0, 0)), np.eye(3, dtype=np.float32),
      np.eye(3, dtype=np.int64), np.eye(6)[::2, ::2], np.asfortranarray(np.arange(9.0).reshape(3, 3)),
-     _read_only(np.eye(3))],
-    ids=["1d", "not_square", "empty", "float32", "int64", "strided", "fortran", "read_only"],
+     np.eye(3)[::-1], np.eye(3)[:, ::-1],
+     np.lib.stride_tricks.as_strided(np.zeros(5), (3, 3), (8, 8)), _read_only(np.eye(3))],
+    ids=["1d", "not_square", "empty", "float32", "int64", "strided", "fortran",
+         "reversed_rows", "reversed_columns", "overlapping_rows", "read_only"],
 )
 def test_eigenvalues_reject_what_lapack_cannot_overwrite(bad):
-    with pytest.raises(ValueError, match="writeable C-contiguous n x n float64"):
+    with pytest.raises(ValueError, match="writeable n x n float64 array with adjacent columns"):
         eigenvalues(bad)
+
+
+@pytest.mark.parametrize("corner", ["top_left", "bottom_right"])
+@pytest.mark.parametrize("m", [1, 5, 64, 300])
+def test_eigenvalues_of_a_square_block_are_bitwise_those_of_its_copy(m, corner):
+    # a block of a C array has adjacent columns and rows the big array's
+    # row apart; it is solved where it lies, with that row stride as lda
+    big = np.random.default_rng(m).standard_normal((m + 37, m + 37))
+    big += big.T
+    rows = slice(0, m) if corner == "top_left" else slice(-m, None)
+    block = big[rows, rows]
+    expected = np.linalg.eigvalsh(block.copy())
+    before = big.copy()
+    s = eigenvalues(block)
+    assert s.n == m
+    assert s.eigenvalues.tobytes() == expected.tobytes()
+    outside = np.ones(big.shape, dtype=bool)
+    outside[rows, rows] = False
+    assert np.array_equal(big[outside], before[outside])  # the solve kept to its block
 
 
 def test_eigenvalues_raise_linalg_error_when_lapack_fails(monkeypatch):
@@ -243,6 +264,40 @@ def test_trials_split_when_both_links_share_an_involution(links, blocks):
     stats = TrialStats()
     trial_spectra(_spec(link_x=links[0], link_y=links[1], n=10, trials=2), stats=stats)
     assert stats.blocks == blocks
+
+
+@pytest.mark.parametrize("links,shapes", [
+    *((links, [(20, 20)] * 2) for links in SPLIT_PRODUCTS),
+    (("toeplitz", "hankel"), [(40, 40)]),
+], ids=lambda v: "*".join(v) if isinstance(v[0], str) else f"{len(v)}_blocks")
+def test_every_solve_of_a_trial_goes_through_eigenvalues(monkeypatch, links, shapes):
+    # a split trial is two calls on its n/2 x n/2 blocks, so a caller that
+    # wraps ``eigenvalues`` (the benchmark tracer) sees every solve
+    solved = []
+    real = spectral.eigenvalues
+
+    def counted(a):
+        solved.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(spectral, "eigenvalues", counted)
+    trial_spectra(_spec(link_x=links[0], link_y=links[1], n=40, trials=3), threads=1)
+    assert solved == shapes * 3
+
+
+@pytest.mark.parametrize("block", ["upper", "lower", "both"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("involution", ["H", "J"])
+def test_split_solve_keeps_the_finite_check(involution, value, block):
+    # the fold adds each off-diagonal block into a diagonal one, whose
+    # finite check ``eigenvalues`` runs, so no bad entry gets past it
+    a, h = np.eye(12), 6
+    if block in ("upper", "both"):
+        a[:h, h:][1, 4] = value
+    if block in ("lower", "both"):
+        a[h:, :h][4, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral._split_solve(a, involution)
 
 
 @pytest.mark.parametrize("links", SPLIT_PRODUCTS, ids="*".join)
