@@ -17,8 +17,10 @@ revcirc         m
 dsymhankel      min(m, n - m)
 ==============  =======================================
 
-The folded formulas for ``symcirc`` and ``dsymhankel`` are evaluated in
-integer arithmetic: the fold n/2 - |n/2 - t| equals min(t, n - t) exactly on
+``_label`` is the one statement of these formulas: ``eval_link`` applies it
+to one cell, and the code tables of the kinds but wigner to a whole line of
+cells at once, in the same integer arithmetic. It folds ``symcirc`` and
+``dsymhankel`` as (n - |n - 2t|) // 2, which equals min(t, n - t) exactly on
 0 <= t <= n, for odd n as well, so no rounding can occur.
 
 Links compose with value transforms (``square``, ``coprime_power``,
@@ -252,28 +254,30 @@ def _check_indices(i: int, j: int, n: int) -> None:
 def eval_link(link: LinkFunction, i: int, j: int, n: int) -> LinkValue:
     """Label of cell (i, j), 1-based. Exact integer arithmetic throughout."""
     _check_indices(i, j, n)
-    kind = link.kind
-    if kind == "wigner":
-        return (min(i, j), max(i, j))
-    if kind == "toeplitz":
-        return abs(i - j)
-    if kind == "hankel":
-        return i + j
-    if kind == "symcirc":
-        d = abs(i - j)
-        return min(d, n - d)
-    if kind == "revcirc":
-        return (i + j) % n
-    if kind == "dsymhankel":
-        m = (i + j) % n
-        return min(m, n - m)
-    return apply_transform(link.transform, eval_link(link.base, i, j, n))
+    if link.kind == "composed":
+        return apply_transform(link.transform, eval_link(link.base, i, j, n))
+    return _label(link.kind, i, j, n)
 
 
 #: Labels of these built-in kinds depend on i - j only, of the others but
 #: wigner on i + j only; slope counting (``circuits.count_pi_prime``) is
 #: defined for these.
 DIFFERENCE_KINDS = ("toeplitz", "symcirc")
+
+
+def _label(kind: str, i, j, n: int):
+    """Label of cell (i, j) of a built-in kind: the pair (min, max) for
+    wigner, else t = |i - j| or i + j, taken mod n for revcirc and
+    dsymhankel, then folded to min(t, n - t) for symcirc and dsymhankel.
+    Every kind but wigner takes Python ints or int64 arrays alike."""
+    if kind == "wigner":
+        return (min(i, j), max(i, j))
+    t = abs(i - j) if kind in DIFFERENCE_KINDS else i + j
+    if kind in ("revcirc", "dsymhankel"):
+        t = t % n
+    if kind in ("symcirc", "dsymhankel"):
+        t = (n - abs(n - 2 * t)) // 2
+    return t
 
 
 def _base_kind(link: LinkFunction) -> str:
@@ -333,21 +337,16 @@ def _code_line(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
 
     Position p of the line holds the code of the cells with j - i = p - n + 1
     (toeplitz, symcirc) or with i + j = p + 2 (hankel, revcirc, dsymhankel),
-    1-based.
+    1-based: the label of cell (n, p + 1) or (p + 1, 1), whichever the kind
+    reads, less the line's least label.
     """
     if link.kind == "composed":
         base_line, _ = _code_line(link.base, n)
         ranks, k = _transform_ranks(link, n)
         return ranks[base_line], k
-    t = np.arange(2 * n - 1, dtype=np.int64)
-    if link.kind in DIFFERENCE_KINDS:
-        line = np.abs(t - (n - 1))
-        if link.kind == "symcirc":
-            line = np.minimum(line, n - line)
-    else:
-        line = t if link.kind == "hankel" else (t + 2) % n
-        if link.kind == "dsymhankel":
-            line = np.minimum(line, n - line)
+    q = np.arange(1, 2 * n, dtype=np.int64)
+    line = _label(link.kind, *((n, q) if link.kind in DIFFERENCE_KINDS else (q, 1)), n)
+    line -= line.min()
     return line, int(line.max()) + 1
 
 
@@ -408,19 +407,14 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
         # itself, so its code is the rank of (a, b) in the row-major order of
         # the upper triangle: code(a, b) = a n - a (a - 1) / 2 + (b - a). That
         # is off[a] + b with off[a] = a n - a (a + 1) / 2, and a cell below the
-        # diagonal takes the code of its mirror. Left of a block's diagonal
-        # square, a cell's smaller index is its column; right of it, its row;
-        # only the square itself needs the elementwise min and max.
+        # diagonal takes the code of its mirror: off[min] + max.
         k = n * (n + 1) // 2
         codes = np.empty((n, n), dtype=np.int64)
         t = np.arange(n, dtype=np.int64)
         off = t * n - t * (t + 1) // 2
         for lo in range(0, n, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, n)
-            block, rows, square = codes[lo:hi], t[lo:hi, None], t[lo:hi]
-            np.add(off[:lo], rows, out=block[:, :lo])
-            np.add(off[lo:hi, None], t[hi:], out=block[:, hi:])
-            np.add(off[np.minimum(rows, square)], np.maximum(rows, square), out=block[:, lo:hi])
+            rows = t[lo : lo + BLOCK_ROWS, None]
+            np.add(off[np.minimum(rows, t)], np.maximum(rows, t), out=codes[lo : lo + BLOCK_ROWS])
     else:
         base_codes, _ = value_table(link.base, n)
         ranks, k = _transform_ranks(link, n)

@@ -67,13 +67,13 @@ def canonicalize(raw: Union[str, Sequence, Iterable]) -> Word:
     Accepts a string or any sequence of hashable symbols. Idempotent on
     already-canonical words.
     """
+    return Word(_canonical(raw))
+
+
+def _canonical(raw: Iterable) -> tuple[int, ...]:
+    """The letters of ``canonicalize(raw)``, without building a ``Word``."""
     ids: dict = {}
-    letters = []
-    for sym in raw:
-        if sym not in ids:
-            ids[sym] = len(ids) + 1
-        letters.append(ids[sym])
-    return Word(tuple(letters))
+    return tuple(ids.setdefault(sym, len(ids) + 1) for sym in raw)
 
 
 def dihedral_images(words: Sequence[Word]) -> list[tuple[Word, ...]]:
@@ -87,20 +87,25 @@ def dihedral_images(words: Sequence[Word]) -> list[tuple[Word, ...]]:
     size as the original (slopes only change sign, which keeps
     s(i) + s(j) in {0, +-n}). Images of symmetric tuples may repeat.
     """
+    return [tuple(map(Word, image)) for image in _image_letters(words)]
+
+
+def _image_letters(words: Sequence[Word]) -> list[tuple[tuple[int, ...], ...]]:
+    """The letters of each word of each image of ``dihedral_images``."""
     h = words[0].h
     if any(w.h != h for w in words):
         raise ValueError(f"dihedral images need equal word lengths, got {[str(w) for w in words]}")
     images = []
     for r in range(h):
         rotated = [w.letters[r:] + w.letters[:r] for w in words]
-        images.append(tuple(canonicalize(x) for x in rotated))
-        images.append(tuple(canonicalize(x[::-1]) for x in rotated))
+        images.append(tuple(_canonical(x) for x in rotated))
+        images.append(tuple(_canonical(x[::-1]) for x in rotated))
     return images
 
 
 def orbit_key(words: Sequence[Word]) -> tuple[Word, ...]:
     """The lexicographically least dihedral image: equal keys, equal class sizes."""
-    return min(dihedral_images(words), key=lambda ws: [w.letters for w in ws])
+    return tuple(map(Word, min(_image_letters(words))))
 
 
 def is_pair_matched(word: Word) -> bool:

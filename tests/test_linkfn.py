@@ -434,6 +434,10 @@ def test_value_table_is_the_ranked_dense_table(name, n):
     assert k == len(keys)
     assert np.array_equal(codes, [[rank[key] for key in row] for row in cells])
     assert [value_sort_key(v) for v in link_labels(link, n)] == keys
+    if name in RAW_LINKS:  # eval_link shares the code line's formula; the oracle's does not
+        raw = [[RAW_LINKS[name](i, j, n) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        raw_rank = {v: t for t, v in enumerate(sorted({v for row in raw for v in row}))}
+        assert np.array_equal(codes, [[raw_rank[v] for v in row] for row in raw])
     assert not codes.flags.writeable
     with pytest.raises(ValueError):
         codes[0, 0] = 0
