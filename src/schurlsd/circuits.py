@@ -7,10 +7,16 @@ L-labels (positions i, j with w[i] = w[j] force L(pi(i-1), pi(i)) =
 L(pi(j-1), pi(j))); the slope variant instead forces s(i) + s(j) = 0 (up to
 +-n for the circulant fold), with s(i) = pi(i) - pi(i-1).
 
+Both are counted by one constraint class (``_LinkSystem``) over an n x n
+code table: a letter's first occurrence records the code of its edge read
+backwards, each later occurrence reads it forwards. On a link's symmetric
+table (``linkfn.value_table``) that is label equality; on a signed slope
+table (``_slope_table``) it is s(j) = -s(i), Bryc, Dembo & Jiang's Pi'.
+
 Counting walks positions left to right. A vertex is a free n-way choice at
 generating positions; elsewhere it is restricted to the columns of the
-current row holding the required label, which a per-(row, label) index
-bounds by the link's row repeat bound. The walk is vectorized over frontier
+current row holding the required code, which a per-(row, code) index
+bounds by the table's row repeat bound. The walk is vectorized over frontier
 states and split into chunks whenever the next expansion would exceed the
 row cap (``MAX_FRONTIER_ROWS``, 100,000 rows), so memory stays bounded while
 counts remain exact integers.
@@ -31,9 +37,9 @@ in two steps. First a dimension count, the discrete form of the volume
 argument by which Bryc, Dembo & Jiang show words have limit 0, and the one
 by which compatibility is proved: each label equality is a finite union of
 affine equations in the h path vertices (``LABEL_BRANCHES``), and a choice
-of one branch per matched pair whose equations have rank >= k (h = 2k)
-leaves at most n^(h - k) = n^k circuits, so if every choice does, the limit
-is 0. Otherwise the class count is a
+of one branch per matched pair whose equations have rank >= h - k
+(k = h // 2) leaves at most n^k circuits, so if every choice does, the
+limit of count / n^(k + 1) is 0. Otherwise the class count is a
 quasi-polynomial in n of degree k + 1: it counts lattice points of polytopes
 whose facets move linearly with n (Ehrhart theory), so on each residue class
 of n mod some period it is a polynomial, and its leading coefficient, the
@@ -47,10 +53,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linkfn import DIFFERENCE_KINDS, LinkFunction, link_name, pair_codes, parse_link
 from .linkfn import table_base, value_table
-from .linkfn import Transform, compose, transform_name
 from .words import Word, canonicalize, dihedral_images, enumerate_pair_matched, is_catalan
 from .words import is_pair_matched, orbit_key
 
@@ -138,12 +144,12 @@ class ExactLimit:
 
     ``proof`` "fit": on each residue class of n mod ``period`` the counts at
     n in ``ns`` (an inclusive range) agree with one polynomial of degree
-    k + 1, fitted on the first k + 2 points of the class and reproducing the
-    last ``HELD_OUT`` exactly; ``p`` is the leading coefficient all classes
-    share.
+    k + 1 (k = h // 2 for words of length h), fitted on the first k + 2
+    points of the class and reproducing the last ``HELD_OUT`` exactly; ``p``
+    is the leading coefficient all classes share.
 
-    ``proof`` "rank": ``p`` is 0 because every branch choice has rank >= k,
-    so the class has at most ``bound`` * n^k circuits at every n.
+    ``proof`` "rank": ``p`` is 0 because every branch choice has rank
+    >= h - k, so the class has at most ``bound`` * n^k circuits at every n.
 
     ``nodes`` counts the branch choices the rank walk visited (0 when it did
     not run).
@@ -157,18 +163,19 @@ class ExactLimit:
     nodes: int = 0
 
 
-# --- constraint backends ----------------------------------------------------
+# --- constraint system ------------------------------------------------------
 
 
 class _LinkSystem:
-    """Label-equality constraints of one link at one dimension.
+    """Code-equality constraints over one n x n code table with k codes.
 
-    Holds the label code matrix plus, per row, the columns grouped by code
-    (CSR layout), so "columns of row r with code t" is a slice.
+    Holds the table plus, per row, the columns grouped by code (CSR layout),
+    so "columns of row r with code t" is a slice. A first occurrence records
+    ``codes[v, prev]``, the code of its edge read backwards.
     """
 
-    def __init__(self, link: LinkFunction, n: int):
-        codes, k = value_table(link, n)
+    def __init__(self, codes: np.ndarray, k: int):
+        n = codes.shape[0]
         if n * (k + 1) > 200_000_000:
             raise SearchBudgetError(
                 f"per-row label index needs {n * (k + 1):.2g} cells at n={n}"
@@ -186,7 +193,7 @@ class _LinkSystem:
         self.branch_bound = int(counts.max())
 
     def record(self, prev: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.codes[prev, v]
+        return self.codes[v, prev]
 
     def expand(self, prev: np.ndarray, stored: np.ndarray):
         start = self.indptr[prev, stored]
@@ -203,32 +210,16 @@ class _LinkSystem:
         return self.codes[prev, v] == stored
 
 
-class _SlopeSystem:
-    """Slope-sum constraints: matched positions must have s(i) + s(j) in a
-    fixed offset set ({0}, or {0, +-n} for the circulant fold)."""
+def _slope_table(kind: str, n: int) -> tuple[np.ndarray, int]:
+    """Signed slope codes of a difference kind at n, as (codes, k).
 
-    def __init__(self, link_kind: str, n: int):
-        self.n = n
-        self.wraps = (0,) if link_kind == "toeplitz" else (-n, 0, n)
-        self.branch_bound = len(self.wraps)
-
-    def record(self, prev: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return v - prev
-
-    def expand(self, prev: np.ndarray, stored: np.ndarray):
-        base = prev - stored
-        cand = base[None, :] + np.asarray(self.wraps, dtype=np.int64)[:, None]
-        idx = np.tile(np.arange(prev.size, dtype=np.int64), len(self.wraps))
-        v = cand.ravel()
-        ok = (v >= 0) & (v < self.n)
-        return idx[ok], v[ok]
-
-    def check(self, prev: np.ndarray, v: np.ndarray, stored: np.ndarray) -> np.ndarray:
-        s = v - prev + stored
-        mask = s == 0
-        if len(self.wraps) > 1:
-            mask |= (s == self.n) | (s == -self.n)
-        return mask
+    Cell (a, b) holds the code of b - a for toeplitz (k = 2n - 1), of
+    (b - a) mod n for symcirc (k = n): a read-only window view of one line
+    of 2n - 1 codes, row a being window n - 1 - a.
+    """
+    s = np.arange(1 - n, n, dtype=np.int64)
+    line, k = (s + n - 1, 2 * n - 1) if kind == "toeplitz" else (s % n, n)
+    return sliding_window_view(line, n)[::-1], k
 
 
 def _plan(words, systems, n: int):
@@ -293,9 +284,8 @@ def _enumerate(words, systems, n: int) -> int:
     A frontier whose next expansion would exceed ``MAX_FRONTIER_ROWS`` rows is
     split into chunks first.
 
-    Vertices are 0-based internally; slopes are shift-invariant and label
-    codes are indexed 0-based, so counts match the 1-based definition
-    exactly.
+    Vertices are 0-based internally and code tables are indexed 0-based, so
+    counts match the 1-based definition exactly.
     """
     h = words[0].h
     _, plans, bounds, last, free_positions = _plan(words, systems, n)
@@ -393,26 +383,27 @@ def _class(links, words) -> tuple[tuple[LinkFunction, ...], tuple[Word, ...]]:
     return links, words
 
 
-def _class_count(links, words, n: int, system: Callable) -> CircuitClassCount:
+def _class_count(links, words, n: int, table: Callable = value_table) -> CircuitClassCount:
     """Size of the class of ``words`` under ``links`` at dimension n, each
-    word constrained by ``system(link, n)`` of its link."""
+    word constrained by the code table ``table(link, n)`` of its link."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    count = _count_constrained(words, [system(link, n) for link in links], n)
+    count = _count_constrained(words, [_LinkSystem(*table(link, n)) for link in links], n)
     names = [link_name(link) for link in links]
     return CircuitClassCount(names[0], words[0], n, count, *names[1:], *words[1:])
 
 
 def count_pi_star(link, word, n: int) -> CircuitClassCount:
     """Exact size of the matched circuit class of ``word`` under ``link``."""
-    return _class_count(*_class([link], [word]), n, _LinkSystem)
+    return _class_count(*_class([link], [word]), n)
 
 
 def count_pi_prime(link, word, n: int) -> CircuitClassCount:
     """Exact size of the slope-constrained circuit class (pair-matched words).
 
     Defined for the links whose label equality reduces to slope sums:
-    ``toeplitz`` (s(i) + s(j) = 0) and ``symcirc`` (s(i) + s(j) in {0, +-n}).
+    ``toeplitz`` (s(i) + s(j) = 0) and ``symcirc`` (s(i) + s(j) in {0, +-n}),
+    counted over the link's signed slope table (``_slope_table``).
     """
     links, words = _class([link], [word])
     if links[0].kind not in DIFFERENCE_KINDS:
@@ -421,7 +412,7 @@ def count_pi_prime(link, word, n: int) -> CircuitClassCount:
         )
     if not is_pair_matched(words[0]):
         raise ValueError(f"slope counting needs a pair-matched word, got {words[0]}")
-    return _class_count(links, words, n, lambda fn, m: _SlopeSystem(fn.kind, m))
+    return _class_count(links, words, n, lambda fn, m: _slope_table(fn.kind, m))
 
 
 def count_pi_star_joint(link_x, link_y, word_x, word_y, n: int) -> CircuitClassCount:
@@ -430,7 +421,7 @@ def count_pi_star_joint(link_x, link_y, word_x, word_y, n: int) -> CircuitClassC
     At a position constrained by both words the expansion uses whichever
     link has the smaller row repeat bound and the other acts as a filter.
     """
-    return _class_count(*_class([link_x, link_y], [word_x, word_y]), n, _LinkSystem)
+    return _class_count(*_class([link_x, link_y], [word_x, word_y]), n)
 
 
 # --- exact limits and relation checks ----------------------------------------------
@@ -511,12 +502,12 @@ def _rank_certificate(words, kinds) -> tuple[Optional[int], int]:
     Each matched pair (i, j) of a word, under its link kind, contributes
     ``LABEL_BRANCHES`` on the edges (a, b) = (pi(i-1), pi(i)) and
     (c, d) = (pi(j-1), pi(j)). A depth-first walk picks one branch per pair
-    and prunes once the picked equations reach rank k: each affine piece
-    there has at most n^(h - k) = n^k points, and every circuit of the class
-    lies in the pieces of some pruned node. Returns (bound, nodes): ``bound``
-    is the number of such pieces (the class has at most bound * n^k circuits)
-    or None when some full branch choice stays below rank k; ``nodes`` counts
-    the nodes visited.
+    and prunes once the picked equations reach rank h - k (k = h // 2, so
+    ceil(h / 2)): an affine piece of rank r has at most n^(h - r) <= n^k
+    points, and every circuit of the class lies in the pieces of some pruned
+    node. Returns (bound, nodes): ``bound`` is the number of such pieces (the
+    class has at most bound * n^k circuits) or None when some full branch
+    choice stays below rank h - k; ``nodes`` counts the nodes visited.
     """
     h = words[0].h
     constraints = []
@@ -538,7 +529,7 @@ def _rank_certificate(words, kinds) -> tuple[Optional[int], int]:
     while stack:
         depth, basis, pieces = stack.pop()
         nodes += 1
-        if len(basis) >= h // 2:
+        if len(basis) >= h - h // 2:
             bound += pieces
         elif depth == len(constraints):
             return None, nodes
@@ -555,7 +546,7 @@ def _rank_certificate(words, kinds) -> tuple[Optional[int], int]:
 
 
 def limit(links, words, variant: str = "star") -> ExactLimit:
-    """Exact limit of a class count / n^(k+1) as n -> infinity.
+    """Exact limit of a class count / n^(k+1) as n -> infinity, k = h // 2.
 
     ``links`` and ``words`` are equal-length tuples: one link and word count
     with ``count_pi_star`` (``count_pi_prime`` for ``variant`` "prime"), two
@@ -710,7 +701,7 @@ class InvarianceEntry:
 @dataclass(frozen=True)
 class InvarianceReport:
     link: str
-    transform: str
+    composed: str
     two_k: int
     n: int
     injective: bool
@@ -727,18 +718,27 @@ class InvarianceReport:
         return all(e.counts_equal for e in self.entries)
 
 
-def check_invariance_containment(
-    link, transform: Transform, two_k: int, n: int
-) -> InvarianceReport:
-    """Transformed labels can only merge constraints, never add them.
+def check_invariance_containment(link, composed, two_k: int, n: int) -> InvarianceReport:
+    """Labels that are a function of ``link``'s can only merge constraints,
+    never add them.
 
-    For every word the base class must be contained in the composed class
-    (joint count equals base count); with a transform injective on the
-    base's label range the classes coincide and the plain counts agree too.
+    ``composed`` is any link whose labels at n are a function of ``link``'s
+    (a transform composed over it, or a Table 2 partner); ``ValueError``
+    otherwise. For every word the base class must be contained in the
+    composed class (joint count equals base count); when the function is
+    injective the classes coincide and the plain counts agree too.
     """
     _sweep_order(two_k)
-    base = _as_link(link)
-    composed = compose(transform, base)
+    base, composed = _as_link(link), _as_link(composed)
+    codes_b, k_b = value_table(base, n)
+    codes_c, k_c = value_table(composed, n)
+    # Distinct label pairs number k_b exactly when each base label has one
+    # composed label.
+    if np.unique(pair_codes(codes_b, codes_c, k_c)).size != k_b:
+        raise ValueError(
+            f"{link_name(composed)} labels are not a function of {link_name(base)} "
+            f"labels at n={n}"
+        )
 
     def counts(w):
         return (
@@ -763,12 +763,11 @@ def check_invariance_containment(
         )
     return InvarianceReport(
         link=link_name(base),
-        transform=transform_name(transform),
+        composed=link_name(composed),
         two_k=two_k,
         n=n,
-        # The composed labels are a function of the base's, so the transform
-        # is injective on them exactly when it leaves their number unchanged.
-        injective=value_table(composed, n)[1] == value_table(base, n)[1],
+        # The function is injective exactly when it keeps the number of labels.
+        injective=k_c == k_b,
         entries=tuple(entries),
         classes=len(seen),
     )

@@ -55,20 +55,18 @@ from .circuits import (
 from .ensemble import INPUT_DISTRIBUTIONS, ProductSpec, stream_seed
 from .linkfn import (
     DIFFERENCE_KINDS,
+    LinkFunction,
     Transform,
     TransformError,
     compose,
     coprime_power,
     eval_link,
-    link_labels,
     link_name,
-    pair_codes,
     parse_link,
     row_delta,
     square,
     table_transform,
     transform_name,
-    value_table,
 )
 from .oracle import (
     assemble_moments,
@@ -106,23 +104,6 @@ class ConfigError(Exception):
 # --- Table 2 registry ---------------------------------------------------------
 
 
-def _label_map(x: str, y: str, n: int) -> Transform:
-    """The labels of link ``y`` as a function of the labels of link ``x`` at n.
-
-    Composing ``x`` with this map gives ``y`` (for row 1 the partner's labels
-    of each index pair, for rows 3-5 the fold and wrap maps), which is what the
-    invariance theorem carries a limit along.
-    """
-    link_x, link_y = parse_link(x), parse_link(y)
-    codes_x, k_x = value_table(link_x, n)
-    codes_y, k_y = value_table(link_y, n)
-    cx, cy = np.divmod(np.unique(pair_codes(codes_x, codes_y, k_y)), k_y)
-    if len(cx) != k_x:
-        raise ValueError(f"{y} labels are not a function of {x} labels at n={n}")
-    labels_x, labels_y = link_labels(link_x, n), link_labels(link_y, n)
-    return table_transform({labels_x[a]: labels_y[b] for a, b in zip(cx.tolist(), cy.tolist())})
-
-
 @dataclass(frozen=True)
 class Table2Row:
     """One row of Table 2: its products, their common limit, and its gates.
@@ -130,9 +111,10 @@ class Table2Row:
     ``limit`` is ``"semicircle"`` or the link whose single-pattern limit the
     products share (its moments are assembled from that link's per-word
     limits). ``relations`` lists the joint relation checks in gate order,
-    ``invariance`` adds the invariance check of each product (x, y) under
-    ``_label_map(x, y, n)``, and ``implies_wigner`` adds the report-only
-    "labels force index pairs" verdict at n = 20.
+    ``invariance`` adds the invariance check of each product (x, y), whose
+    partner y labels cells by a function of x's labels, and
+    ``implies_wigner`` adds the report-only "labels force index pairs"
+    verdict at n = 20.
     """
 
     products: tuple[tuple[str, str], ...]
@@ -177,6 +159,8 @@ Z_MAX = 3.0
 #: on float roundoff. A stderr at or below it is roundoff, so reports give
 #: no z value for it.
 BAND_EPS = 1e-9
+#: Most bins of a ``spectrum`` histogram.
+MAX_BINS = 100_000
 
 
 # --- JSON with 17 significant digits ------------------------------------------
@@ -523,7 +507,7 @@ def _relation_json(rep: RelationReport) -> dict:
 def _invariance_json(rep: InvarianceReport) -> dict:
     return {
         "link": rep.link,
-        "transform": rep.transform,
+        "composed": rep.composed,
         "two_k": rep.two_k,
         "n": rep.n,
         "injective": rep.injective,
@@ -596,14 +580,13 @@ def _relation_gate(ctx: RunContext, name: str, kind: str, link_x: str, link_y: s
     return _relation_json(rep)
 
 
-def _invariance_gate(ctx: RunContext, name: str, link: str, transform: Transform,
+def _invariance_gate(ctx: RunContext, name: str, link: str, composed: LinkFunction,
                      two_k: int, n: int) -> dict:
-    """Sweep the invariance check of ``link`` under ``transform``, gate
+    """Sweep the invariance check of ``link`` against ``composed``, gate
     ``name`` on every word's class being contained, and return the sweep's
     report."""
-    composed = link_name(compose(transform, parse_link(link)))
-    rep = ctx.sweep("invariance", [link, composed],
-                    lambda: check_invariance_containment(link, transform, two_k, n))
+    rep = ctx.sweep("invariance", [link, link_name(composed)],
+                    lambda: check_invariance_containment(link, composed, two_k, n))
     ctx.check(name, rep.all_subset,
               f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained")
     return _invariance_json(rep)
@@ -722,13 +705,23 @@ def cmd_words(ctx: RunContext) -> Callable[[], None]:
 def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
     cfg = ctx.cfg
     spec = _product_from_cfg(ctx, default_trials=1)
-    bins = cfg.integer("bins", 60)
+    bins = cfg.integer("bins", 60, hi=MAX_BINS)
     raw = cfg.value("range", "list", [-3.0, 3.0])
     if len(raw) != 2 or not all(_TYPES["number"](v) for v in raw):
         raise ConfigError(f"config key 'range': {raw!r} must be [lo, hi]")
     lo, hi = float(raw[0]), float(raw[1])
     if not -math.inf < lo < hi < math.inf:
         raise ConfigError(f"config key 'range': {raw!r} must be finite with lo < hi")
+    # The edges and centres ``histogram`` makes, and its largest density 1 / width.
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)
+        centers = (edges[:-1] + edges[1:]) / 2.0
+    if not (np.isfinite(edges).all() and (edges[:-1] < edges[1:]).all()
+            and np.isfinite(centers).all() and math.isfinite(bins / (hi - lo))):
+        raise ConfigError(
+            f"config key 'range': {raw!r} does not split into {bins} finite bins "
+            f"with finite, increasing edges and centres"
+        )
     ks_max = cfg.threshold("ks_max", None)
     limit = _limit_for_product(spec.link_x, spec.link_y)
     if ks_max is not None and limit not in (None, "semicircle"):
@@ -904,7 +897,8 @@ def cmd_check(ctx: RunContext) -> Callable[[], None]:
         def gates() -> dict:
             name = f"invariance:{transform_name(transform)}"
             try:
-                rep = _invariance_gate(ctx, f"{name}:subset", link, transform, two_k, n)
+                rep = _invariance_gate(ctx, f"{name}:subset", link,
+                                       compose(transform, parse_link(link)), two_k, n)
             except TransformError as exc:
                 raise ConfigError(f"config key 'transform': {exc}") from exc
             if require_equal:
@@ -1044,7 +1038,7 @@ def cmd_verify_table2(ctx: RunContext) -> Callable[[], None]:
                 for inv_n in invariance_ns if record.invariance else ():
                     row_report["invariance"].append(_invariance_gate(
                         ctx, f"{tag}:invariance@n={inv_n}",
-                        x, _label_map(x, y, inv_n), relation_two_k, inv_n,
+                        x, parse_link(y), relation_two_k, inv_n,
                     ))
                 for kind in record.relations:
                     row_report["relations"].append(

@@ -385,8 +385,8 @@ def value_table(link: LinkFunction, n: int) -> tuple[np.ndarray, int]:
     its table is a strided view of one line of 2n - 1 codes: row i is a
     window of the line, and the table takes O(n) memory. Tables built on
     wigner are dense n x n arrays, filled ``BLOCK_ROWS`` rows at a time.
-    Only exact counting, the label maps and ``row_delta``
-    of a link not built on wigner ask for a table: realization
+    Only exact counting, the label-pair counts of the relation checks and
+    ``row_delta`` of a link not built on wigner ask for a table: realization
     (``ensemble.product_realization``) draws a line factor through
     ``line_values`` and streams the draws of a factor built on wigner.
 

@@ -31,7 +31,6 @@ from schurlsd.cli import TABLE2_ROWS
 from schurlsd.linkfn import (
     builtin_link,
     compose,
-    coprime_power,
     eval_link,
     pair_codes,
     parse_link,
@@ -243,7 +242,7 @@ def _assert_images_count_like(words, systems, n, want):
 @pytest.mark.parametrize("link,raw", SINGLE_LINKS)
 @pytest.mark.parametrize("n", DIHEDRAL_NS)
 def test_dihedral_images_of_words_count_like_raw_enumeration(link, raw, n):
-    systems = [circuits._LinkSystem(circuits._as_link(link), n)]
+    systems = [circuits._LinkSystem(*value_table(circuits._as_link(link), n))]
     for w in _words_up_to_6():
         want = array_count([raw], [str(w)], n)
         _assert_images_count_like((w,), systems, n, want)
@@ -253,7 +252,7 @@ def test_dihedral_images_of_words_count_like_raw_enumeration(link, raw, n):
 @pytest.mark.parametrize("kind", ["toeplitz", "symcirc"])
 @pytest.mark.parametrize("n", DIHEDRAL_NS)
 def test_dihedral_images_of_slope_classes_count_like_raw_enumeration(kind, n):
-    systems = [circuits._SlopeSystem(kind, n)]
+    systems = [circuits._LinkSystem(*circuits._slope_table(kind, n))]
     for w in _words_up_to_6():
         want = array_count_prime(kind, str(w), n)
         _assert_images_count_like((w,), systems, n, want)
@@ -264,7 +263,8 @@ def test_dihedral_images_of_slope_classes_count_like_raw_enumeration(kind, n):
 @pytest.mark.parametrize("n", DIHEDRAL_NS)
 def test_dihedral_images_of_word_pairs_count_like_raw_enumeration(x, y, n):
     (link_x, raw_x), (link_y, raw_y) = x, y
-    systems = [circuits._LinkSystem(circuits._as_link(link), n) for link in (link_x, link_y)]
+    systems = [circuits._LinkSystem(*value_table(circuits._as_link(link), n))
+               for link in (link_x, link_y)]
     pairs = [(wx, wy) for two_k in (2, 4) for wx, wy in
              itertools.product(enumerate_pair_matched(two_k), repeat=2)]
     pairs += [(canonicalize(a), canonicalize(b)) for a, b in JOINT_PAIRS_6]
@@ -289,7 +289,8 @@ def test_budget_guard_applies_to_the_enumerated_image(monkeypatch):
     # (abab, abba) has 2 free positions as written and 1 on its cheapest image
     monkeypatch.setattr(circuits, "NODE_BUDGET", 8**2)
     assert count_pi_star_joint("toeplitz", "hankel", "abab", "abba", 8).count == 88
-    systems = [circuits._LinkSystem(parse_link(k), 8) for k in ("toeplitz", "hankel")]
+    systems = [circuits._LinkSystem(*value_table(parse_link(k), 8))
+               for k in ("toeplitz", "hankel")]
     words = (canonicalize("abab"), canonicalize("abba"))
     with pytest.raises(SearchBudgetError):
         circuits._enumerate(words, systems, 8)
@@ -548,7 +549,7 @@ def test_invariance_and_p_table_count_each_word_orbit_once(monkeypatch):
         return direct(*args, **kwargs)
 
     monkeypatch.setattr(circuits, "count_pi_star", counted)
-    report = check_invariance_containment("toeplitz", square(), 6, 8)
+    report = check_invariance_containment("toeplitz", "square(toeplitz)", 6, 8)
     assert len(report.entries) == 15 and report.classes == 5
     assert len(calls) == 2 * 5
     for e in report.entries:
@@ -615,6 +616,22 @@ def test_rank_certificates_bound_raw_counts(x, y):
             assert raw <= bound * n ** (wx.h // 2), (str(wx), str(wy), n, raw, bound)
 
 
+@pytest.mark.parametrize("kind", ALL_LINKS)
+def test_rank_certificates_bound_raw_counts_of_every_short_word(kind):
+    # odd lengths too: a piece of rank r holds n^(h - r) points, so a bound
+    # on n^(h // 2) needs rank h - h // 2 (toeplitz aab has about 1.5 n^2
+    # circuits, wigner a has n)
+    for h in range(1, 6):
+        words = dict.fromkeys(canonicalize(t) for t in itertools.product(range(h), repeat=h))
+        for w in words:
+            bound, _ = circuits._rank_certificate((w,), (kind,))
+            if bound is None:
+                continue
+            for n in range(1, 6):
+                raw = array_count([kind], [str(w)], n)
+                assert raw <= bound * n ** (h // 2), (str(w), n, raw, bound)
+
+
 @pytest.mark.parametrize(
     "x,y,two_k", [(x, y, 4) for x, y in ROW12_PRODUCTS] + [("toeplitz", "hankel", 6)]
 )
@@ -672,7 +689,7 @@ def test_unsettled_pair_raises_naming_it(monkeypatch):
 @pytest.mark.parametrize("sweep", [
     lambda two_k: check_compatible("toeplitz", "hankel", two_k),
     lambda two_k: check_leadsto_wigner("toeplitz", "hankel", two_k),
-    lambda two_k: check_invariance_containment("toeplitz", square(), two_k, 8),
+    lambda two_k: check_invariance_containment("toeplitz", "square(toeplitz)", two_k, 8),
 ])
 def test_library_sweeps_cover_orders_four_to_the_cap(sweep):
     # at order 2 the only word is aa: a sweep there would compare nothing
@@ -686,7 +703,7 @@ def test_library_sweeps_cover_orders_four_to_the_cap(sweep):
 
 
 def test_invariance_square_toeplitz_equal_counts():
-    report = check_invariance_containment("toeplitz", square(), 4, 10)
+    report = check_invariance_containment("toeplitz", "square(toeplitz)", 4, 10)
     assert report.injective
     assert report.all_subset
     assert report.all_equal
@@ -696,7 +713,8 @@ def test_invariance_square_toeplitz_equal_counts():
 
 def test_invariance_collapse_subset_but_not_equal():
     collapse = {v: (1 if v == 2 else v) for v in range(10)}
-    report = check_invariance_containment("toeplitz", table_transform(collapse), 4, 10)
+    composed = compose(table_transform(collapse), builtin_link("toeplitz"))
+    report = check_invariance_containment("toeplitz", composed, 4, 10)
     assert not report.injective
     assert report.all_subset
     assert not report.all_equal
@@ -704,7 +722,7 @@ def test_invariance_collapse_subset_but_not_equal():
 
 
 def test_invariance_coprime_power_wigner_sixth_order():
-    report = check_invariance_containment("wigner", coprime_power(2, 3), 6, 8)
+    report = check_invariance_containment("wigner", "coprimepower(2,3,wigner)", 6, 8)
     assert report.injective
     assert report.all_subset
     assert report.all_equal
@@ -715,7 +733,7 @@ def test_invariance_counts_against_raw_oracle():
     # the collapse example, cross-checked by enumerating the composed link raw
     collapse = {v: (1 if v == 2 else v) for v in range(8)}
     composed = compose(table_transform(collapse), builtin_link("toeplitz"))
-    report = check_invariance_containment("toeplitz", table_transform(collapse), 4, 8)
+    report = check_invariance_containment("toeplitz", composed, 4, 8)
     for entry in report.entries:
         word = str(entry.word)
         assert entry.count_base == raw_count_star("toeplitz", word, 8)

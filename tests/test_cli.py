@@ -16,8 +16,9 @@ import schurlsd.circuits as circuits
 import schurlsd.cli as cli
 import schurlsd.spectral as spectral
 from schurlsd import BLAS_THREAD_VARS
-from schurlsd.cli import _label_map, main
-from schurlsd.linkfn import eval_link, parse_link, table_transform
+from schurlsd.circuits import check_invariance_containment
+from schurlsd.cli import main
+from schurlsd.linkfn import eval_link, parse_link
 from schurlsd.words import canonicalize, orbit_key
 
 
@@ -184,10 +185,23 @@ def test_spectrum_still_gates_ks_max_on_semicircle_and_unlisted_products(tmp_pat
     assert check["name"] == "spectrum:ks" and check["pass"] is False
 
 
-@pytest.mark.parametrize("bad", [[float("-inf"), 3], [-3, float("inf")], [float("nan"), 3]])
-def test_spectrum_range_must_be_finite(tmp_path, bad):
+@pytest.mark.parametrize("bad", [[float("-inf"), 3], [-3, float("inf")], [float("nan"), 3],
+                                 [1, 1.000000000000001], [-1e308, 1e308], [0, 1e308]])
+def test_spectrum_range_must_be_finite(tmp_path, capsys, reads_only, bad):
+    # the last three are finite, but their bin edges do not increase, their
+    # width overflows or their centres do; reads_only raises where the work
+    # would begin, so exit 2 shows each is refused while the config is read
     cfg = {"link_x": "wigner", "link_y": "toeplitz", "n": 20, "trials": 2, "range": bad}
     _exits_two_with_no_report(tmp_path, "spectrum", cfg)
+    assert "config key 'range'" in capsys.readouterr().err
+
+
+def test_spectrum_bins_are_capped(tmp_path, capsys, reads_only):
+    cfg = {"link_x": "wigner", "link_y": "toeplitz", "n": 20, "trials": 2}
+    _exits_two_with_no_report(tmp_path, "spectrum", {**cfg, "bins": cli.MAX_BINS + 1})
+    assert "config key 'bins'" in capsys.readouterr().err
+    with pytest.raises(reads_only):
+        run_cli(tmp_path, "spectrum", {**cfg, "bins": cli.MAX_BINS, "range": [-1e300, 1e300]})
 
 
 def test_check_reads_require_equal_before_counting(tmp_path):
@@ -855,7 +869,7 @@ def test_verify_manifest_logs_every_relation_and_invariance_sweep(tmp_path):
     sweeps = read_json(out, "manifest.json")["relation_sweeps"]
     kinds = [(s["kind"], tuple(s["links"])) for s in sweeps]
     # row 1: invariance then leadsto per product; row 2: compatible, leadsto
-    assert kinds[:2] == [("invariance", ("wigner", "usertable(wigner)")),
+    assert kinds[:2] == [("invariance", ("wigner", "toeplitz")),
                          ("leadsto", ("wigner", "toeplitz"))]
     assert kinds[-2:] == [("compatible", ("symcirc", "dsymhankel")),
                           ("leadsto", ("symcirc", "dsymhankel"))]
@@ -909,16 +923,16 @@ FOLD_MAPS = {
 
 @pytest.mark.parametrize("n", [7, 8, 16])
 def test_invariance_label_maps_are_the_fold_maps(n):
+    # each row 3-5 partner labels a cell by the fold or wrap of the first
+    # link's label there, so the invariance check may take it as composed
     for (x, y), fold in FOLD_MAPS.items():
-        assert _label_map(x, y, n) == table_transform(fold(n))
-    for _, y in TABLE2_PRODUCTS[1]:
-        partner = parse_link(y)
-        cells = {
-            (a, b): eval_link(partner, a, b, n) for a in range(1, n + 1) for b in range(a, n + 1)
-        }
-        assert _label_map("wigner", y, n) == table_transform(cells)
-    with pytest.raises(ValueError):
-        _label_map("toeplitz", "hankel", n)
+        link_x, link_y, fold_n = parse_link(x), parse_link(y), fold(n)
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                label = eval_link(link_x, a, b, n)
+                assert eval_link(link_y, a, b, n) == fold_n[label], (x, y, a, b)
+    with pytest.raises(ValueError, match="not a function"):
+        check_invariance_containment("toeplitz", "hankel", 4, n)
 
 
 def test_verify_gate_order_and_row_keys_for_every_row(tmp_path):

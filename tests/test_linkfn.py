@@ -341,7 +341,7 @@ def test_table_transform_rejects_empty():
 
 
 def _injective(transform, base, n: int) -> bool:
-    return check_invariance_containment(base, transform, 4, n).injective
+    return check_invariance_containment(base, compose(transform, base), 4, n).injective
 
 
 def test_square_injective_on_toeplitz():
