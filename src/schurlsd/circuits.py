@@ -603,6 +603,14 @@ def p_table(link, two_k: int) -> dict:
     }
 
 
+def _distinct_count(codes: np.ndarray) -> int:
+    """Number of distinct entries of a non-empty integer array, from a
+    sorted copy. ``np.unique`` would also do, but on numpy 2 it imports
+    ``numpy.ma`` to ask whether its input is masked."""
+    ordered = np.sort(codes, axis=None)
+    return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+
+
 def check_implies_wigner(link_x, link_y, n: int) -> bool:
     """Do joint label equalities force index-pair equality at dimension n?
 
@@ -615,7 +623,7 @@ def check_implies_wigner(link_x, link_y, n: int) -> bool:
         raise ValueError(f"dimension must be in 1..{MAX_IMPLIES_DIM}, got {n}")
     codes_x, _ = value_table(_as_link(link_x), n)
     codes_y, k_y = value_table(_as_link(link_y), n)
-    return np.unique(pair_codes(codes_x, codes_y, k_y)).size == n * (n + 1) // 2
+    return _distinct_count(pair_codes(codes_x, codes_y, k_y)) == n * (n + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -734,7 +742,7 @@ def check_invariance_containment(link, composed, two_k: int, n: int) -> Invarian
     codes_c, k_c = value_table(composed, n)
     # Distinct label pairs number k_b exactly when each base label has one
     # composed label.
-    if np.unique(pair_codes(codes_b, codes_c, k_c)).size != k_b:
+    if _distinct_count(pair_codes(codes_b, codes_c, k_c)) != k_b:
         raise ValueError(
             f"{link_name(composed)} labels are not a function of {link_name(base)} "
             f"labels at n={n}"

@@ -4,6 +4,7 @@ Carlo moment estimates."""
 from __future__ import annotations
 
 import ctypes
+import mmap
 import os
 import threading
 import time
@@ -33,9 +34,10 @@ MAX_MC_ORDER = 8
 
 #: Smallest n at which ``trial_spectra`` spreads trials over threads, kept for
 #: memory: two workers took the peak RSS of an n = 400 ``moments`` run from
-#: 38.2 to 41.1 MB (one more malloc arena and realization buffer). Solves do
-#: not compete: a new pool ran at 0.90-1.00x only while the kernel kept both
-#: workers on one CPU, about its first second; pinned workers ran at 2.0x.
+#: 38.8 to 41.4 MB (one more malloc arena and mapped realization buffer).
+#: Solves do not compete: a new pool ran at 0.90-1.00x only while the kernel
+#: kept both workers on one CPU, about its first second; pinned workers ran
+#: at 2.0x.
 MIN_THREADED_N = 550
 
 
@@ -192,9 +194,15 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     row t holds trial t's eigenvalues, ascending, for any thread count.
 
     Below ``MIN_THREADED_N`` every trial runs on the calling thread. From it
-    on, ``min(threads, trials)`` worker threads take whole trials; ``threads``
-    is a cap that defaults to ``usable_cpus()``. Each worker fills one n x n
-    buffer, reused for all its trials, and solves it on the single BLAS
+    on, ``min(threads, trials)`` plain ``threading.Thread`` workers take
+    whole trials, each the next index from one shared iterator under a lock;
+    ``threads`` is a cap that defaults to ``usable_cpus()``. Once a trial
+    raises, no worker takes another, and the first error is raised here
+    after every worker has been joined.
+
+    Each worker fills one n x n buffer, an anonymous memory map reused for
+    all its trials and unmapped when the worker returns, so nothing of it
+    stays resident after the call. It solves the buffer on the single BLAS
     thread the package pins at import, so the spectra do not depend on the
     number of workers. The buffer is the only large array of a trial: the
     realization works on row blocks, multiplies Y in from its view and draws
@@ -210,38 +218,55 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     ``stats``, when given, receives the workers used, the block sizes each
     trial was solved as and the per-phase times.
     """
-    local = threading.local()
     spectra = np.empty((spec.trials, spec.n))
+    times = np.empty((spec.trials, 2))
     involution = _shared_involution(spec)
+    trials = iter(range(spec.trials))
+    lock = threading.Lock()
+    errors: list = []
 
-    def work(t: int) -> tuple[float, float]:
-        buf = getattr(local, "buf", None)
-        if buf is None:
-            buf = local.buf = np.empty((spec.n, spec.n))
-        start = time.perf_counter()
-        a = product_realization(spec, t, out=buf)
-        solve = time.perf_counter()
-        spectra[t] = _split_solve(a, involution) if involution else eigenvalues(a).eigenvalues
-        return solve - start, time.perf_counter() - solve
+    def work() -> None:
+        # Mapped, not taken from malloc, so the buffer is unmapped when the
+        # worker returns instead of staying in a resident arena heap.
+        buf = np.frombuffer(mmap.mmap(-1, 8 * spec.n * spec.n),
+                            dtype=np.float64).reshape(spec.n, spec.n)
+        while True:
+            with lock:
+                t = None if errors else next(trials, None)
+            if t is None:
+                return
+            try:
+                start = time.perf_counter()
+                a = product_realization(spec, t, out=buf)
+                solve = time.perf_counter()
+                spectra[t] = _split_solve(a, involution) if involution \
+                    else eigenvalues(a).eigenvalues
+                times[t] = solve - start, time.perf_counter() - solve
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
 
-    trials = range(spec.trials)
     workers = 1
     if spec.n >= MIN_THREADED_N:
         workers = max(1, min(usable_cpus() if threads is None else threads, spec.trials))
     if workers == 1:
-        done = [work(t) for t in trials]
+        work()
     else:
-        # Imported here, so a run that never spreads trials never loads it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(work, trials))
+        pool = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    if errors:
+        # Emptied before the raise: a list that kept an error would close a
+        # cycle through its traceback's frames and hold the buffers.
+        del errors[1:]
+        raise errors.pop()
     if stats is not None:
-        realize_s, eigensolve_s = zip(*done)
         stats.workers = workers
         stats.blocks = [spec.n // 2] * 2 if involution else [spec.n]
-        stats.realize_s = sum(realize_s)
-        stats.eigensolve_s = sum(eigensolve_s)
+        stats.realize_s, stats.eigensolve_s = times.sum(axis=0).tolist()
     return spectra
 
 

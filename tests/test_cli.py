@@ -501,28 +501,41 @@ def test_config_hash_is_the_sha256_of_the_canonical_config():
 #: own SHA-256) nor the thread pool (trials below ``spectral.MIN_THREADED_N``
 #: run on the calling thread). A Monte Carlo run loads OpenSSL through
 #: ``numpy.random``, so ``moments`` is held to the thread pool alone.
+#: (command, config, modules it must not load, exit code). Two trials give
+#: the odd-moment bands of the pooled ``verify-table2`` run too little to
+#: pass, so it exits 1 once its report is written.
 LEAN_RUNS = [
     ("check", {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel", "two_k": 4},
-     ("_hashlib", "concurrent.futures")),
-    ("words", {"two_k": 4}, ("_hashlib", "concurrent.futures")),
-    ("pw", {"link": "toeplitz", "words": ["abab"]}, ("_hashlib", "concurrent.futures")),
+     ("_hashlib", "concurrent.futures"), 0),
+    ("check", {"relation": "implies", "link_x": "toeplitz", "link_y": "hankel", "ns": [10],
+               "expected": True}, ("numpy.ma", "concurrent.futures"), 0),
+    ("check", {"relation": "invariance", "link": "toeplitz", "two_k": 4, "n": 10,
+               "transform": {"kind": "usertable", "table": {str(v): 9 - v for v in range(10)}}},
+     ("numpy.ma", "concurrent.futures"), 0),
+    ("words", {"two_k": 4}, ("_hashlib", "concurrent.futures"), 0),
+    ("pw", {"link": "toeplitz", "words": ["abab"]}, ("_hashlib", "concurrent.futures"), 0),
     ("moments", {"link_x": "hankel", "link_y": "revcirc", "n": spectral.MIN_THREADED_N // 5,
-                 "trials": 3}, ("concurrent.futures",)),
+                 "trials": 3}, ("concurrent.futures",), 0),
+    # pooled trials; rows 1 and 2 check both invariance and implies-Wigner
+    ("verify-table2", {"rows": [1, 2], "n": spectral.MIN_THREADED_N, "trials": 2},
+     ("numpy.ma", "concurrent.futures"), 1),
 ]
 
 
-@pytest.mark.parametrize("command,cfg,absent", LEAN_RUNS, ids=[run[0] for run in LEAN_RUNS])
-def test_a_run_loads_no_module_it_does_not_use(tmp_path, command, cfg, absent):
+@pytest.mark.parametrize("command,cfg,absent,exit_code", LEAN_RUNS,
+                         ids=["check", "check-implies", "check-invariance", "words", "pw",
+                              "moments", "verify-table2"])
+def test_a_run_loads_no_module_it_does_not_use(tmp_path, command, cfg, absent, exit_code):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     code = (
         "import sys; from schurlsd.cli import main; "
-        f"code = main({[command, '--config', str(cfg_path), '--seed', '1', '--out', str(tmp_path / 'out')]!r}); "
+        f"code = main({[command, '--config', str(cfg_path), '--seed', '1', '--threads', '2', '--out', str(tmp_path / 'out')]!r}); "
         f"print(code, sorted(m for m in {list(absent)!r} if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == f"{exit_code} []"
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -1,10 +1,11 @@
 """Tests for spectra, moment estimation, KS distance, and histograms."""
 
-import concurrent.futures
+import mmap
 import os
 import sys
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 
 import numpy as np
 import pytest
@@ -181,27 +182,52 @@ def test_eigenvalues_make_no_n_by_n_mask():
     assert _traced_peak(lambda: eigenvalues(a)) < 0.5 * 2**20
 
 
-def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table():
-    # The reused 8 MB realization buffer is the only n x n array numpy
-    # allocates: line factors are views of 2n - 1 values, the gathers and the
-    # finite check work on 64-row blocks or reductions, and LAPACK solves the
-    # buffer in place. Outside numpy's allocator, ``eigvalsh`` would copy the
-    # matrix, which tracemalloc cannot see.
+def _recording_buffers(monkeypatch) -> list:
+    """Log the size of every memory map made while the patch holds, with a
+    weak reference to the map: ``trial_spectra`` maps its trial buffers."""
+    maps = []
+    real = mmap.mmap
+
+    def recording_mmap(*args, **kwargs):
+        mapped = real(*args, **kwargs)
+        maps.append((len(mapped), weakref.ref(mapped)))
+        return mapped
+
+    monkeypatch.setattr(mmap, "mmap", recording_mmap)
+    return maps
+
+
+def _one_unmapped_buffer_per_worker(maps, workers: int, n: int) -> bool:
+    return [size for size, _ in maps] == [8 * n * n] * workers and \
+        all(ref() is None for _, ref in maps)
+
+
+def test_trial_spectra_hold_one_buffer_and_no_n_by_n_table(monkeypatch):
+    # The realization buffer, 8 MB at n = 1000, is a memory map, which
+    # tracemalloc does not see, and it is gone when the call returns. What
+    # numpy allocates beside it stays small: line factors are views of 2n - 1
+    # values, the gathers and the finite check work on 64-row blocks or
+    # reductions, and LAPACK solves the buffer in place. Outside numpy's
+    # allocator, ``eigvalsh`` would copy the matrix, which tracemalloc cannot
+    # see either.
     spec = _spec(n=1000, trials=2)
+    maps = _recording_buffers(monkeypatch)
     value_table.cache_clear()
     try:
         peak = _traced_peak(lambda: trial_spectra(spec, threads=1))
     finally:
         value_table.cache_clear()
-    assert peak < 11 * 2**20
+    assert peak < 2 * 2**20
+    assert _one_unmapped_buffer_per_worker(maps, 1, spec.n)
 
 
 @pytest.mark.parametrize("links", [("symcirc", "revcirc"), ("toeplitz", "symcirc")],
                          ids="*".join)
-def test_split_trial_spectra_hold_one_buffer_and_no_n_by_n_table(links):
+def test_split_trial_spectra_hold_one_buffer_and_no_n_by_n_table(monkeypatch, links):
     # the two half blocks are folded and solved inside the one buffer, so a
     # split trial allocates no block copy beside it
     spec = _spec(link_x=links[0], link_y=links[1], n=1000, trials=2)
+    maps = _recording_buffers(monkeypatch)
     value_table.cache_clear()
     stats = TrialStats()
     try:
@@ -209,7 +235,8 @@ def test_split_trial_spectra_hold_one_buffer_and_no_n_by_n_table(links):
     finally:
         value_table.cache_clear()
     assert stats.blocks == [500, 500]
-    assert peak < 11 * 2**20
+    assert peak < 2 * 2**20
+    assert _one_unmapped_buffer_per_worker(maps, 1, spec.n)
 
 
 def test_trial_spectra_build_no_code_table():
@@ -369,16 +396,24 @@ def pooled(monkeypatch):
 
 
 def _recording_pool(monkeypatch) -> list:
-    """Replace the worker pool with one that logs its ``max_workers``;
-    ``trial_spectra`` imports the pool where it uses it, so the patch goes on
-    ``concurrent.futures``."""
+    """Log the worker threads each ``trial_spectra`` call starts, one count
+    per call: a call starts all of its workers before it joins any."""
     pools = []
+    joined = [True]
 
-    def recording_pool(max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
+    class RecordingThread(threading.Thread):
+        def start(self):
+            if joined[0]:
+                pools.append(0)
+                joined[0] = False
+            pools[-1] += 1
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        def join(self, timeout=None):
+            joined[0] = True
+            super().join(timeout)
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
     return pools
 
 
@@ -454,6 +489,46 @@ def test_trial_spectra_run_serially_below_the_crossover(monkeypatch):
     threaded = trial_spectra(spec, threads=4)
     assert pools == [4]
     assert serial.tobytes() == threaded.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_each_worker_maps_one_buffer_and_unmaps_it(pooled, monkeypatch, threads):
+    spec = _spec(trials=5)
+    maps = _recording_buffers(monkeypatch)
+    stats = TrialStats()
+    trial_spectra(spec, threads=threads, stats=stats)
+    assert stats.workers == threads
+    assert _one_unmapped_buffer_per_worker(maps, threads, spec.n)
+
+
+def test_a_failing_trial_stops_the_other_workers(pooled, monkeypatch):
+    """A NaN planted in trial 0 makes its solve raise. The worker on trial 1
+    finishes it only after the failing worker has returned, then takes no
+    further trial, and the error reaches the caller after the join."""
+    real = spectral.product_realization
+    taken = []
+    failing = []
+    first_taken, second_taken = threading.Event(), threading.Event()
+
+    def planting(spec, trial, out):
+        taken.append(trial)
+        if trial == 0:
+            failing.append(threading.current_thread())
+            first_taken.set()
+            second_taken.wait(10)  # so that the other worker holds trial 1
+            a = real(spec, trial, out=out)
+            a[1, 2] = a[2, 1] = np.nan
+            return a
+        if trial == 1:
+            second_taken.set()
+            first_taken.wait(10)
+            failing[0].join(10)
+        return real(spec, trial, out=out)
+
+    monkeypatch.setattr(spectral, "product_realization", planting)
+    with pytest.raises(ValueError, match="non-finite"):
+        trial_spectra(_spec(trials=6), threads=2)
+    assert sorted(taken) == [0, 1]
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
