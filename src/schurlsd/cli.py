@@ -6,7 +6,8 @@ set their keys in it), writes its reports under the output directory, and
 finishes with a ``manifest.json`` naming the config hash, per-check outcomes,
 and a checksum inventory of every emitted file. Exit status: 0 when all
 configured checks pass, 1 when any fails, 2 for config errors, 3 when an
-exact count would exceed its search budget.
+exact count would exceed its search budget, 4 when the outputs cannot be
+written.
 
 Reproducibility contract: numeric payloads are a pure function of the
 config, which the ``--out`` and ``--threads`` flags never enter, and floats
@@ -1153,6 +1154,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_manifest(ctx: RunContext, wall: float) -> None:
+    """``manifest.json``: the run's config hash, checks, file inventory,
+    wall time, peak memory and environment."""
+    inventory = []
+    for name in sorted(ctx.files):
+        data = (ctx.out_dir / name).read_bytes()
+        inventory.append(
+            {"path": name, "sha256": sha256(data).hexdigest(), "bytes": len(data)}
+        )
+    manifest = {
+        "config_hash": ctx.hash,
+        "version": __version__,
+        "command": ctx.command,
+        "wall_time_s": wall,
+        "peak_rss_mb": _peak_rss_mb(),
+        "passed": all(c.passed for c in ctx.checks),
+        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks],
+        "files": inventory,
+        "environment": _environment(ctx.threads),
+    }
+    if ctx.target_assembly:
+        manifest["target_assembly"] = ctx.target_assembly
+    if ctx.relation_sweeps:
+        manifest["relation_sweeps"] = ctx.relation_sweeps
+    if ctx.mc_products:
+        manifest["mc_products"] = ctx.mc_products
+    _atomic_write(ctx.out_dir / "manifest.json", encode_json(manifest))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -1176,39 +1206,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg.close()
         start = time.perf_counter()
         run()
-        wall = time.perf_counter() - start
+        _write_manifest(ctx, time.perf_counter() - start)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SearchBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-
-    inventory = []
-    for name in sorted(ctx.files):
-        data = (ctx.out_dir / name).read_bytes()
-        inventory.append(
-            {"path": name, "sha256": sha256(data).hexdigest(), "bytes": len(data)}
-        )
-    all_pass = all(c.passed for c in ctx.checks)
-    manifest = {
-        "config_hash": ctx.hash,
-        "version": __version__,
-        "command": ctx.command,
-        "wall_time_s": wall,
-        "peak_rss_mb": _peak_rss_mb(),
-        "passed": all_pass,
-        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks],
-        "files": inventory,
-        "environment": _environment(ctx.threads),
-    }
-    if ctx.target_assembly:
-        manifest["target_assembly"] = ctx.target_assembly
-    if ctx.relation_sweeps:
-        manifest["relation_sweeps"] = ctx.relation_sweeps
-    if ctx.mc_products:
-        manifest["mc_products"] = ctx.mc_products
-    _atomic_write(ctx.out_dir / "manifest.json", encode_json(manifest))
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
 
     for c in ctx.checks:
         line = f"[{'PASS' if c.passed else 'FAIL'}] {c.name}"
@@ -1217,7 +1224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(line)
     n_pass = sum(c.passed for c in ctx.checks)
     print(f"{n_pass}/{len(ctx.checks)} checks passed; manifest: {ctx.out_dir / 'manifest.json'}")
-    return 0 if all_pass else 1
+    return 0 if n_pass == len(ctx.checks) else 1
 
 
 if __name__ == "__main__":

@@ -9,11 +9,17 @@ distribution, n, seed). One value is drawn per distinct link label, in
 ascending canonical label order, from a PCG64 generator; per-trial seeds are
 derived from the master seed with the splitmix-style mixer below, whose
 constants are part of the external interface.
+
+``numpy.random`` is imported on the first realization, with OpenSSL's hash
+module held off (``_pcg64``): nothing here hashes, and OpenSSL's libcrypto
+would add about 3 MB to a run's peak resident memory.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,6 +113,34 @@ def sample_inputs(dist: str, size: int, rng: np.random.Generator) -> np.ndarray:
 DRAW_CHUNK = 2**13
 
 
+_IMPORT_LOCK = threading.Lock()
+
+
+def _pcg64(seed: int) -> np.random.Generator:
+    """A PCG64 generator at ``seed``.
+
+    The first call in a process imports ``numpy.random`` with
+    ``sys.modules["_hashlib"]`` set to None. Its chain ``bit_generator`` ->
+    ``secrets`` -> ``hmac`` -> ``hashlib`` then takes CPython's own digests,
+    and OpenSSL's libcrypto is never mapped; no draw hashes anything. That
+    entry, and any ``hashlib`` or ``hmac`` module the import made, is then
+    removed, so a later ``import hashlib`` gets its OpenSSL backend as before.
+    Where ``numpy.random`` or ``_hashlib`` is loaded already, nothing is held
+    off. The lock keeps a second worker off ``sys.modules`` meanwhile.
+    """
+    with _IMPORT_LOCK:
+        if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+            made = [name for name in ("_hashlib", "hashlib", "hmac")
+                    if name not in sys.modules]
+            sys.modules["_hashlib"] = None
+            try:
+                import numpy.random
+            finally:
+                for name in made:
+                    sys.modules.pop(name, None)
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def _factor_writer(link: str, dist: str, n: int, seed: int,
                    multiply: bool) -> Callable[[np.ndarray, int], None]:
     """``put(block, lo)``: the values of one factor in rows lo, lo + 1, ...
@@ -124,7 +158,7 @@ def _factor_writer(link: str, dist: str, n: int, seed: int,
     lays the values out as a window view of that line, and each block is put
     from that view, so no code table is built.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _pcg64(seed)
     parsed = parse_link(link)
 
     def put(dst: np.ndarray, src: np.ndarray) -> None:

@@ -34,7 +34,7 @@ MAX_MC_ORDER = 8
 
 #: Smallest n at which ``trial_spectra`` spreads trials over threads, kept for
 #: memory: two workers took the peak RSS of an n = 400 ``moments`` run from
-#: 38.8 to 41.4 MB (one more malloc arena and mapped realization buffer).
+#: 36.0 to 38.4 MB (one more malloc arena and mapped realization buffer).
 #: Solves do not compete: a new pool ran at 0.90-1.00x only while the kernel
 #: kept both workers on one CPU, about its first second; pinned workers ran
 #: at 2.0x.

@@ -80,6 +80,19 @@ def test_exit_three_on_budget(tmp_path, capsys):
     assert "resource error" in capsys.readouterr().err
 
 
+def test_exit_four_on_output_error(tmp_path):
+    # --out below a regular file: the output directory cannot be made
+    (tmp_path / "file").write_text("")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"two_k": 4}))
+    argv = [sys.executable, "-m", "schurlsd.cli", "words", "--config", str(cfg_path),
+            "--seed", "1", "--out", str(tmp_path / "file" / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("output error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "command,cfg",
     [
@@ -497,28 +510,31 @@ def test_config_hash_is_the_sha256_of_the_canonical_config():
     assert cli.config_hash("words", cfg) == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-#: Runs that load neither OpenSSL's hash module (digests come from CPython's
-#: own SHA-256) nor the thread pool (trials below ``spectral.MIN_THREADED_N``
-#: run on the calling thread). A Monte Carlo run loads OpenSSL through
-#: ``numpy.random``, so ``moments`` is held to the thread pool alone.
-#: (command, config, modules it must not load, exit code). Two trials give
-#: the odd-moment bands of the pooled ``verify-table2`` run too little to
-#: pass, so it exits 1 once its report is written.
+#: Runs that load neither OpenSSL's hash module nor the thread pool, and runs
+#: that realize no matrix do not load ``numpy.random`` either. Digests
+#: come from CPython's own SHA-256, and ``numpy.random`` is imported with
+#: OpenSSL's hash module held off (``ensemble._pcg64``), so Monte Carlo runs
+#: leave ``_hashlib`` unloaded too; trials below ``spectral.MIN_THREADED_N``
+#: run on the calling thread. (command, config, modules it must not load,
+#: exit code). Two trials give the odd-moment bands of the pooled
+#: ``verify-table2`` run too little to pass, so it exits 1 once its report
+#: is written.
 LEAN_RUNS = [
     ("check", {"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel", "two_k": 4},
-     ("_hashlib", "concurrent.futures"), 0),
+     ("_hashlib", "numpy.random", "concurrent.futures"), 0),
     ("check", {"relation": "implies", "link_x": "toeplitz", "link_y": "hankel", "ns": [10],
-               "expected": True}, ("numpy.ma", "concurrent.futures"), 0),
+               "expected": True}, ("numpy.ma", "numpy.random", "concurrent.futures"), 0),
     ("check", {"relation": "invariance", "link": "toeplitz", "two_k": 4, "n": 10,
                "transform": {"kind": "usertable", "table": {str(v): 9 - v for v in range(10)}}},
-     ("numpy.ma", "concurrent.futures"), 0),
-    ("words", {"two_k": 4}, ("_hashlib", "concurrent.futures"), 0),
-    ("pw", {"link": "toeplitz", "words": ["abab"]}, ("_hashlib", "concurrent.futures"), 0),
+     ("numpy.ma", "numpy.random", "concurrent.futures"), 0),
+    ("words", {"two_k": 4}, ("_hashlib", "numpy.random", "concurrent.futures"), 0),
+    ("pw", {"link": "toeplitz", "words": ["abab"]},
+     ("_hashlib", "numpy.random", "concurrent.futures"), 0),
     ("moments", {"link_x": "hankel", "link_y": "revcirc", "n": spectral.MIN_THREADED_N // 5,
-                 "trials": 3}, ("concurrent.futures",), 0),
+                 "trials": 3}, ("_hashlib", "concurrent.futures"), 0),
     # pooled trials; rows 1 and 2 check both invariance and implies-Wigner
     ("verify-table2", {"rows": [1, 2], "n": spectral.MIN_THREADED_N, "trials": 2},
-     ("numpy.ma", "concurrent.futures"), 1),
+     ("_hashlib", "numpy.ma", "concurrent.futures"), 1),
 ]
 
 

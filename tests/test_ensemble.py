@@ -1,5 +1,8 @@
 """Tests for seeded matrix realizations and the determinism contract."""
 
+import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -327,3 +330,126 @@ def test_product_spec_validation():
     with pytest.raises(ValueError):
         _spec(master_seed=2**64)
 
+
+
+# --- pinned values, drawn through the guarded numpy.random import -------------------------
+
+#: Entries (0, 0), (0, 2), (4, 7) and (11, 11), as ``float.hex``, of trial 0 of
+#: ProductSpec(x, y, d, d, 12, 2014, 1): the PCG64 stream, the splitmix seeds
+#: and the draw order of a streamed wigner factor and of a product of two line
+#: factors, pinned as values rather than against numpy.random in this process.
+PINNED_ENTRIES = {
+    ("wigner", "toeplitz", "rademacher"): (
+        "-0x1.279a74590331cp-2", "0x1.279a74590331cp-2", "-0x1.279a74590331cp-2",
+        "-0x1.279a74590331cp-2"),
+    ("wigner", "toeplitz", "uniform"): (
+        "-0x1.7ac40c0e207e5p-8", "-0x1.25cd43987674bp-3", "0x1.76a619e41256bp-2",
+        "0x1.5113fcdb0267fp-8"),
+    ("wigner", "toeplitz", "gaussian"): (
+        "0x1.71c844eb6a161p-4", "-0x1.1592f203b748fp-8", "0x1.a52d8e807cb59p-5",
+        "-0x1.65ca1b9cb7885p-5"),
+    ("toeplitz", "hankel", "rademacher"): (
+        "-0x1.279a74590331cp-2", "0x1.279a74590331cp-2", "0x1.279a74590331cp-2",
+        "-0x1.279a74590331cp-2"),
+    ("toeplitz", "hankel", "uniform"): (
+        "-0x1.7ac40c0e207e5p-8", "-0x1.25cd43987674bp-3", "-0x1.1b2a2f8f40518p-4",
+        "-0x1.2aaa9b4895044p-4"),
+    ("toeplitz", "hankel", "gaussian"): (
+        "0x1.71c844eb6a161p-4", "-0x1.1592f203b748fp-8", "-0x1.1399a0225c0a8p-4",
+        "0x1.cd55168f5d272p-4"),
+}
+
+#: Realizes every pinned product in a fresh interpreter, after ``prelude``,
+#: and prints each matrix's bytes and whether OpenSSL's hash module is loaded.
+_REALIZE = """
+import json, sys
+{prelude}
+from schurlsd.ensemble import ProductSpec, product_realization
+keys = {keys!r}
+out = [product_realization(ProductSpec(x, y, d, d, 12, 2014, 1), 0).tobytes().hex()
+       for x, y, d in keys]
+print(json.dumps({{"_hashlib": "_hashlib" in sys.modules, "matrices": out}}))
+"""
+
+
+def _realize_fresh(prelude: str = "") -> tuple[bool, dict]:
+    keys = list(PINNED_ENTRIES)
+    code = _REALIZE.format(prelude=prelude, keys=keys)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    matrices = {key: np.frombuffer(bytes.fromhex(blob)).reshape(12, 12)
+                for key, blob in zip(keys, result["matrices"])}
+    return result["_hashlib"], matrices
+
+
+def test_pinned_entries_through_the_guarded_import():
+    hashlib_loaded, matrices = _realize_fresh()
+    assert not hashlib_loaded
+    for key, entries in PINNED_ENTRIES.items():
+        got = tuple(matrices[key][i, j].hex() for i, j in ((0, 0), (0, 2), (4, 7), (11, 11)))
+        assert got == entries, key
+
+
+def test_hashlib_imported_first_gives_the_same_bytes():
+    _, guarded = _realize_fresh()
+    hashlib_loaded, plain = _realize_fresh("import hashlib")
+    assert hashlib_loaded
+    for key in PINNED_ENTRIES:
+        assert guarded[key].tobytes() == plain[key].tobytes(), key
+
+
+def test_workers_that_start_together_share_one_guarded_import():
+    """More first realizations at once than there are cores, switching
+    threads every microsecond: each waits for the one guarded import, so
+    none sees a half-imported numpy.random, and OpenSSL stays unloaded."""
+    code = """
+import json, sys, threading
+from schurlsd.ensemble import ProductSpec, product_realization
+sys.setswitchinterval(1e-6)
+spec = ProductSpec("wigner", "toeplitz", "gaussian", "gaussian", 12, 2014, 1)
+start, out, errors = threading.Barrier(8), [], []
+def work():
+    start.wait()
+    try:
+        out.append(product_realization(spec, 0))
+    except Exception as exc:
+        errors.append(repr(exc))
+workers = [threading.Thread(target=work) for _ in range(8)]
+for w in workers:
+    w.start()
+for w in workers:
+    w.join(timeout=60)
+print(json.dumps({"alive": sum(w.is_alive() for w in workers), "errors": errors,
+                  "matrices": sorted({a.tobytes().hex() for a in out}), "done": len(out),
+                  "_hashlib": "_hashlib" in sys.modules}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["alive"] == 0 and result["errors"] == []
+    assert result["done"] == 8 and len(result["matrices"]) == 1
+    first = np.frombuffer(bytes.fromhex(result["matrices"][0]))[0]
+    assert first.hex() == PINNED_ENTRIES["wigner", "toeplitz", "gaussian"][0]
+    assert not result["_hashlib"]
+
+
+def test_the_guard_leaves_hashlib_its_openssl_backend():
+    pytest.importorskip("_hashlib")
+    code = """
+import sys
+from schurlsd.ensemble import ProductSpec, product_realization
+product_realization(ProductSpec("wigner", "toeplitz", "gaussian", "gaussian", 12, 2014, 1), 0)
+assert "_hashlib" not in sys.modules
+assert "hashlib" not in sys.modules and "hmac" not in sys.modules
+import hashlib, hmac
+assert sys.modules["_hashlib"] is not None
+assert hashlib.sha256 is sys.modules["_hashlib"].openssl_sha256
+assert hmac._hashopenssl is sys.modules["_hashlib"]
+print(hashlib.sha256(b"x").hexdigest())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881")
