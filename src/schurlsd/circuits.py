@@ -278,6 +278,17 @@ def _count_constrained(words, systems, n: int) -> int:
     return _enumerate(cheapest, systems, n)
 
 
+def _check_budget(n: int, free_vertices: int) -> None:
+    """``SearchBudgetError`` when a walk over ``free_vertices`` vertices in
+    1..n would exceed ``NODE_BUDGET`` search nodes."""
+    est = float(n) ** free_vertices
+    if est > NODE_BUDGET:
+        raise SearchBudgetError(
+            f"estimated {est:.3g} search nodes at n={n} with "
+            f"{free_vertices} free vertices exceed budget {NODE_BUDGET:.0g}"
+        )
+
+
 def _enumerate(words, systems, n: int) -> int:
     """Count the circuits of one word tuple by walking its positions in order.
 
@@ -289,12 +300,7 @@ def _enumerate(words, systems, n: int) -> int:
     """
     h = words[0].h
     _, plans, bounds, last, free_positions = _plan(words, systems, n)
-    est = float(n) ** (1 + free_positions)
-    if est > NODE_BUDGET:
-        raise SearchBudgetError(
-            f"estimated {est:.3g} search nodes at n={n} with "
-            f"{free_positions + 1} free vertices exceed budget {NODE_BUDGET:.0g}"
-        )
+    _check_budget(n, free_positions + 1)
 
     def step(frontier, pos):
         acts = plans[pos - 1]
@@ -735,8 +741,13 @@ def check_invariance_containment(link, composed, two_k: int, n: int) -> Invarian
     otherwise. For every word the base class must be contained in the
     composed class (joint count equals base count); when the function is
     injective the classes coincide and the plain counts agree too.
+
+    ``SearchBudgetError`` before any table is built when the counts would
+    exceed the budget: a pair-matched word of length 2k has k + 1 free
+    vertices.
     """
     _sweep_order(two_k)
+    _check_budget(n, two_k // 2 + 1)
     base, composed = _as_link(link), _as_link(composed)
     codes_b, k_b = value_table(base, n)
     codes_c, k_c = value_table(composed, n)

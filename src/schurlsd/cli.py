@@ -154,6 +154,10 @@ SEMICIRCLE_BANDS = {2: 0.05, 4: 0.15, 6: 0.6}
 KS_MAX = 0.05
 #: Standard errors in the band of every other Table 2 moment gate.
 Z_MAX = 3.0
+#: Limit law -> its absolute even-moment bands by order, and the CDF its
+#: pooled ESD is KS-gated against with the most distance allowed. A law
+#: without an entry gets ``Z_MAX`` bands on every moment and no KS gate.
+LAW_GATES = {"semicircle": (SEMICIRCLE_BANDS, semicircle_cdf, KS_MAX)}
 
 #: Absolute slack added to every standard-error band; keeps exact-by-
 #: construction cases (Rademacher beta_2 has zero variance) from failing
@@ -380,9 +384,22 @@ def _parse_table_value(key: str, raw):
 
 @dataclass
 class CheckResult:
+    """A check's verdict and detail and, for a gate, the numbers the verdict
+    was computed from (``RunContext.gate``), with the z score and degrees of
+    freedom of the gated moment estimate; ``None`` where a field does not
+    apply. Only ``manifest.json`` holds the numbers."""
+
     name: str
     passed: bool
     detail: str = ""
+    value: Optional[float] = None
+    target: Optional[float] = None
+    band: Optional[float] = None
+    z: Optional[float] = None
+    df: Optional[int] = None
+
+    def report(self) -> dict:
+        return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
 @dataclass
@@ -424,6 +441,15 @@ class RunContext:
     def check(self, name: str, passed: bool, detail: str = "") -> bool:
         self.checks.append(CheckResult(name, bool(passed), detail))
         return bool(passed)
+
+    def gate(self, name: str, value: float, target: float, band: float, detail: str,
+             m=None, upper: bool = False) -> None:
+        """Check that ``value`` lies within ``band`` of ``target``, or at most
+        ``band`` above it when ``upper``, and record these numbers; ``m``, the
+        moment estimate gated if any, gives the z score and df."""
+        passed = bool(value <= target + band if upper else abs(value - target) <= band)
+        z, df = (None, None) if m is None else (_z(m, target), m.trials - 1)
+        self.checks.append(CheckResult(name, passed, detail, value, target, band, z, df))
 
     def sweep(self, kind: str, links: list, run: Callable):
         """Run one relation or invariance sweep and log its size and wall time:
@@ -528,6 +554,12 @@ def _invariance_json(rep: InvarianceReport) -> dict:
     }
 
 
+def _z(m, target: float) -> Optional[float]:
+    """Standard errors from ``target`` to moment estimate ``m``; None when
+    its stderr is roundoff."""
+    return (m.mean - target) / m.stderr if m.stderr > BAND_EPS else None
+
+
 def _moment_json(m, target: Optional[float]) -> dict:
     entry = {
         "h": m.h,
@@ -539,7 +571,7 @@ def _moment_json(m, target: Optional[float]) -> dict:
     }
     if target is not None:
         entry["target"] = target
-        entry["z"] = (m.mean - target) / m.stderr if m.stderr > BAND_EPS else None
+        entry["z"] = _z(m, target)
     return entry
 
 
@@ -552,22 +584,6 @@ def _moment_target(targets: dict, h: int) -> Optional[float]:
     return targets[h]["value"] if h in targets else (0.0 if h % 2 else None)
 
 
-def _z_band(z_max: float, m, base: float = 0.0) -> float:
-    """``base`` plus z_max standard errors of moment estimate ``m`` plus
-    ``BAND_EPS``, added in that order by every z gate."""
-    return base + z_max * m.stderr + BAND_EPS
-
-
-def _target_gate(ctx: RunContext, name: str, m, target: float, z_max: float) -> None:
-    """Gate a moment estimate on a z_max-standard-error band around its target."""
-    band = _z_band(z_max, m)
-    ctx.check(
-        name,
-        abs(m.mean - target) <= band,
-        f"estimate {_fmt(m.mean)}, target {_fmt(target)}, band {_fmt(band)}",
-    )
-
-
 def _relation_gate(ctx: RunContext, name: str, kind: str, link_x: str, link_y: str,
                    two_k: int) -> dict:
     """Sweep relation ``kind`` on a link pair, gate ``name`` on every entry
@@ -576,8 +592,8 @@ def _relation_gate(ctx: RunContext, name: str, kind: str, link_x: str, link_y: s
     relation = check_compatible if kind == "compatible" else check_leadsto_wigner
     rep = ctx.sweep(kind, [link_x, link_y], lambda: relation(link_x, link_y, two_k))
     unit = "word pairs" if kind == "compatible" else "words"
-    ctx.check(name, rep.all_pass,
-              f"{sum(e.passed for e in rep.entries)}/{len(rep.entries)} {unit} pass")
+    passing, total = sum(e.passed for e in rep.entries), len(rep.entries)
+    ctx.gate(name, passing, total, 0, f"{passing}/{total} {unit} pass")
     return _relation_json(rep)
 
 
@@ -588,8 +604,8 @@ def _invariance_gate(ctx: RunContext, name: str, link: str, composed: LinkFuncti
     report."""
     rep = ctx.sweep("invariance", [link, link_name(composed)],
                     lambda: check_invariance_containment(link, composed, two_k, n))
-    ctx.check(name, rep.all_subset,
-              f"{sum(e.subset_ok for e in rep.entries)}/{len(rep.entries)} words contained")
+    contained, total = sum(e.subset_ok for e in rep.entries), len(rep.entries)
+    ctx.gate(name, contained, total, 0, f"{contained}/{total} words contained")
     return _invariance_json(rep)
 
 
@@ -753,7 +769,7 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
         }
         report["ks_semicircle"] = ks
         if ks_max is not None:
-            ctx.check("spectrum:ks", ks <= ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
+            ctx.gate("spectrum:ks", ks, 0.0, ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
         if eigenvalues_csv:
             rows = np.column_stack([np.repeat(np.arange(spec.trials), spec.n), spectra.ravel()])
             buf = io.StringIO()
@@ -787,7 +803,9 @@ def cmd_moments(ctx: RunContext) -> Callable[[], None]:
             target = _moment_target(targets, m.h)
             entries.append(_moment_json(m, target))
             if z_max is not None and target is not None:
-                _target_gate(ctx, f"moments:h{m.h}", m, target, z_max)
+                band = z_max * m.stderr + BAND_EPS
+                ctx.gate(f"moments:h{m.h}", m.mean, target, band,
+                         f"estimate {_fmt(m.mean)}, target {_fmt(target)}, band {_fmt(band)}", m)
 
         report = dict(ctx.header())
         report["limit"] = limit
@@ -903,7 +921,9 @@ def cmd_check(ctx: RunContext) -> Callable[[], None]:
             except TransformError as exc:
                 raise ConfigError(f"config key 'transform': {exc}") from exc
             if require_equal:
-                ctx.check(f"{name}:equal", rep["all_equal"], f"injective={rep['injective']}")
+                equal = sum(e["counts_equal"] for e in rep["entries"])
+                ctx.gate(f"{name}:equal", equal, len(rep["entries"]), 0,
+                         f"injective={rep['injective']}")
             return {"report": rep}
 
     def run() -> None:
@@ -950,6 +970,7 @@ def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict],
 
     def product(row: int, x: str, y: str, limit: str, targets: dict) -> dict:
         tag = f"row{row}:{x}*{y}"
+        bands, cdf, ks_max = LAW_GATES.get(limit, ({}, None, None))
         seed = stream_seed(ctx.seed, all_products.index((x, y)))
         spec = ProductSpec(
             link_x=x, link_y=y, dist_x=dist_x, dist_y=dist_y,
@@ -957,8 +978,7 @@ def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict],
         )
 
         def reduce(spectra: np.ndarray):
-            ks = (ks_distance(spectra, semicircle_cdf)
-                  if limit == "semicircle" else None)
+            ks = ks_distance(spectra, cdf) if cdf is not None else None
             return moments_from_spectra(spectra, spectral.MAX_MC_ORDER), ks
 
         moments, ks = ctx.monte_carlo(spec, reduce)
@@ -974,38 +994,27 @@ def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict],
             "moments": [_moment_json(m, _moment_target(targets, m.h)) for m in moments],
         }
 
-        if limit == "semicircle":
-            entry["ks_semicircle"] = ks
-            for two_k, tol in SEMICIRCLE_BANDS.items():
-                m = by_h[two_k]
-                t = _moment_target(targets, two_k)
-                ctx.check(
-                    f"{tag}:beta{two_k}",
-                    abs(m.mean - t) <= tol,
-                    f"estimate {_fmt(m.mean)}, target {_fmt(t)}, tol {tol}",
-                )
-            ctx.check(f"{tag}:ks", ks <= KS_MAX, f"KS {_fmt(ks)} vs max {KS_MAX}")
-        else:
-            for two_k in (2, 4, 6):
-                _target_gate(ctx, f"{tag}:beta{two_k}", by_h[two_k],
-                             _moment_target(targets, two_k), Z_MAX)
+        for two_k in (2, 4, 6):
+            m, t = by_h[two_k], _moment_target(targets, two_k)
+            band = bands.get(two_k, Z_MAX * m.stderr + BAND_EPS)
+            spread = f"tol {band}" if two_k in bands else f"band {_fmt(band)}"
+            ctx.gate(f"{tag}:beta{two_k}", m.mean, t, band,
+                     f"estimate {_fmt(m.mean)}, target {_fmt(t)}, {spread}", m)
+        if cdf is not None:
+            entry[f"ks_{limit}"] = ks
+            ctx.gate(f"{tag}:ks", ks, 0.0, ks_max, f"KS {_fmt(ks)} vs max {ks_max}")
 
         for h in (1, 3, 5):
             m = by_h[h]
-            band = _z_band(Z_MAX, m)
-            ctx.check(
-                f"{tag}:odd{h}",
-                abs(m.mean) <= band,
-                f"estimate {_fmt(m.mean)}, band {_fmt(band)}",
-            )
+            band = Z_MAX * m.stderr + BAND_EPS
+            ctx.gate(f"{tag}:odd{h}", m.mean, 0.0, band,
+                     f"estimate {_fmt(m.mean)}, band {_fmt(band)}", m)
         for two_k in range(2, spectral.MAX_MC_ORDER + 1, 2):
             m = by_h[two_k]
             bound = moment_bound(two_k, delta)
-            ctx.check(
-                f"{tag}:bound{two_k}",
-                m.mean <= _z_band(Z_MAX, m, bound),
-                f"estimate {_fmt(m.mean)} vs bound {bound} (delta {delta})",
-            )
+            ctx.gate(f"{tag}:bound{two_k}", m.mean, bound, Z_MAX * m.stderr + BAND_EPS,
+                     f"estimate {_fmt(m.mean)} vs bound {bound} (delta {delta})", m,
+                     upper=True)
         return entry
 
     return product
@@ -1059,9 +1068,7 @@ def cmd_verify_table2(ctx: RunContext) -> Callable[[], None]:
         report = dict(ctx.header())
         report["rows"] = row_reports
         report["products"] = product_reports
-        report["checks"] = [
-            {"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks
-        ]
+        report["checks"] = [c.report() for c in ctx.checks]
         report["all_pass"] = all(c.passed for c in ctx.checks)
         ctx.emit_json("verify_table2_report.json", report)
 
@@ -1170,7 +1177,8 @@ def _write_manifest(ctx: RunContext, wall: float) -> None:
         "wall_time_s": wall,
         "peak_rss_mb": _peak_rss_mb(),
         "passed": all(c.passed for c in ctx.checks),
-        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in ctx.checks],
+        "checks": [{**c.report(), "value": c.value, "target": c.target, "band": c.band,
+                    "z": c.z, "df": c.df} for c in ctx.checks],
         "files": inventory,
         "environment": _environment(ctx.threads),
     }

@@ -80,6 +80,31 @@ def test_exit_three_on_budget(tmp_path, capsys):
     assert "resource error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("check", {"relation": "invariance", "link": "wigner",
+                   "transform": {"kind": "coprimepower", "a": 2, "b": 3}, "two_k": 4,
+                   "n": 1_000_000}),
+        ("check", {"relation": "invariance", "link": "toeplitz", "transform": {"kind": "square"},
+                   "two_k": 4, "n": 1_000_000}),
+        ("verify-table2", {"rows": [1], "mc": False, "invariance_ns": [1_000_000]}),
+    ],
+    ids=["check-wigner", "check-toeplitz", "verify-table2"],
+)
+def test_invariance_over_the_node_budget_exits_three_before_any_table(
+        tmp_path, capsys, monkeypatch, command, cfg):
+    # Tables at n = 10^6 would take terabytes; the sweep must refuse first.
+    def no_table(*args):
+        raise AssertionError("a code table was built")
+
+    monkeypatch.setattr(circuits, "value_table", no_table)
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource error: ")
+    assert not out.exists()
+
+
 def test_exit_four_on_output_error(tmp_path):
     # --out below a regular file: the output directory cannot be made
     (tmp_path / "file").write_text("")
@@ -998,6 +1023,116 @@ def test_verify_rows_flag_and_validation(tmp_path):
     code = main(["verify-table2", "--config", str(cfg_path), "--seed", "1",
                  "--out", str(tmp_path / "o"), "--rows", "x"])
     assert code == 2
+
+
+# --- gate records ----------------------------------------------------------------------
+
+
+GATE_FIELDS = ("value", "target", "band", "z", "df")
+
+#: One run of every command that gates: (command, config, report file).
+GATE_RUNS = {
+    "verify-table2": ({"n": 64, "trials": 2}, "verify_table2_report.json"),
+    "moments": ({"link_x": "wigner", "link_y": "toeplitz", "n": 64, "trials": 3, "z_max": 3},
+                "moments_report.json"),
+    "spectrum": ({"link_x": "wigner", "link_y": "toeplitz", "n": 64, "trials": 2,
+                  "ks_max": 0.05}, "spectrum_report.json"),
+    "compatible": ({"relation": "compatible", "link_x": "toeplitz", "link_y": "hankel",
+                    "two_k": 4}, "check_report.json"),
+    "invariance": ({"relation": "invariance", "link": "toeplitz", "transform": {"kind": "square"},
+                    "two_k": 4, "n": 10, "require_equal": True}, "check_report.json"),
+    "implies": ({"relation": "implies", "link_x": "toeplitz", "link_y": "hankel", "ns": [10],
+                 "expected": True}, "check_report.json"),
+}
+
+
+@pytest.fixture(scope="module")
+def gate_runs(tmp_path_factory):
+    """Run name -> (manifest, report) of each of ``GATE_RUNS``."""
+    runs = {}
+    for name, (cfg, report) in GATE_RUNS.items():
+        tmp = tmp_path_factory.mktemp(name)
+        command = "check" if "relation" in cfg else name
+        code, out = run_cli(tmp, command, cfg, seed=1)
+        assert code in (0, 1), name
+        runs[name] = read_json(out, "manifest.json"), read_json(out, report)
+    return runs
+
+
+def _all_checks(gate_runs):
+    return [c for manifest, _ in gate_runs.values() for c in manifest["checks"]]
+
+
+def test_every_manifest_check_records_the_gate_fields(gate_runs):
+    for check in _all_checks(gate_runs):
+        assert list(check) == ["name", "pass", "detail", *GATE_FIELDS], check["name"]
+    assert len(gate_runs["verify-table2"][0]["checks"]) == 196
+
+
+def test_every_banded_check_gives_back_its_verdict(gate_runs):
+    """|value - target| <= band decides a two-sided gate; value <= target +
+    band decides a ceiling, and only the moment-bound gates are ceilings."""
+    banded = [c for c in _all_checks(gate_runs) if c["band"] is not None]
+    kinds = {c["name"].rsplit(":", 1)[-1].rstrip("0123456789") for c in banded}
+    assert kinds >= {"beta", "ks", "odd", "bound", "leadsto", "compatible", "h", "subset",
+                     "equal", "invariance@n="}
+    for c in banded:
+        if ":bound" in c["name"]:
+            assert c["pass"] == (c["value"] <= c["target"] + c["band"]), c
+        else:
+            assert c["pass"] == (abs(c["value"] - c["target"]) <= c["band"]), c
+    # relation and invariance gates count the passing entries against all of them
+    counted = [c for c in banded if c["df"] is None and not c["name"].endswith(":ks")]
+    # verify-table2: 18 invariance, 11 leadsto, 6 compatible; check: 1 and 2
+    assert len(counted) == 35 + 1 + 2
+    for c in counted:
+        assert c["band"] == 0 and isinstance(c["value"], int) and c["value"] <= c["target"], c
+
+
+def test_implies_records_no_numbers(gate_runs):
+    (check,) = gate_runs["implies"][0]["checks"]
+    assert check["name"].startswith("implies:")
+    assert [check[k] for k in GATE_FIELDS] == [None] * 5
+
+
+def test_a_gated_moments_z_matches_the_report(gate_runs):
+    manifest, report = gate_runs["verify-table2"]
+    products = {f"row{p['row']}:{p['link_x']}*{p['link_y']}": p for p in report["products"]}
+    gated = 0
+    for check in manifest["checks"]:
+        tag, _, gate = check["name"].rpartition(":")
+        if gate.startswith(("beta", "odd")):
+            h = int(gate.lstrip("betaod"))
+            (moment,) = [m for m in products[tag]["moments"] if m["h"] == h]
+            assert check["z"] == moment["z"] and check["df"] == moment["trials"] - 1 == 1
+            gated += 1
+    assert gated == 15 * 6
+    manifest, report = gate_runs["moments"]
+    by_h = {m["h"]: m for m in report["moments"]}
+    for check in manifest["checks"]:
+        assert check["z"] == by_h[int(check["name"].removeprefix("moments:h"))]["z"]
+    assert len(manifest["checks"]) == 6
+
+
+def test_report_checks_hold_only_name_pass_and_detail(gate_runs):
+    manifest, report = gate_runs["verify-table2"]
+    assert [list(c) for c in report["checks"]] == [["name", "pass", "detail"]] * 196
+    assert report["checks"] == [
+        {k: c[k] for k in ("name", "pass", "detail")} for c in manifest["checks"]
+    ]
+
+
+def test_gate_passes_a_value_on_the_band_edge(tmp_path):
+    ctx = cli.RunContext("check", cli.Config("check", {}), tmp_path, 1, 0, "")
+    ctx.gate("above", 1.5, 1.0, 0.5, "")
+    ctx.gate("below", 0.5, 1.0, 0.5, "")
+    ctx.gate("ceiling", 1.5, 1.0, 0.5, "", upper=True)
+    ctx.gate("under the ceiling", -4.0, 1.0, 0.5, "", upper=True)
+    ctx.gate("past", np.nextafter(1.5, 2.0), 1.0, 0.5, "")
+    ctx.gate("past the ceiling", np.nextafter(1.5, 2.0), 1.0, 0.5, "", upper=True)
+    ctx.gate("two-sided below", -4.0, 1.0, 0.5, "")
+    assert [c.passed for c in ctx.checks] == [True] * 4 + [False] * 3
+    assert all(c.z is None and c.df is None for c in ctx.checks)
 
 
 # --- float formatting ------------------------------------------------------------------------

@@ -46,7 +46,8 @@ def test_every_exported_name_exists(short):
      ("oracle", "MomentSequence"), ("oracle", "semicircle_moments"),
      ("spectral", "moment_from_spectrum"), ("ensemble", "realize"),
      ("circuits", "exact_limit"), ("circuits", "joint_limit"), ("spectral", "ESD"),
-     ("ensemble", "SIGN_BLOCK"), ("linkfn", "is_injective_on_range")],
+     ("ensemble", "SIGN_BLOCK"), ("linkfn", "is_injective_on_range"), ("cli", "_z_band"),
+     ("cli", "_target_gate")],
 )
 def test_ladder_and_test_only_code_is_gone(short, name):
     assert not hasattr(importlib.import_module(f"schurlsd.{short}"), name)
