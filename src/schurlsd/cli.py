@@ -831,6 +831,16 @@ def cmd_pw(ctx: RunContext) -> Callable[[], None]:
             f"got {links[0]!r}"
         )
 
+    def pw_word(text) -> Word:
+        # A letter met once is a lone mean-zero input: such a word adds nothing
+        # to any moment, and its class count outgrows every limit's scaling.
+        w = cfg_word("words", text)
+        once = next((c for c in text if text.count(c) == 1), None)
+        if once is not None:
+            raise ConfigError(f"config key 'words': letter {once!r} occurs once in {text!r}; "
+                              "every letter must occur at least twice")
+        return w
+
     if "words" in cfg:
         raw_words = cfg.value("words", "list")
         if not raw_words:
@@ -840,9 +850,9 @@ def cmd_pw(ctx: RunContext) -> Callable[[], None]:
             if isinstance(item, list):
                 if not joint or len(item) != 2:
                     raise ConfigError(f"config key 'words': bad entry {item!r}")
-                jobs.append(tuple(cfg_word("words", x) for x in item))
+                jobs.append(tuple(pw_word(x) for x in item))
             else:
-                w = cfg_word("words", item)
+                w = pw_word(item)
                 if variant == "prime" and not is_pair_matched(w):
                     raise ConfigError(
                         f"config key 'words': variant 'prime' needs pair-matched words, "

@@ -2,7 +2,9 @@
 
 Realizations are plain float64 arrays: ``product_realization`` returns the
 Schur product of one trial's two patterned factors, scaled by n^(-1/2), which
-is what the eigensolver takes.
+is what the eigensolver takes. The product is symmetric, and its upper
+triangle (cells (i, j) with j >= i) is the matrix: cells below the diagonal
+are unspecified, as ``spectral.eigenvalues`` reads only the upper triangle.
 
 Determinism contract: a realization is a pure function of (link, input
 distribution, n, seed). One value is drawn per distinct link label, in
@@ -151,12 +153,13 @@ def _factor_writer(link: str, dist: str, n: int, seed: int,
     ``seed``. A factor whose ``table_base`` is wigner has codes 0, 1, ..., k - 1
     along the upper triangle in row-major order, so the draws of a block's
     upper cells are the next part of its stream: they are drawn in chunks of
-    whole rows of at most ``DRAW_CHUNK`` values and put row by row, and the
-    block's diagonal square is then mirrored, so neither its code table nor
-    its k draws are ever whole. Any other factor draws its k <= 2n - 1 values
-    at once; ``linkfn.line_values`` reads k off the link's line of codes and
-    lays the values out as a window view of that line, and each block is put
-    from that view, so no code table is built.
+    whole rows of at most ``DRAW_CHUNK`` values and put row by row, so
+    neither its code table nor its k draws are ever whole. The cells below
+    the diagonal of the block's square are left as they are. Any other factor
+    draws its k <= 2n - 1 values at once; ``linkfn.line_values`` reads k off
+    the link's line of codes and lays the values out as a window view of
+    that line, and each block is put from that view, so no code table is
+    built.
     """
     rng = _pcg64(seed)
     parsed = parse_link(link)
@@ -190,10 +193,6 @@ def _factor_writer(link: str, dist: str, n: int, seed: int,
                 put(block[i, i:], draws[start:stop])
                 start = stop
             r = s
-        # Below the diagonal of the block's m x m square, mirror its upper cells
-        # (as Y, the cells there hold X alone until then).
-        square = block[:, :m]
-        np.copyto(square, square.T, where=np.tri(m, m, -1, dtype=bool))
 
     return stream
 
@@ -231,23 +230,25 @@ class ProductSpec:
 def product_realization(
     spec: ProductSpec, trial: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Scaled Schur product n^(-1/2) (X o Y) for one trial.
+    """Scaled Schur product n^(-1/2) (X o Y) for one trial, as its upper
+    triangle: cells (i, j) with j >= i hold the matrix, and the cells below
+    the diagonal are unspecified.
 
     Written into ``out`` (a C-contiguous n x n float64 array, which a caller
-    reuses across trials) when given, else into a new array. Each block of
-    ``BLOCK_ROWS`` rows is formed in place on the columns from its first row
-    on, by the same IEEE steps as the whole matrix would be: X, times Y, times
-    ``n ** -0.5``. The strict lower triangle left of the block is then copied
-    from the finished rows above; as X and Y are symmetric, each cell holds the
-    bits it would have had if it were formed itself. A wigner factor's draws
-    stream into the block in small chunks and Y is multiplied in as it is
-    drawn or read (``_factor_writer``), so no n x n code table, no k-long
-    draw vector and no copy of Y's rows is made: ``out`` is the only large
-    array.
+    reuses across trials) when given, else into a new zeroed array. Each
+    block of ``BLOCK_ROWS`` rows is formed in place on the columns from its
+    first row on, by the same IEEE steps as the whole matrix would be: X,
+    times Y, times ``n ** -0.5``. Nothing is written left of a block, so the
+    cells left of each block's diagonal square are never touched, and their
+    pages of a fresh mapped or zeroed buffer never become resident. A wigner
+    factor's draws stream into the block in small chunks and Y is multiplied
+    in as it is drawn or read (``_factor_writer``), so no n x n code table,
+    no k-long draw vector and no copy of Y's rows is made: ``out`` is the
+    only large array.
     """
     n = spec.n
     if out is None:
-        out = np.empty((n, n))
+        out = np.zeros((n, n))
     elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous {n} x {n} float64 array")
     put_x = _factor_writer(spec.link_x, spec.dist_x, n,
@@ -260,5 +261,4 @@ def product_realization(
         put_x(block, lo)
         times_y(block, lo)
         block *= scale
-        out[lo : lo + BLOCK_ROWS, :lo] = out[:lo, lo : lo + BLOCK_ROWS].T
     return out

@@ -803,6 +803,26 @@ def test_a_link_whose_transform_is_undefined_on_its_base_exits_two(tmp_path, cap
     assert "config error" in err and "undefined" in err
 
 
+@pytest.mark.parametrize("cfg,word,letter", [
+    ({"link": "toeplitz", "words": ["abc"]}, "abc", "a"),
+    ({"link": "toeplitz", "words": ["abab", "aabc"]}, "aabc", "b"),
+    ({"link": "toeplitz", "variant": "prime", "words": ["xyxz"]}, "xyxz", "y"),
+    ({"link_x": "toeplitz", "link_y": "hankel", "words": ["aab"]}, "aab", "b"),
+    ({"link_x": "toeplitz", "link_y": "hankel", "words": [["abab", "abcc"]]}, "abcc", "a"),
+    ({"link_x": "toeplitz", "link_y": "hankel", "words": [["zzyx", "aabb"]]}, "zzyx", "y"),
+], ids=["single", "single_second", "prime", "joint_word", "joint_pair_second",
+        "joint_pair_first"])
+def test_pw_refuses_a_word_with_a_letter_that_occurs_once(tmp_path, capsys, cfg, word, letter):
+    # such a word adds nothing to a mean-zero moment: its count diverges
+    # (toeplitz "abc" ran out of fitting points, "aabc" fitted a meaningless 3/2)
+    code, out = run_cli(tmp_path, "pw", cfg)
+    assert code == 2
+    assert not (out / "pw_report.json").exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and "'words'" in err
+    assert f"letter {letter!r} occurs once in {word!r}" in err
+
+
 def test_pw_rejects_prime_for_joint(tmp_path):
     cfg = {"link_x": "toeplitz", "link_y": "hankel", "variant": "prime", "two_k": 4}
     code, _ = run_cli(tmp_path, "pw", cfg)

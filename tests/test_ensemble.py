@@ -26,6 +26,12 @@ from schurlsd.spectral import eigenvalues
 ALL_LINKS = ("wigner", "toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")
 
 
+def upper(a: np.ndarray) -> bytes:
+    """The bytes of ``a`` with the cells below its diagonal zeroed: a
+    realization is its upper triangle, and the cells below are unspecified."""
+    return np.triu(a).tobytes()
+
+
 def realize(link: str, dist: str, n: int, seed: int) -> np.ndarray:
     """One unscaled patterned matrix as an n x n float64 array.
 
@@ -198,13 +204,13 @@ def test_pair_streams_are_independent_of_each_other():
     for link_y in ("hankel", "revcirc"):
         y = realize(link_y, spec.dist_y, spec.n, child_seed(3, "Y", 1))
         m = product_realization(_spec(link_y=link_y), trial=1)
-        assert np.array_equal(m, x * y * spec.n ** -0.5)
+        assert upper(m) == upper(x * y * spec.n ** -0.5)
 
 
 @pytest.mark.parametrize("link_x", ALL_LINKS)
 def test_product_realization_into_a_reused_buffer_is_bitwise_fresh(link_x):
-    """Row blocks written into a reused buffer give the bits of the whole-matrix
-    steps: X, times Y, times n ** -0.5."""
+    """Row blocks written into a reused buffer give the upper triangle of the
+    whole-matrix steps, bitwise: X, times Y, times n ** -0.5."""
     n = 2 * BLOCK_ROWS + 22  # two full row blocks and a partial one
     link_y = ALL_LINKS[(ALL_LINKS.index(link_x) + 1) % len(ALL_LINKS)]
     spec = _spec(link_x=link_x, link_y=link_y, dist_x="gaussian", dist_y="uniform", n=n)
@@ -215,8 +221,8 @@ def test_product_realization_into_a_reused_buffer_is_bitwise_fresh(link_x):
         x = realize(link_x, "gaussian", n, child_seed(spec.master_seed, "X", trial))
         x *= realize(link_y, "uniform", n, child_seed(spec.master_seed, "Y", trial))
         x *= n ** -0.5
-        assert got.tobytes() == x.tobytes()
-        assert product_realization(spec, trial).tobytes() == x.tobytes()
+        assert upper(got) == upper(x)
+        assert upper(product_realization(spec, trial)) == upper(x)
 
 
 #: (link_x, link_y) with a factor built on wigner: as X, as Y, as both, and
@@ -231,8 +237,8 @@ WIGNER_PRODUCTS = [("wigner", "toeplitz"), ("hankel", "wigner"), ("wigner", "wig
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 200])
 def test_streamed_wigner_draws_are_bitwise_the_gathered_ones(link_x, link_y, dist, n):
     """A wigner factor's draws, streamed block by block into the upper
-    triangle and mirrored, give the bits of one draw per code gathered
-    through the dense code table (n = 63, 64, 65, 129 and 200 end the matrix
+    triangle, give the bits of one draw per code gathered there through the
+    dense code table (n = 63, 64, 65, 129 and 200 end the matrix
     inside, at and past a 64-row block)."""
     _assert_streamed_is_gathered(link_x, link_y, dist, n)
 
@@ -244,7 +250,7 @@ def _assert_streamed_is_gathered(link_x, link_y, dist, n):
         x = realize(link_x, dist, n, child_seed(spec.master_seed, "X", trial))
         x *= realize(link_y, dist, n, child_seed(spec.master_seed, "Y", trial))
         x *= n ** -0.5
-        assert product_realization(spec, trial, out=buf).tobytes() == x.tobytes()
+        assert upper(product_realization(spec, trial, out=buf)) == upper(x)
 
 
 @pytest.mark.parametrize("link_x,link_y", WIGNER_PRODUCTS)
@@ -255,6 +261,43 @@ def test_wigner_draws_in_chunks_of_any_size_are_bitwise_one_stream(monkeypatch, 
     of a whole 64-row block (6,240 draws at most), at n = 129."""
     monkeypatch.setattr(ensemble, "DRAW_CHUNK", chunk)
     _assert_streamed_is_gathered(link_x, link_y, "rademacher", 129)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["in_place", "fallback"])
+@pytest.mark.parametrize("link_x,link_y", [*WIGNER_PRODUCTS[:3], ("toeplitz", "hankel")])
+def test_a_realization_leaves_the_lower_triangle_unwritten(monkeypatch, link_x, link_y,
+                                                           fallback):
+    """Realized into a NaN buffer, a product leaves every cell left of its row
+    blocks' diagonal squares NaN, and its spectrum is bitwise that of the
+    gathered symmetric matrix on either solver route."""
+    if fallback:
+        monkeypatch.setattr(spectral, "_dsyevd", None)
+    n = 2 * BLOCK_ROWS + 22
+    spec = _spec(link_x=link_x, link_y=link_y, dist_x="gaussian", dist_y="uniform", n=n)
+    full = realize(link_x, "gaussian", n, child_seed(spec.master_seed, "X", 0))
+    full *= realize(link_y, "uniform", n, child_seed(spec.master_seed, "Y", 0))
+    full *= n ** -0.5
+    a = product_realization(spec, 0, out=np.full((n, n), np.nan))
+    i, j = np.indices((n, n))
+    left = j < i // BLOCK_ROWS * BLOCK_ROWS  # left of each row block's diagonal square
+    assert left.sum() == 64 * 64 + 22 * 128 and np.isnan(a[left]).all()
+    expected = np.linalg.eigvalsh(full)
+    assert np.linalg.eigvalsh(a.T).tobytes() == expected.tobytes()
+    assert eigenvalues(a).eigenvalues.tobytes() == expected.tobytes()
+
+
+def test_a_non_finite_value_in_any_upper_cell_is_refused():
+    """The finite check covers the whole upper triangle, diagonal included,
+    and not the cells below the diagonal."""
+    n = 2 * BLOCK_ROWS + 22
+    a = np.triu(product_realization(_spec(n=n), 0))
+    a[np.tril_indices(n, -1)] = np.nan
+    assert eigenvalues(a.copy()).n == n
+    for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        kept, a[i, j] = a[i, j], (np.nan, np.inf, -np.inf)[k % 3]
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues(a)  # refused before the solve, so ``a`` is not overwritten
+        a[i, j] = kept
 
 
 def test_wigner_realization_makes_no_code_table_and_no_draw_vector():
@@ -315,7 +358,7 @@ def test_product_realization_rejects_a_mismatched_buffer():
 
 def test_rademacher_product_entries_have_unit_square():
     m = product_realization(_spec(n=10), trial=0)
-    assert np.allclose((m * np.sqrt(10)) ** 2, 1.0)
+    assert np.allclose((m[np.triu_indices(10)] * np.sqrt(10)) ** 2, 1.0)
 
 
 def test_product_spec_validation():
@@ -396,7 +439,7 @@ def test_hashlib_imported_first_gives_the_same_bytes():
     hashlib_loaded, plain = _realize_fresh("import hashlib")
     assert hashlib_loaded
     for key in PINNED_ENTRIES:
-        assert guarded[key].tobytes() == plain[key].tobytes(), key
+        assert upper(guarded[key]) == upper(plain[key]), key
 
 
 def test_workers_that_start_together_share_one_guarded_import():
@@ -406,6 +449,7 @@ def test_workers_that_start_together_share_one_guarded_import():
     code = """
 import json, sys, threading
 from schurlsd.ensemble import ProductSpec, product_realization
+import numpy as np
 sys.setswitchinterval(1e-6)
 spec = ProductSpec("wigner", "toeplitz", "gaussian", "gaussian", 12, 2014, 1)
 start, out, errors = threading.Barrier(8), [], []
@@ -421,7 +465,8 @@ for w in workers:
 for w in workers:
     w.join(timeout=60)
 print(json.dumps({"alive": sum(w.is_alive() for w in workers), "errors": errors,
-                  "matrices": sorted({a.tobytes().hex() for a in out}), "done": len(out),
+                  "matrices": sorted({np.triu(a).tobytes().hex() for a in out}),
+                  "done": len(out),
                   "_hashlib": "_hashlib" in sys.modules}))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -103,7 +103,7 @@ def test_eigenvalues_are_bitwise_those_of_eigvalsh(monkeypatch, n, links, laws, 
         assert spectral.eigensolver() == "numpy.linalg.eigvalsh"
     spec = _spec(link_x=links[0], link_y=links[1], dist_x=laws[0], dist_y=laws[1], n=n)
     a = product_realization(spec, trial=1)
-    expected = np.linalg.eigvalsh(a.copy())
+    expected = np.linalg.eigvalsh(a.T)  # the upper triangle of ``a``, read as lower
     s = eigenvalues(a)
     assert s.n == n
     assert s.eigenvalues.tobytes() == expected.tobytes()
@@ -312,19 +312,66 @@ def test_every_solve_of_a_trial_goes_through_eigenvalues(monkeypatch, links, sha
     assert solved == shapes * 3
 
 
-@pytest.mark.parametrize("block", ["upper", "lower", "both"])
+#: A cell of each region the fold of a 12 x 12 matrix (h = 6) reads: the upper
+#: triangles of the two diagonal blocks and of the top-right block C, and,
+#: under J, C's lower triangle too (under H, C is symmetric, and both blocks
+#: take their cells of C from its upper triangle).
+FOLD_READS = {"top": (1, 4), "top_diagonal": (0, 0), "corner_diagonal": (2, 8),
+              "corner_upper": (1, 9), "bottom": (7, 10), "bottom_diagonal": (11, 11)}
+FOLD_READS_UNDER_J = {"corner_lower": (4, 7), "corner_bottom_left": (5, 6)}
+
+
+@pytest.mark.parametrize("involution,cell", [
+    *((inv, cell) for inv in "HJ" for cell in FOLD_READS.values()),
+    *(("J", cell) for cell in FOLD_READS_UNDER_J.values()),
+], ids=[*(f"{inv}-{name}" for inv in "HJ" for name in FOLD_READS),
+        *(f"J-{name}" for name in FOLD_READS_UNDER_J)])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("involution", ["H", "J"])
-def test_split_solve_keeps_the_finite_check(involution, value, block):
-    # the fold adds each off-diagonal block into a diagonal one, whose
-    # finite check ``eigenvalues`` runs, so no bad entry gets past it
-    a, h = np.eye(12), 6
-    if block in ("upper", "both"):
-        a[:h, h:][1, 4] = value
-    if block in ("lower", "both"):
-        a[h:, :h][4, 1] = value
+def test_split_solve_keeps_the_finite_check(involution, cell, value):
+    # the fold adds each cell of C it reads into a block's upper triangle,
+    # whose finite check ``eigenvalues`` runs, so no bad entry gets past it
+    a = np.eye(12)
+    a[cell] = value
     with pytest.raises(ValueError, match="non-finite"):
         spectral._split_solve(a, involution)
+
+
+@pytest.mark.parametrize("links,involution", [(("symcirc", "revcirc"), "H"),
+                                              (("toeplitz", "symcirc"), "J")], ids=["H", "J"])
+@pytest.mark.parametrize("n", [12, 150])
+def test_split_solve_reads_only_the_upper_triangle(links, involution, n):
+    # NaN below the diagonal, the lower-left block included, is never read:
+    # the row is bitwise that of the matrix symmetrized from its upper triangle
+    a = product_realization(_spec(link_x=links[0], link_y=links[1], n=n), 0)
+    full = np.triu(a) + np.triu(a, 1).T
+    a[np.tril_indices(n, -1)] = np.nan
+    assert spectral._split_solve(a, involution).tobytes() == \
+        spectral._split_solve(full, involution).tobytes()
+
+
+@pytest.mark.parametrize("links", [("toeplitz", "hankel"), ("wigner", "toeplitz"),
+                                   ("wigner", "wigner"), *SPLIT_PRODUCTS], ids="*".join)
+def test_a_trial_never_touches_the_cells_left_of_the_diagonal_squares(monkeypatch, links):
+    # Realization, finite check, fold and solve all keep to the upper
+    # triangle, so in a NaN-filled buffer the cells left of each row block's
+    # diagonal square stay NaN, and the spectra are bitwise those of a zeroed
+    # buffer. n = 150 puts the split half, 75, inside a row block.
+    n, maps, real = 150, [], mmap.mmap
+
+    def nan_filled(*args, **kwargs):
+        mapped = real(*args, **kwargs)
+        mapped.write(np.full(len(mapped) // 8, np.nan).tobytes())
+        maps.append(mapped)
+        return mapped
+
+    spec = _spec(link_x=links[0], link_y=links[1], n=n, trials=2)
+    zeroed = trial_spectra(spec, threads=1)
+    monkeypatch.setattr(mmap, "mmap", nan_filled)
+    assert trial_spectra(spec, threads=1).tobytes() == zeroed.tobytes()
+    (buf,) = maps
+    i, j = np.indices((n, n))
+    left = j < i // spectral.BLOCK_ROWS * spectral.BLOCK_ROWS
+    assert np.isnan(np.frombuffer(buf).reshape(n, n)[left]).all()
 
 
 @pytest.mark.parametrize("links", SPLIT_PRODUCTS, ids="*".join)
@@ -358,6 +405,7 @@ def test_moment_hand_values():
 def test_trace_and_spectrum_routes_agree(kind_pair, n):
     x, y = kind_pair
     m = product_realization(_spec(link_x=x, link_y=y, n=n), trial=0)
+    m = np.triu(m) + np.triu(m, 1).T  # the realization is its upper triangle
     for h, via_spectrum in enumerate(_spectrum_moments(eigenvalues(m.copy()), 6), start=1):
         via_trace = moment_from_trace(m, h)
         scale = max(abs(via_trace), 1.0)
