@@ -6,8 +6,8 @@ set their keys in it), writes its reports under the output directory, and
 finishes with a ``manifest.json`` naming the config hash, per-check outcomes,
 and a checksum inventory of every emitted file. Exit status: 0 when all
 configured checks pass, 1 when any fails, 2 for config errors, 3 when an
-exact count would exceed its search budget, 4 when the outputs cannot be
-written.
+exact count would exceed its search budget or memory runs out, 4 when the
+outputs cannot be written.
 
 Reproducibility contract: numeric payloads are a pure function of the
 config, which the ``--out`` and ``--threads`` flags never enter, and floats
@@ -100,6 +100,11 @@ T = TypeVar("T")
 
 class ConfigError(Exception):
     """Invalid run configuration; the message names the offending key/value."""
+
+
+class OutputError(Exception):
+    """A report or the manifest could not be written, or read back for its
+    checksum; the message is the operating system's."""
 
 
 # --- Table 2 registry ---------------------------------------------------------
@@ -215,10 +220,13 @@ def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path``, making its directory first: a run that
     stops before its first file, on a config error or otherwise, leaves
     nothing on disk."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(exc) from exc
 
 
 def config_hash(command: str, cfg: Mapping) -> str:
@@ -638,6 +646,12 @@ def _limit_for_product(link_x: str, link_y: str) -> Optional[str]:
     return None
 
 
+def _ks_distances(spectra: np.ndarray) -> dict[str, float]:
+    """KS distance of a pooled ESD to every law in ``LAW_GATES`` with a CDF."""
+    return {f"ks_{law}": ks_distance(spectra, cdf)
+            for law, (_, cdf, _) in LAW_GATES.items() if cdf is not None}
+
+
 def _limit_targets(limit: str, h_max: int) -> tuple[dict[int, dict], dict[int, dict]]:
     """Even-moment targets of a Table 2 limit law, with provenance, and the
     words per proof of each exact target.
@@ -741,18 +755,14 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
         )
     ks_max = cfg.threshold("ks_max", None)
     limit = _limit_for_product(spec.link_x, spec.link_y)
-    if ks_max is not None and limit not in (None, "semicircle"):
-        raise ConfigError(
-            f"config key 'ks_max': the KS distance is to the semicircle, but "
-            f"{spec.link_x}*{spec.link_y} has the Table 2 limit {limit!r}"
-        )
+    if ks_max is not None and LAW_GATES.get(limit, ({}, None, None))[1] is None:
+        raise ConfigError(f"config key 'ks_max': {spec.link_x}*{spec.link_y} has no limit law "
+                          f"with a CDF to measure KS against (Table 2 limit {limit!r})")
     eigenvalues_csv = cfg.value("eigenvalues_csv", "bool", False)
 
-    def reduce(spectra: np.ndarray):
-        return spectra, histogram(spectra, bins, lo, hi), ks_distance(spectra, semicircle_cdf)
-
     def run() -> None:
-        spectra, (centers, density), ks = ctx.monte_carlo(spec, reduce)
+        spectra, (centers, density), ks = ctx.monte_carlo(
+            spec, lambda s: (s, histogram(s, bins, lo, hi), _ks_distances(s)))
 
         report = dict(ctx.header())
         report["n"] = spec.n
@@ -767,9 +777,10 @@ def cmd_spectrum(ctx: RunContext) -> Callable[[], None]:
             "centers": centers,
             "density": density,
         }
-        report["ks_semicircle"] = ks
+        report.update(ks)
         if ks_max is not None:
-            ctx.gate("spectrum:ks", ks, 0.0, ks_max, f"KS {_fmt(ks)} vs max {_fmt(ks_max)}")
+            own = ks[f"ks_{limit}"]
+            ctx.gate("spectrum:ks", own, 0.0, ks_max, f"KS {_fmt(own)} vs max {_fmt(ks_max)}")
         if eigenvalues_csv:
             rows = np.column_stack([np.repeat(np.arange(spec.trials), spec.n), spectra.ravel()])
             buf = io.StringIO()
@@ -987,11 +998,8 @@ def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict],
             n=n, master_seed=seed, trials=trials,
         )
 
-        def reduce(spectra: np.ndarray):
-            ks = ks_distance(spectra, cdf) if cdf is not None else None
-            return moments_from_spectra(spectra, spectral.MAX_MC_ORDER), ks
-
-        moments, ks = ctx.monte_carlo(spec, reduce)
+        moments, ks = ctx.monte_carlo(spec, lambda spectra: (
+            moments_from_spectra(spectra, spectral.MAX_MC_ORDER), _ks_distances(spectra)))
         by_h = {m.h: m for m in moments}
         for link in (x, y):
             if link not in link_delta:
@@ -1001,7 +1009,7 @@ def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict],
         entry = {
             "row": row, "link_x": x, "link_y": y, "seed": seed,
             "n": n, "trials": trials, "delta": delta,
-            "moments": [_moment_json(m, _moment_target(targets, m.h)) for m in moments],
+            "moments": [_moment_json(m, _moment_target(targets, m.h)) for m in moments], **ks,
         }
 
         for two_k in (2, 4, 6):
@@ -1011,8 +1019,8 @@ def _table2_monte_carlo(ctx: RunContext) -> Callable[[int, str, str, str, dict],
             ctx.gate(f"{tag}:beta{two_k}", m.mean, t, band,
                      f"estimate {_fmt(m.mean)}, target {_fmt(t)}, {spread}", m)
         if cdf is not None:
-            entry[f"ks_{limit}"] = ks
-            ctx.gate(f"{tag}:ks", ks, 0.0, ks_max, f"KS {_fmt(ks)} vs max {ks_max}")
+            own = ks[f"ks_{limit}"]
+            ctx.gate(f"{tag}:ks", own, 0.0, ks_max, f"KS {_fmt(own)} vs max {ks_max}")
 
         for h in (1, 3, 5):
             m = by_h[h]
@@ -1176,7 +1184,10 @@ def _write_manifest(ctx: RunContext, wall: float) -> None:
     wall time, peak memory and environment."""
     inventory = []
     for name in sorted(ctx.files):
-        data = (ctx.out_dir / name).read_bytes()
+        try:
+            data = (ctx.out_dir / name).read_bytes()
+        except OSError as exc:
+            raise OutputError(exc) from exc
         inventory.append(
             {"path": name, "sha256": sha256(data).hexdigest(), "bytes": len(data)}
         )
@@ -1228,10 +1239,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SearchBudgetError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except (SearchBudgetError, MemoryError) as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 4
 

@@ -221,8 +221,9 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     on, ``min(threads, trials)`` plain ``threading.Thread`` workers take
     whole trials, each the next index from one shared iterator under a lock;
     ``threads`` is a cap that defaults to ``usable_cpus()``. Once a trial
-    raises, no worker takes another, and the first error is raised here
-    after every worker has been joined.
+    raises, or a worker cannot map its buffer (``MemoryError``), no worker
+    takes another, and the first error is raised here after every worker
+    has been joined.
 
     Each worker fills one n x n buffer, an anonymous memory map reused for
     all its trials and unmapped when the worker returns, so nothing of it
@@ -253,26 +254,29 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     errors: list = []
 
     def work() -> None:
-        # Mapped, not taken from malloc, so the buffer is unmapped when the
-        # worker returns instead of staying in a resident arena heap.
-        buf = np.frombuffer(mmap.mmap(-1, 8 * spec.n * spec.n),
-                            dtype=np.float64).reshape(spec.n, spec.n)
-        while True:
-            with lock:
-                t = None if errors else next(trials, None)
-            if t is None:
-                return
+        try:
+            # Mapped, not taken from malloc, so the buffer is unmapped when the
+            # worker returns instead of staying in a resident arena heap.
             try:
+                raw = mmap.mmap(-1, 8 * spec.n * spec.n)
+            except OSError as exc:
+                raise MemoryError(f"cannot map a {spec.n} x {spec.n} trial buffer: "
+                                  f"{exc}") from exc
+            buf = np.frombuffer(raw, dtype=np.float64).reshape(spec.n, spec.n)
+            while True:
+                with lock:
+                    t = None if errors else next(trials, None)
+                if t is None:
+                    return
                 start = time.perf_counter()
                 a = product_realization(spec, t, out=buf)
                 solve = time.perf_counter()
                 spectra[t] = _split_solve(a, involution) if involution \
                     else eigenvalues(a).eigenvalues
                 times[t] = solve - start, time.perf_counter() - solve
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
 
     workers = 1
     if spec.n >= MIN_THREADED_N:

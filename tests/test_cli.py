@@ -36,6 +36,15 @@ def read_json(out_dir, name):
     return json.loads((out_dir / name).read_text())
 
 
+TABLE2_PRODUCTS = {
+    1: [("wigner", y) for y in ("toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")],
+    2: [(x, y) for x in ("toeplitz", "symcirc") for y in ("hankel", "revcirc", "dsymhankel")],
+    3: [("toeplitz", "symcirc")],
+    4: [("hankel", "revcirc"), ("hankel", "dsymhankel")],
+    5: [("revcirc", "dsymhankel")],
+}
+
+
 # --- exit codes -----------------------------------------------------------------------
 
 
@@ -116,6 +125,52 @@ def test_exit_four_on_output_error(tmp_path):
     assert proc.returncode == 4
     assert proc.stderr.startswith("output error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_exit_four_when_a_report_cannot_be_read_back(tmp_path, monkeypatch, capsys):
+    # the manifest reads every written file again for its checksum
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli.Path, "read_bytes", unreadable)
+    code, _ = run_cli(tmp_path, "words", {"two_k": 4})
+    assert code == 4
+    assert capsys.readouterr().err.startswith("output error: [Errno 13] Permission denied")
+
+
+@pytest.mark.parametrize("cfg", [
+    # the trial buffer's map
+    {"link_x": "toeplitz", "link_y": "hankel", "n": 1_000_000, "trials": 1},
+    # the (trials, n) array of spectra
+    {"link_x": "toeplitz", "link_y": "hankel", "n": 1000, "trials": 1_000_000_000},
+], ids=["buffer", "spectra"])
+def test_exit_three_when_memory_runs_out(tmp_path, cfg):
+    # 8 TB asked of a process capped at 4 GB of address space: the allocation
+    # fails when it is asked for, so nothing is really allocated.
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, hard))
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [sys.executable, "-m", "schurlsd.cli", "spectrum", "--config", str(cfg_path),
+            "--seed", "1", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, preexec_fn=cap_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_three_names_a_memory_error_without_a_message(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "trial_spectra", exhausted)
+    code, out = run_cli(tmp_path, "spectrum", {"link_x": "wigner", "link_y": "toeplitz", "n": 20})
+    assert code == 3
+    assert capsys.readouterr().err == "resource error: out of memory\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -203,24 +258,63 @@ def test_spectrum_bad_ks_max_exits_two_and_writes_no_report(tmp_path, ks_max):
 
 
 @pytest.mark.parametrize("link_x,link_y,limit", [("hankel", "revcirc", "hankel"),
-                                                  ("symcirc", "toeplitz", "toeplitz")])
-def test_spectrum_refuses_ks_max_for_a_limit_other_than_the_semicircle(
+                                                  ("symcirc", "toeplitz", "toeplitz"),
+                                                  ("toeplitz", "symcirc", "toeplitz"),
+                                                  ("hankel", "dsymhankel", "hankel"),
+                                                  ("revcirc", "dsymhankel", "revcirc"),
+                                                  ("wigner", "wigner", None),
+                                                  ("toeplitz", "toeplitz", None),
+                                                  ("hankel", "hankel", None)])
+def test_spectrum_refuses_ks_max_without_a_law_with_a_cdf(
         tmp_path, capsys, link_x, link_y, limit):
-    # KS is measured against the semicircle, so a Table 2 product with another
-    # limit (rows 3-5) cannot be gated by it
+    # KS is gated against the product's own law in LAW_GATES: rows 3-5 have
+    # laws without a CDF there, and a product in no row has no law at all.
+    # The semicircle would pass toeplitz*toeplitz (KS 0.0315) and
+    # hankel*hankel (KS 0.0254) at n = 1000 below KS_MAX, though their limits
+    # are the Toeplitz and Hankel laws.
     cfg = {"link_x": link_x, "link_y": link_y, "n": 20, "trials": 2, "ks_max": 0.05}
     _exits_two_with_no_report(tmp_path, "spectrum", cfg)
-    assert f"{link_x}*{link_y} has the Table 2 limit {limit!r}" in capsys.readouterr().err
+    assert (f"{link_x}*{link_y} has no limit law with a CDF to measure KS against "
+            f"(Table 2 limit {limit!r})") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("link_y", ["toeplitz", "wigner"])
-def test_spectrum_still_gates_ks_max_on_semicircle_and_unlisted_products(tmp_path, link_y):
-    # wigner*toeplitz is Table 2 row 1; wigner*wigner is in no row
-    cfg = {"link_x": "wigner", "link_y": link_y, "n": 40, "trials": 2, "ks_max": 1e-9}
+@pytest.mark.parametrize("link_x,link_y", TABLE2_PRODUCTS[1] + TABLE2_PRODUCTS[2],
+                         ids="*".join)
+def test_spectrum_gates_ks_max_on_every_rows_1_2_product(tmp_path, link_x, link_y):
+    cfg = {"link_x": link_x, "link_y": link_y, "n": 40, "trials": 2, "ks_max": 1e-9}
     code, out = run_cli(tmp_path, "spectrum", cfg)
     assert code == 1
     (check,) = read_json(out, "manifest.json")["checks"]
     assert check["name"] == "spectrum:ks" and check["pass"] is False
+    assert check["value"] == read_json(out, "spectrum_report.json")["ks_semicircle"]
+
+
+def _symmetric_rayleigh_cdf(x):
+    x = np.asarray(x, dtype=float)
+    return 0.5 + np.sign(x) * (1.0 - np.exp(-x * x)) / 2.0
+
+
+def test_a_law_planted_in_the_registry_reaches_both_commands(tmp_path, monkeypatch):
+    # Row 5's limit is the symmetric Rayleigh law. One LAW_GATES entry, and no
+    # other edit, makes both commands measure it and gate the product on it.
+    monkeypatch.setitem(cli.LAW_GATES, "revcirc", ({}, _symmetric_rayleigh_cdf, 0.2))
+    code, out = run_cli(tmp_path, "verify-table2", {"rows": [5], "n": 200, "trials": 2},
+                        out="table2")
+    assert code in (0, 1)
+    (product,) = read_json(out, "verify_table2_report.json")["products"]
+    assert list(product)[-2:] == ["ks_semicircle", "ks_revcirc"]
+    assert product["ks_revcirc"] < product["ks_semicircle"]
+    checks = [c for c in read_json(out, "manifest.json")["checks"] if c["name"].endswith(":ks")]
+    assert [(c["name"], c["value"], c["band"]) for c in checks] == [
+        ("row5:revcirc*dsymhankel:ks", product["ks_revcirc"], 0.2)]
+
+    cfg = {"link_x": "revcirc", "link_y": "dsymhankel", "n": 200, "trials": 2, "ks_max": 0.2}
+    code, out = run_cli(tmp_path, "spectrum", cfg, out="spectrum")
+    assert code == 0
+    report = read_json(out, "spectrum_report.json")
+    assert report["ks_revcirc"] < report["ks_semicircle"]
+    (check,) = read_json(out, "manifest.json")["checks"]
+    assert (check["name"], check["value"]) == ("spectrum:ks", report["ks_revcirc"])
 
 
 @pytest.mark.parametrize("bad", [[float("-inf"), 3], [-3, float("inf")], [float("nan"), 3],
@@ -974,15 +1068,6 @@ def test_verify_row3_gates_every_even_moment_against_exact_targets(tmp_path):
     assert "beta6_gap" not in product
     beta6 = product["moments"][5]
     assert beta6["h"] == 6 and beta6["target"] == 11.0
-
-
-TABLE2_PRODUCTS = {
-    1: [("wigner", y) for y in ("toeplitz", "hankel", "symcirc", "revcirc", "dsymhankel")],
-    2: [(x, y) for x in ("toeplitz", "symcirc") for y in ("hankel", "revcirc", "dsymhankel")],
-    3: [("toeplitz", "symcirc")],
-    4: [("hankel", "revcirc"), ("hankel", "dsymhankel")],
-    5: [("revcirc", "dsymhankel")],
-}
 
 
 #: The paper's fold and wrap maps that carry the first link of a row 3-5

@@ -579,6 +579,21 @@ def test_a_failing_trial_stops_the_other_workers(pooled, monkeypatch):
     assert sorted(taken) == [0, 1]
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_a_buffer_that_cannot_be_mapped_raises_memory_error(pooled, monkeypatch, threads):
+    """No worker can map its buffer: the caller gets a MemoryError, on the
+    calling thread or from the pool, never a spectra array no trial filled."""
+    def refuse(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    taken = []
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    monkeypatch.setattr(spectral, "product_realization", lambda spec, t, out: taken.append(t))
+    with pytest.raises(MemoryError, match=r"cannot map a 30 x 30 trial buffer: \[Errno 12\]"):
+        trial_spectra(_spec(), threads=threads)
+    assert taken == []
+
+
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
