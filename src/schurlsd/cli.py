@@ -17,6 +17,7 @@ are serialized with 17 significant digits so values round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -103,8 +104,8 @@ class ConfigError(Exception):
 
 
 class OutputError(Exception):
-    """A report or the manifest could not be written, or read back for its
-    checksum; the message is the operating system's."""
+    """A report or the manifest could not be written; the message is the
+    operating system's."""
 
 
 # --- Table 2 registry ---------------------------------------------------------
@@ -216,17 +217,22 @@ def encode_json(obj) -> str:
     return _encode_json(obj, "") + "\n"
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, making its directory first: a run that
-    stops before its first file, on a config error or otherwise, leaves
-    nothing on disk."""
+def _atomic_write(path: Path, text: str) -> dict:
+    """Write ``text`` to ``path`` as UTF-8, making its directory first: a run
+    that stops before its first file, on a config error or otherwise, leaves
+    nothing on disk, and a write or rename that fails leaves no temp file.
+    Returns the manifest's inventory entry of the bytes written."""
+    data = text.encode()
+    tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # its directory may not exist
+            tmp.unlink()
         raise OutputError(exc) from exc
+    return {"path": path.name, "sha256": sha256(data).hexdigest(), "bytes": len(data)}
 
 
 def config_hash(command: str, cfg: Mapping) -> str:
@@ -419,6 +425,8 @@ class RunContext:
     seed: int
     hash: str
     checks: list = field(default_factory=list)
+    #: The manifest's inventory entries of the files written, as
+    #: ``_atomic_write`` returns them.
     files: list = field(default_factory=list)
     #: Limit -> wall time and per-order fit of its target assembly; goes to
     #: the manifest only, since wall times differ between runs.
@@ -439,12 +447,10 @@ class RunContext:
         }
 
     def emit_json(self, name: str, obj) -> None:
-        _atomic_write(self.out_dir / name, encode_json(obj))
-        self.files.append(name)
+        self.emit_text(name, encode_json(obj))
 
     def emit_text(self, name: str, text: str) -> None:
-        _atomic_write(self.out_dir / name, text)
-        self.files.append(name)
+        self.files.append(_atomic_write(self.out_dir / name, text))
 
     def check(self, name: str, passed: bool, detail: str = "") -> bool:
         self.checks.append(CheckResult(name, bool(passed), detail))
@@ -1111,9 +1117,11 @@ def _load_config_file(path: Optional[str]) -> dict:
         return {}
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_bytes().decode("utf-8")  # JSON's encoding, whatever the locale
     except OSError as exc:
         raise ConfigError(f"config file {str(p)!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {str(p)!r}: not UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -1182,15 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_manifest(ctx: RunContext, wall: float) -> None:
     """``manifest.json``: the run's config hash, checks, file inventory,
     wall time, peak memory and environment."""
-    inventory = []
-    for name in sorted(ctx.files):
-        try:
-            data = (ctx.out_dir / name).read_bytes()
-        except OSError as exc:
-            raise OutputError(exc) from exc
-        inventory.append(
-            {"path": name, "sha256": sha256(data).hexdigest(), "bytes": len(data)}
-        )
     manifest = {
         "config_hash": ctx.hash,
         "version": __version__,
@@ -1200,7 +1199,7 @@ def _write_manifest(ctx: RunContext, wall: float) -> None:
         "passed": all(c.passed for c in ctx.checks),
         "checks": [{**c.report(), "value": c.value, "target": c.target, "band": c.band,
                     "z": c.z, "df": c.df} for c in ctx.checks],
-        "files": inventory,
+        "files": sorted(ctx.files, key=lambda entry: entry["path"]),
         "environment": _environment(ctx.threads),
     }
     if ctx.target_assembly:

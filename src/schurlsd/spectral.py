@@ -34,7 +34,7 @@ MAX_MC_ORDER = 8
 
 #: Smallest n at which ``trial_spectra`` spreads trials over threads, kept for
 #: memory: two workers took the peak RSS of an n = 400 ``moments`` run from
-#: 36.0 to 38.4 MB (one more malloc arena and mapped realization buffer).
+#: 35.6 to 37.9 MB (medians of 5; one more malloc arena and mapped buffer).
 #: Solves do not compete: a new pool ran at 0.90-1.00x only while the kernel
 #: kept both workers on one CPU, about its first second; pinned workers ran
 #: at 2.0x.
@@ -217,13 +217,15 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     """Spectra of all trials as one C-contiguous (trials, n) float64 array:
     row t holds trial t's eigenvalues, ascending, for any thread count.
 
-    Below ``MIN_THREADED_N`` every trial runs on the calling thread. From it
-    on, ``min(threads, trials)`` plain ``threading.Thread`` workers take
+    ``min(threads, trials)`` workers, one below ``MIN_THREADED_N``, take
     whole trials, each the next index from one shared iterator under a lock;
-    ``threads`` is a cap that defaults to ``usable_cpus()``. Once a trial
-    raises, or a worker cannot map its buffer (``MemoryError``), no worker
-    takes another, and the first error is raised here after every worker
-    has been joined.
+    ``threads`` is a cap that defaults to ``usable_cpus()``. The calling
+    thread is one worker and starts the others as plain ``threading.Thread``
+    helpers; once the OS refuses to start one, the workers running take
+    every trial, since no result depends on their number. Once a trial
+    raises, an interrupt on the calling thread included, or a worker cannot
+    map its buffer (``MemoryError``), no worker takes another, and the first
+    error is raised here after the helpers have been joined.
 
     Each worker fills one n x n buffer, an anonymous memory map reused for
     all its trials and unmapped when the worker returns, so nothing of it
@@ -243,8 +245,8 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     (``_split_solve``): about a quarter of the arithmetic of a dense solve.
     Those rows agree with ``eigenvalues`` of the realization to rounding;
     every other product's rows are bitwise those of ``eigenvalues``.
-    ``stats``, when given, receives the workers used, the block sizes each
-    trial was solved as and the per-phase times.
+    ``stats``, when given, receives the workers that ran, the block sizes
+    each trial was solved as and the per-phase times.
     """
     spectra = np.empty((spec.trials, spec.n))
     times = np.empty((spec.trials, 2))
@@ -281,21 +283,26 @@ def trial_spectra(spec: ProductSpec, threads: Optional[int] = None,
     workers = 1
     if spec.n >= MIN_THREADED_N:
         workers = max(1, min(usable_cpus() if threads is None else threads, spec.trials))
-    if workers == 1:
-        work()
-    else:
-        pool = [threading.Thread(target=work) for _ in range(workers)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+    except RuntimeError:  # the OS starts no more threads: the running ones take every trial
+        pass
+    except BaseException as exc:  # an interrupt: the helpers started stop after their trials
+        with lock:
+            errors.append(exc)
+    work()
+    for helper in helpers:
+        if helper.is_alive():  # not one that never started, nor one already done
+            helper.join()
     if errors:
         # Emptied before the raise: a list that kept an error would close a
         # cycle through its traceback's frames and hold the buffers.
         del errors[1:]
         raise errors.pop()
     if stats is not None:
-        stats.workers = workers
+        stats.workers = 1 + sum(helper.ident is not None for helper in helpers)
         stats.blocks = [spec.n // 2] * 2 if involution else [spec.n]
         stats.realize_s, stats.eigensolve_s = times.sum(axis=0).tolist()
     return spectra

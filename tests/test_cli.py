@@ -127,15 +127,29 @@ def test_exit_four_on_output_error(tmp_path):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
-def test_exit_four_when_a_report_cannot_be_read_back(tmp_path, monkeypatch, capsys):
-    # the manifest reads every written file again for its checksum
-    def unreadable(path):
-        raise PermissionError(13, "Permission denied", str(path))
+def test_a_failed_rename_exits_four_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def full(src, dst):
+        raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli.Path, "read_bytes", unreadable)
-    code, _ = run_cli(tmp_path, "words", {"two_k": 4})
+    monkeypatch.setattr(cli.os, "replace", full)
+    code, out = run_cli(tmp_path, "words", {"two_k": 4})
     assert code == 4
-    assert capsys.readouterr().err.startswith("output error: [Errno 13] Permission denied")
+    assert capsys.readouterr().err.startswith("output error: [Errno 28] No space left")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"two_k": 4, "mode": "list\xe9"}',  # one Latin-1 byte
+    b'\xef\xbb\xbf{"two_k": 4}',  # a UTF-8 byte order mark, which JSON does not allow
+], ids=["latin-1", "bom"])
+def test_a_config_file_that_is_not_plain_utf8_exits_two(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(raw)
+    out = tmp_path / "out"
+    code = main(["words", "--config", str(cfg_path), "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file {str(cfg_path)!r}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cfg", [

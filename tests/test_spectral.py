@@ -2,8 +2,10 @@
 
 import mmap
 import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -444,8 +446,9 @@ def pooled(monkeypatch):
 
 
 def _recording_pool(monkeypatch) -> list:
-    """Log the worker threads each ``trial_spectra`` call starts, one count
-    per call: a call starts all of its workers before it joins any."""
+    """Log the helper threads each ``trial_spectra`` call starts, one count
+    per call that starts any: a call starts all of its helpers before it
+    joins one."""
     pools = []
     joined = [True]
 
@@ -521,7 +524,7 @@ def test_trial_spectra_default_to_usable_cpus(pooled, monkeypatch):
     pools = _recording_pool(monkeypatch)
     stats = TrialStats()
     assert seq.tobytes() == trial_spectra(spec, stats=stats).tobytes()
-    assert pools == [3]
+    assert pools == [2]  # the calling thread is the third worker
     assert stats.workers == 3
 
 
@@ -535,7 +538,7 @@ def test_trial_spectra_run_serially_below_the_crossover(monkeypatch):
     assert stats.realize_s > 0 and stats.eigensolve_s > 0
     monkeypatch.setattr(spectral, "MIN_THREADED_N", spec.n)
     threaded = trial_spectra(spec, threads=4)
-    assert pools == [4]
+    assert pools == [3]
     assert serial.tobytes() == threaded.tobytes()
 
 
@@ -549,34 +552,172 @@ def test_each_worker_maps_one_buffer_and_unmaps_it(pooled, monkeypatch, threads)
     assert _one_unmapped_buffer_per_worker(maps, threads, spec.n)
 
 
-def test_a_failing_trial_stops_the_other_workers(pooled, monkeypatch):
-    """A NaN planted in trial 0 makes its solve raise. The worker on trial 1
-    finishes it only after the failing worker has returned, then takes no
-    further trial, and the error reaches the caller after the join."""
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_calling_thread_is_one_of_the_workers(pooled, monkeypatch, workers):
+    """``workers - 1`` helpers are started and the calling thread solves
+    trials too: each helper waits in its trials until the caller has taken
+    one, so the helpers cannot take every trial first."""
     real = spectral.product_realization
+    caller = threading.get_ident()
+    caller_took = threading.Event()
+    solvers = []
+
+    def recording(spec, trial, out):
+        if threading.get_ident() == caller:
+            caller_took.set()
+        else:
+            caller_took.wait(10)
+        solvers.append(threading.get_ident())
+        return real(spec, trial, out=out)
+
+    spec = _spec(trials=6)
+    seq = trial_spectra(spec, threads=1)
+    monkeypatch.setattr(spectral, "product_realization", recording)
+    pools = _recording_pool(monkeypatch)
+    stats = TrialStats()
+    assert trial_spectra(spec, threads=workers, stats=stats).tobytes() == seq.tobytes()
+    assert pools == ([workers - 1] if workers > 1 else [])
+    assert stats.workers == workers
+    assert len(solvers) == spec.trials and caller in solvers
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_a_failing_trial_stops_the_other_workers(pooled, monkeypatch, failing):
+    """A NaN planted in the first trial of one of two workers makes its solve
+    raise. The other worker finishes its own trial only after the failing
+    one has left its loop, then takes no further trial, and the error
+    reaches the caller after the join."""
+    real = spectral.product_realization
+    caller = threading.get_ident()
     taken = []
-    failing = []
-    first_taken, second_taken = threading.Event(), threading.Event()
+    holding = threading.Barrier(2, timeout=10)  # so that each worker holds a trial
+    left = threading.Event()
+
+    class HookedThread(threading.Thread):
+        def run(self):
+            try:
+                super().run()
+            finally:
+                if failing == "helper":
+                    left.set()
+
+        def join(self, timeout=None):
+            if failing == "caller":  # the caller joins once its own loop is done
+                left.set()
+            super().join(timeout)
 
     def planting(spec, trial, out):
         taken.append(trial)
-        if trial == 0:
-            failing.append(threading.current_thread())
-            first_taken.set()
-            second_taken.wait(10)  # so that the other worker holds trial 1
-            a = real(spec, trial, out=out)
+        holding.wait()
+        a = real(spec, trial, out=out)
+        if (threading.get_ident() == caller) == (failing == "caller"):
             a[1, 2] = a[2, 1] = np.nan
-            return a
-        if trial == 1:
-            second_taken.set()
-            first_taken.wait(10)
-            failing[0].join(10)
-        return real(spec, trial, out=out)
+        else:
+            left.wait(10)
+        return a
 
+    monkeypatch.setattr(threading, "Thread", HookedThread)
     monkeypatch.setattr(spectral, "product_realization", planting)
     with pytest.raises(ValueError, match="non-finite"):
         trial_spectra(_spec(trials=6), threads=2)
     assert sorted(taken) == [0, 1]
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_an_interrupt_stops_every_worker(pooled, monkeypatch):
+    """A helper sends SIGINT to the calling thread while each holds a trial:
+    the ``KeyboardInterrupt`` lands in the caller's trial, the helper takes
+    no further trial, and the interrupt is raised once it has been joined."""
+    real = spectral.product_realization
+    caller = threading.get_ident()
+    taken = []
+    holding, sent, joined = threading.Event(), threading.Event(), threading.Event()
+
+    class JoinedThread(threading.Thread):
+        def join(self, timeout=None):
+            joined.set()  # the caller joins once its own loop is done
+            super().join(timeout)
+
+    def interrupting(spec, trial, out):
+        taken.append(trial)
+        if threading.get_ident() == caller:
+            holding.set()
+            for _ in range(1000):  # the interrupt lands in this loop
+                time.sleep(0.01)
+        elif not sent.is_set():
+            sent.set()
+            holding.wait(10)
+            signal.pthread_kill(caller, signal.SIGINT)
+            joined.wait(10)
+        return real(spec, trial, out=out)
+
+    monkeypatch.setattr(threading, "Thread", JoinedThread)
+    monkeypatch.setattr(spectral, "product_realization", interrupting)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    alive = threading.active_count()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            trial_spectra(_spec(trials=200), threads=2)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert sorted(taken) == [0, 1]
+    assert threading.active_count() == alive
+
+
+def test_an_interrupt_while_helpers_start_stops_those_started(pooled, monkeypatch):
+    """An interrupt that lands in ``Thread.start`` once the helper runs, as
+    a signal can: it is raised after that helper has been joined, and the
+    helper takes no trial beyond the one it may be on."""
+    real = spectral.product_realization
+    taken = []
+    joined = threading.Event()
+
+    class InterruptedThread(threading.Thread):
+        def start(self):
+            super().start()
+            raise KeyboardInterrupt
+
+        def join(self, timeout=None):
+            joined.set()
+            super().join(timeout)
+
+    def waiting(spec, trial, out):
+        if not taken:
+            joined.wait(10)  # so that the helper is on a trial when the caller joins it
+        taken.append(trial)
+        return real(spec, trial, out=out)
+
+    monkeypatch.setattr(threading, "Thread", InterruptedThread)
+    monkeypatch.setattr(spectral, "product_realization", waiting)
+    alive = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        trial_spectra(_spec(trials=200), threads=2)
+    assert taken in ([], [0])
+    assert threading.active_count() == alive
+
+
+@pytest.mark.parametrize("refused", [1, 2, 3])
+def test_a_helper_the_os_will_not_start_is_skipped(pooled, monkeypatch, refused):
+    """The OS refuses to start the ``refused``-th helper of three: the
+    workers already running take every trial, bitwise as one worker would,
+    and none is left running."""
+    spec = _spec(trials=6)
+    seq = trial_spectra(spec, threads=1)
+    helpers = []
+
+    class RefusedThread(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            if len(helpers) == refused:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RefusedThread)
+    stats = TrialStats()
+    assert trial_spectra(spec, threads=4, stats=stats).tobytes() == seq.tobytes()
+    ran = [helper for helper in helpers if helper.ident is not None]
+    assert stats.workers == 1 + len(ran) == refused
+    assert not any(helper.is_alive() for helper in helpers)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
